@@ -6,23 +6,35 @@ arithmetic here is exact rational: float inputs are converted to the exact
 binary fraction they represent, so reference values in eighths survive the
 round trip untouched.
 
-Feasibility runs a phase-1 simplex with Bland's rule (no cycling); vertex
-enumeration walks the graph of feasible bases, where two bases are adjacent
-when they differ by one column swap that preserves feasibility.  For bounded
-polytopes that graph is connected, so a breadth-first walk from any feasible
-basis reaches every basic feasible solution; distinct solution vectors are
-the vertices.
+Feasibility needs no LP.  The coordinate means reachable in the fiber form
+the Minkowski sum of the scaled hypersimplices p_k * Delta(d, k), the base
+polytope of the symmetric submodular F(s) = sum_k p_k min(s, k) (Edmonds
+1970).  So theta is feasible exactly when theta, sorted decreasingly, is
+majorized by the tail vector q_s = P(S >= s), s = 1..d.  The witness applies
+the Hardy-Littlewood-Polya T-transforms that carry q to sorted theta
+(Marshall, Olkin & Arnold, Lemma 2.B.1) to the level indicators, which gives
+per-level marginals z_k in Delta(d, k); systematic sampling (Madow 1949)
+realizes each z_k with at most d atoms.
+
+Vertex enumeration runs a phase-1 simplex with Bland's rule (no cycling) and
+walks the graph of feasible bases, where two bases are adjacent when they
+differ by one column swap that preserves feasibility.  For bounded polytopes
+that graph is connected, so a breadth-first walk from any feasible basis
+reaches every basic feasible solution; distinct solution vectors are the
+vertices.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
+from .indexing import _check_dimension
 from .pmf import JointPmf, Number, SumPmf
 
-FEASIBLE_D_MAX = 12
 VERTEX_D_MAX = 5
 
 _ZERO = Fraction(0)
@@ -96,6 +108,11 @@ def necessary_conditions(p: SumPmf, theta, tol: float = 1e-12) -> NecessaryCondi
     Both box ends come from the order-1 cross-moment bounds: every coordinate
     mean is at least the all-ones mass and at most one minus the all-zeros
     mass, so a violation certifies an empty constrained fiber.
+
+    The two box ends are the s = 1 and s = d - 1 cases of the exact test in
+    feasible_point (the largest theta_i is at most 1 - p_0; the d - 1
+    largest sum to at most mean(p) - p_d), and mean_ok is its s = d equality;
+    here they are checked with a tolerance.
     """
     theta = _coerce_theta(theta)
     if theta.d != p.d:
@@ -364,22 +381,79 @@ def _to_joint(d: int, columns, x) -> JointPmf:
     return JointPmf(d, values)
 
 
+def _majorized(x: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
+    """Whether x (decreasing) is majorized by q: dominated prefix sums, equal totals."""
+    px, pq = list(accumulate(x)), list(accumulate(q))
+    return px[-1] == pq[-1] and all(a <= b for a, b in zip(px, pq))
+
+
+def _level_marginals(pvals: Sequence[Fraction], x: Sequence[Fraction], q: Sequence[Fraction]) -> dict:
+    """Marginals z_k in Delta(d, k), one per supported level, with sum_k p_k z_k = x.
+
+    Requires x (decreasing) majorized by q.  Starting from the level
+    indicators e^(k) = (1,...,1,0,...,0), whose p-mixture is q, each step is
+    the T-transform y <- y - delta (e_i - e_j) on the mixture; it is doubly
+    stochastic, so applying it to every z_k keeps z_k in Delta(d, k).  Each
+    step fixes a coordinate of y to x, so there are at most d - 1 steps.
+    """
+    d = len(x)
+    y = list(q)
+    z = {k: [_ONE] * k + [_ZERO] * (d - k) for k, v in enumerate(pvals) if v > 0}
+    while True:
+        i = next((r for r in reversed(range(d)) if y[r] > x[r]), None)
+        if i is None:
+            return z
+        j = next(r for r in range(i + 1, d) if y[r] < x[r])
+        delta = min(y[i] - x[i], x[j] - y[j])
+        t = delta / (y[i] - y[j])
+        y[i] -= delta
+        y[j] += delta
+        for zk in z.values():
+            shift = t * (zk[i] - zk[j])
+            zk[i] -= shift
+            zk[j] += shift
+
+
+def _systematic_atoms(z: Sequence[Fraction], bits: Sequence[int]):
+    """Madow's systematic design with inclusion probabilities z (integer sum).
+
+    A uniform start u in [0, 1) selects unit i when the grid u + Z meets
+    [C_{i-1}, C_i), C the cumulative sums of z.  The selection only changes
+    where u crosses a fractional part of some C_i, so it yields at most d
+    (index, probability) pairs; bits[i] is the index bit of unit i.
+    """
+    cum = list(accumulate(z, initial=_ZERO))
+    cuts = sorted({c - math.floor(c) for c in cum} | {_ONE})
+    for a, b in zip(cuts, cuts[1:]):
+        hits = [math.ceil(c - a) for c in cum]
+        idx = sum(bit for bit, lo, hi in zip(bits, hits, hits[1:]) if hi > lo)
+        yield idx, b - a
+
+
 def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
-    """An exact element of the mean-constrained fiber, or None if empty."""
+    """An exact element of the mean-constrained fiber, or None if empty.
+
+    The verdict is the exact majorization test of the module docstring; the
+    witness carries at most d atoms per supported level of p.  It is a dense
+    carrier, so d is limited to the dense guard (d <= 20).
+    """
     theta = _coerce_theta(theta)
     d = p.d
     if theta.d != d:
         raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={p.d}")
-    if d > FEASIBLE_D_MAX:
-        raise ValueError(f"feasible_point is limited to d <= {FEASIBLE_D_MAX}")
-    got = _solve(p, theta)
-    if got is None:
+    _check_dimension(d)
+    pvals = _exact_p(p)
+    order = sorted(range(d), key=lambda i: theta.values[i], reverse=True)
+    x = [theta.values[i] for i in order]
+    q = list(accumulate(reversed(pvals[1:])))[::-1]  # q_s = P(S >= s), s = 1..d
+    if not _majorized(x, q):
         return None
-    columns, (R, s, basis) = got
-    x = [_ZERO] * len(columns)
-    for i, b in enumerate(basis):
-        x[b] = s[i]
-    return _to_joint(d, columns, x)
+    bits = [1 << i for i in order]
+    values: list[Number] = [_ZERO] * (1 << d)
+    for k, zk in _level_marginals(pvals, x, q).items():
+        for idx, w in _systematic_atoms(zk, bits):
+            values[idx] += pvals[k] * w
+    return JointPmf(d, values)
 
 
 def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list[JointPmf]:

@@ -168,6 +168,18 @@ def naive_sum_map(d: int, values):
     return out
 
 
+def exact_levels_and_means(d: int, atoms) -> tuple[list, list]:
+    """Exact level masses and coordinate means of (index, mass) atoms."""
+    levels = [_ZERO] * (d + 1)
+    means = [_ZERO] * d
+    for i, m in atoms:
+        levels[popcount(i)] += m
+        for j in range(d):
+            if i >> j & 1:
+                means[j] += m
+    return levels, means
+
+
 def naive_cross_moment(d: int, values, subset) -> float:
     total = 0.0
     for i, v in enumerate(values):

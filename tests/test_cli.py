@@ -8,6 +8,8 @@ from bernsum.cli import main
 from bernsum.pmf import JointPmf, SumPmf
 from bernsum.polytope import membership
 
+from oracles import exact_levels_and_means
+
 B_HALF = "[0.125, 0.375, 0.375, 0.125]"
 THETA = '["1/4", "2/4", "3/4"]'
 
@@ -85,6 +87,19 @@ class TestFeasible:
         assert rec["feasible"] is True
         witness = JointPmf.from_json_obj(rec["witness"])
         assert membership(witness, SumPmf.from_json_obj(json.loads(B_HALF)), 1e-12)
+
+    def test_feasible_beyond_d12_reproduces_p_and_theta(self, capsys):
+        d = 14
+        p = [Fraction(math.comb(d, k), 1 << d) for k in range(d + 1)]
+        theta = [Fraction(1, 2) + Fraction((-1) ** j, 8) for j in range(d)]
+        code, out, _ = run(capsys, "feasible", "--p", json.dumps([str(v) for v in p]),
+                           "--theta", json.dumps([str(t) for t in theta]))
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["feasible"] is True
+        witness = JointPmf.from_json_obj(rec["witness"])
+        assert witness.d == d and witness.exact
+        assert exact_levels_and_means(d, witness.atoms()) == (p, theta)
 
     def test_infeasible(self, capsys):
         code, out, _ = run(capsys, "feasible", "--p", "[0.8, 0, 0, 0.2]",

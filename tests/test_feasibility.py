@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernsum.feasibility import (
     BasisLimitError,
@@ -13,11 +15,12 @@ from bernsum.feasibility import (
     constraint_system,
     feasible_point,
     necessary_conditions,
+    _solve,
 )
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment
 from bernsum.polytope import exchangeable_pmf, extremal_enumerate, membership
 
-from oracles import brute_constrained_vertices, satisfies_homogeneous_system
+from oracles import brute_constrained_vertices, exact_levels_and_means, satisfies_homogeneous_system
 
 B_HALF_3 = SumPmf([Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)])
 THETA_REF = [Fraction(1, 4), Fraction(2, 4), Fraction(3, 4)]
@@ -153,10 +156,59 @@ class TestFeasiblePoint:
             cs = constraint_system(p, theta)
             assert all(r == 0 for r in cs.residual(exchangeable_pmf(p)))
 
+    def test_exchangeable_theta_feasible_beyond_d12(self):
+        rng = np.random.default_rng(97)
+        for d in range(13, 17):
+            p = exact_random_pmf(rng, d)
+            theta = [p.mean() / d] * d
+            w = feasible_point(p, theta)
+            assert w is not None and w.exact
+            assert exact_levels_and_means(d, w.atoms()) == (list(p.values), theta)
+
     def test_dimension_guard(self):
-        p = SumPmf([Fraction(1, 14)] * 14)
-        with pytest.raises(ValueError, match="d <= 12"):
-            feasible_point(p, [Fraction(1, 2)] * 13)
+        # The witness is a dense carrier, so the dense guard applies.
+        p = SumPmf([Fraction(1, 22)] * 22)
+        with pytest.raises(ValueError, match="d <= 20"):
+            feasible_point(p, [Fraction(1, 2)] * 21)
+
+
+@st.composite
+def joint_instances(draw):
+    """A random exact joint pmf's (p, theta), and p pulled toward the law on
+    {0, d} with the same mean.  That law's tail vector is exchangeable, so
+    the pull shrinks the mean polytope and often leaves theta outside it."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    atoms = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+    pull = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    total = sum(weights)
+    f = {idx: Fraction(w, total) for idx, w in zip(atoms, weights)}
+    p = [sum((m for idx, m in f.items() if idx.bit_count() == k), Fraction(0)) for k in range(d + 1)]
+    theta = [sum((m for idx, m in f.items() if idx >> j & 1), Fraction(0)) for j in range(d)]
+    mu = sum(k * v for k, v in enumerate(p))
+    spread = [Fraction(0)] * (d + 1)
+    spread[0], spread[d] = 1 - mu / d, mu / d
+    pulled = [(1 - pull) * a + pull * b for a, b in zip(p, spread)]
+    return theta, p, pulled
+
+
+@given(joint_instances())
+@settings(max_examples=100, deadline=None)
+def test_verdict_matches_exact_lp_and_witness_is_exact(instance):
+    theta, *laws = instance
+    d = len(theta)
+    verdicts = []
+    for pvals in laws:
+        p = SumPmf(pvals)
+        w = feasible_point(p, theta)
+        verdicts.append(w is not None)
+        assert verdicts[-1] == (_solve(p, MeanVector(theta)) is not None)
+        if w is None:
+            continue
+        assert w.exact
+        assert exact_levels_and_means(d, w.atoms()) == (pvals, theta)
+        assert sum(1 for _ in w.atoms()) <= d * len(p.support) + 1
+    assert verdicts[0]  # theta came from a member of the first fiber
 
 
 class TestConstrainedVertices:
