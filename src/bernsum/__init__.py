@@ -36,13 +36,11 @@ from .polytope import (
 )
 from .feasibility import (
     BasisLimitError,
-    ConstraintSystem,
     InfeasibleError,
     MeanVector,
     NecessaryConditions,
     constrained_moment_bounds,
     constrained_vertices,
-    constraint_system,
     feasible_point,
     necessary_conditions,
 )

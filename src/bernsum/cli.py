@@ -33,7 +33,7 @@ from .measure import (
     normalizing_constant,
     polytope_measure,
 )
-from .pmf import SumPmf, entropy
+from .pmf import SumPmf, _num_to_json, entropy
 from .polytope import (
     entropy_bounds,
     extremal_enumerate,
@@ -73,11 +73,7 @@ def _load_theta(text: str) -> list:
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v
+    return int(v) if isinstance(v, float) and v.is_integer() else _num_to_json(v)
 
 
 def _log_or_none(m: LogMeasure):
@@ -88,9 +84,7 @@ def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(record))
     else:
-        keys = list(record)
-        print(",".join(keys))
-        print(",".join("" if record[k] is None else str(record[k]) for k in keys))
+        _emit_rows([record], fmt)
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> None:

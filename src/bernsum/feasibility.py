@@ -49,14 +49,6 @@ class BasisLimitError(RuntimeError):
     """Raised when vertex enumeration exceeds an explicit basis budget."""
 
 
-def _as_fraction(v: Number) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    return Fraction(v)  # exact binary expansion of the float
-
-
 @dataclass(frozen=True)
 class MeanVector:
     """Prescribed coordinate means theta in [0,1]^d, held exactly."""
@@ -64,7 +56,7 @@ class MeanVector:
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Sequence[Number]):
-        vals = tuple(_as_fraction(v) for v in values)
+        vals = tuple(Fraction(v) for v in values)
         if not vals:
             raise ValueError("mean vector needs at least one coordinate")
         for t in vals:
@@ -85,7 +77,7 @@ def _coerce_theta(theta) -> MeanVector:
 
 
 def _exact_p(p: SumPmf) -> tuple[Fraction, ...]:
-    vals = tuple(_as_fraction(v) for v in p.values)
+    vals = tuple(Fraction(v) for v in p.values)  # floats: their exact binary fractions
     if sum(vals) != 1:
         # Floats that merely approximate a pmf get renormalized exactly.
         total = sum(vals)
@@ -124,49 +116,6 @@ def necessary_conditions(p: SumPmf, theta, tol: float = 1e-12) -> NecessaryCondi
     lo, hi = pvals[-1], 1 - pvals[0]
     box_ok = all(lo - slack <= t <= hi + slack for t in theta.values)
     return NecessaryConditions(mean_ok=mean_ok, box_ok=box_ok)
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Equality system A f = b over the 2^d atom masses, with f >= 0.
-
-    Rows 0..d are the level-sum constraints, rows d+1..2d the coordinate-mean
-    constraints; the feasible set is exactly the mean-constrained fiber.
-    """
-
-    d: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-
-    @property
-    def n_vars(self) -> int:
-        return 1 << self.d
-
-    def residual(self, f: JointPmf) -> tuple[Fraction, ...]:
-        x = [_as_fraction(v) for v in f.values]
-        return tuple(
-            sum((a * xi for a, xi in zip(row, x)), _ZERO) - b
-            for row, b in zip(self.matrix, self.rhs)
-        )
-
-
-def constraint_system(p: SumPmf, theta) -> ConstraintSystem:
-    theta = _coerce_theta(theta)
-    d = p.d
-    if theta.d != d:
-        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={p.d}")
-    pvals = _exact_p(p)
-    n = 1 << d
-    rows = []
-    rhs = []
-    for k in range(d + 1):
-        rows.append(tuple(_ONE if i.bit_count() == k else _ZERO for i in range(n)))
-        rhs.append(pvals[k])
-    for i in range(d):
-        bit = 1 << i
-        rows.append(tuple(_ONE if idx & bit else _ZERO for idx in range(n)))
-        rhs.append(theta.values[i])
-    return ConstraintSystem(d=d, matrix=tuple(rows), rhs=tuple(rhs))
 
 
 def _reduced_system(p: SumPmf, theta: MeanVector):

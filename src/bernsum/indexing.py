@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def level_indices(d: int, k: int) -> tuple[int, ...]:
     _check_dimension(d)
     if not 0 <= k <= d:
         raise ValueError(f"level k={k} out of range for d={d}")
-    return tuple(i for i in range(1 << d) if i.bit_count() == k)
+    return tuple(_level_slice(d, k).tolist())
 
 
 def level_element(d: int, k: int, j: int) -> int:
@@ -98,10 +99,28 @@ def level_rank(i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _popcounts(d: int) -> np.ndarray:
+    """Level weight of every index; cached, so handed out read-only."""
     pc = np.zeros(1, dtype=np.int64)
     for _ in range(d):
         pc = np.concatenate([pc, pc + 1])
+    pc.flags.writeable = False
     return pc
+
+
+@lru_cache(maxsize=None)
+def _level_order(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Indices sorted stably by level, so ascending within each, and the level
+    offsets: level k, the fiber's k-th simplex block, is order[offsets[k]:offsets[k + 1]]."""
+    order = np.argsort(_popcounts(d), kind="stable").astype(np.int32)
+    order.flags.writeable = False
+    offsets = tuple(accumulate((math.comb(d, k) for k in range(d + 1)), initial=0))
+    return order, offsets
+
+
+def _level_slice(d: int, k: int) -> np.ndarray:
+    """Read-only view of the level-k indices, as level_indices lists them."""
+    order, offsets = _level_order(d)
+    return order[offsets[k]:offsets[k + 1]]
 
 
 @dataclass(frozen=True)

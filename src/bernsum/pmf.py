@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -40,19 +41,57 @@ def as_number(v) -> Number:
     raise ValueError(f"not a probability value: {v!r}")
 
 
+def _total(masses: Iterable[Number]) -> Number:
+    """Exact sum when every mass is an int or Fraction, else the correctly rounded float sum."""
+    masses = list(masses)
+    if all(_is_exact(m) for m in masses):
+        return sum(masses)
+    return math.fsum(float(m) for m in masses)
+
+
+def _check_normalized(total: Number, what: str) -> None:
+    if (total != 1) if _is_exact(total) else (abs(total - 1.0) > PROB_TOL):
+        raise ValueError(f"{what} violates normalization: sum {total!r} != 1")
+
+
 def _validate_masses(values: Iterable[Number], what: str) -> tuple[Number, ...]:
     vals = tuple(as_number(v) for v in values)
     for v in vals:
         if v < 0:
             raise ValueError(f"{what} violates nonnegativity: entry {v}")
-    if all(_is_exact(v) for v in vals):
-        if sum(vals) != 1:
-            raise ValueError(f"{what} violates normalization: exact sum {sum(vals)} != 1")
-    else:
-        total = math.fsum(float(v) for v in vals)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValueError(f"{what} violates normalization: sum {total!r} != 1")
+    _check_normalized(_total(vals), what)
     return vals
+
+
+_FLOAT_TYPES = frozenset({float, np.float64})
+_FSUM_BLOCK = 1 << 13
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _fsum(a: np.ndarray) -> float:
+    """math.fsum of a float array, fed in blocks so no list of 2^d floats is built."""
+    blocks = (a[i:i + _FSUM_BLOCK].tolist() for i in range(0, a.size, _FSUM_BLOCK))
+    return math.fsum(chain.from_iterable(blocks))
+
+
+def _dense_masses(values) -> tuple[Number, ...] | np.ndarray:
+    """JointPmf storage: the validated tuple when every entry is an int or
+    Fraction, else a read-only float64 copy validated in bulk."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1):
+        values = values if isinstance(values, (list, tuple)) else list(values)
+        if not set(map(type, values)) <= _FLOAT_TYPES:
+            values = _validate_masses(values, "JointPmf")
+            if all(_is_exact(v) for v in values):
+                return values
+    arr = np.array(values, dtype=float)
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"JointPmf violates nonnegativity: entry {arr.min()}")
+    _check_normalized(_fsum(arr), "JointPmf")
+    return _read_only(arr)
 
 
 def _num_to_json(v: Number):
@@ -92,9 +131,7 @@ class SumPmf:
 
     @cached_property
     def array(self) -> np.ndarray:
-        a = np.array([float(v) for v in self.values])
-        a.flags.writeable = False
-        return a
+        return _read_only(np.array(self.values, dtype=float))
 
     def positive_masses(self) -> Iterator[Number]:
         return (v for v in self.values if v > 0)
@@ -112,42 +149,58 @@ class SumPmf:
         return cls(obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
-    """Dense pmf over {0,1}^d in reverse-lex index order (guarded to d <= 20)."""
+    """Dense pmf over {0,1}^d in reverse-lex index order (guarded to d <= 20).
+
+    Exact input keeps a tuple of ints and Fractions; any other input is held
+    as a read-only float64 ndarray, and then `values` is `array`.
+    """
 
     d: int
-    values: tuple[Number, ...]
+    values: tuple[Number, ...] | np.ndarray
 
     def __init__(self, d: int, values: Iterable[Number]):
         _check_dimension(d)
-        vals = _validate_masses(values, "JointPmf")
+        vals = _dense_masses(values)
         if len(vals) != 1 << d:
             raise ValueError(f"JointPmf for d={d} needs 2^d = {1 << d} entries, got {len(vals)}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "values", vals)
 
+    def __eq__(self, other):
+        if not isinstance(other, JointPmf):
+            return NotImplemented
+        if self.exact or other.exact:
+            return self.d == other.d and tuple(self.values) == tuple(other.values)
+        return self.d == other.d and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash((self.d, tuple(self.values)))
+
     @property
     def exact(self) -> bool:
-        return all(_is_exact(v) for v in self.values)
+        return isinstance(self.values, tuple)
 
     @cached_property
     def array(self) -> np.ndarray:
-        a = np.array([float(v) for v in self.values])
-        a.flags.writeable = False
-        return a
+        return _read_only(np.array(self.values, dtype=float)) if self.exact else self.values
 
     def atoms(self) -> Iterator[tuple[int, Number]]:
-        return ((i, v) for i, v in enumerate(self.values) if v > 0)
+        if self.exact:
+            return ((i, v) for i, v in enumerate(self.values) if v > 0)
+        idx = np.flatnonzero(self.values > 0)
+        return zip(idx.tolist(), self.values[idx].tolist())
 
     def positive_masses(self) -> Iterator[Number]:
-        return (v for v in self.values if v > 0)
+        return (m for _, m in self.atoms())
 
     def to_sparse(self) -> "SparseJointPmf":
         return SparseJointPmf(self.d, tuple(self.atoms()))
 
     def to_json_obj(self):
-        return {"d": self.d, "values": [_num_to_json(v) for v in self.values]}
+        values = [_num_to_json(v) for v in self.values] if self.exact else self.values.tolist()
+        return {"d": self.d, "values": values}
 
     @classmethod
     def from_json_obj(cls, obj) -> "JointPmf":
@@ -179,12 +232,7 @@ class SparseJointPmf:
             seen.add(idx)
             pairs.append((idx, mass))
         pairs.sort()
-        masses = [m for _, m in pairs]
-        if all(_is_exact(m) for m in masses):
-            if sum(masses) != 1:
-                raise ValueError(f"SparseJointPmf violates normalization: exact sum {sum(masses)} != 1")
-        elif abs(math.fsum(float(m) for m in masses) - 1.0) > PROB_TOL:
-            raise ValueError("SparseJointPmf violates normalization")
+        _check_normalized(_total(m for _, m in pairs), "SparseJointPmf")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "atoms", tuple(pairs))
 
@@ -197,7 +245,7 @@ class SparseJointPmf:
 
     def to_dense(self) -> JointPmf:
         _check_dimension(self.d)
-        values: list[Number] = [0] * (1 << self.d)
+        values = [0] * (1 << self.d) if self.exact else np.zeros(1 << self.d)
         for idx, mass in self.atoms:
             values[idx] = mass
         return JointPmf(self.d, values)
@@ -219,18 +267,12 @@ AnyPmf = Union[SumPmf, JointPmf, SparseJointPmf]
 def sum_map(f: AnyJoint) -> SumPmf:
     """Push a joint Bernoulli pmf through the coordinate-sum map."""
     d = f.d
-    if isinstance(f, JointPmf):
-        if f.exact:
-            levels: list[Number] = [0] * (d + 1)
-            for i, v in enumerate(f.values):
-                levels[i.bit_count()] += v
-            return SumPmf(levels)
-        counts = np.bincount(_popcounts(d), weights=f.array, minlength=d + 1)
-        return SumPmf(tuple(float(c) for c in counts))
-    levels = [0] * (d + 1)
-    for idx, mass in f.atoms:
+    if isinstance(f, JointPmf) and not f.exact:
+        return SumPmf(np.bincount(_popcounts(d), weights=f.values, minlength=d + 1).tolist())
+    levels: list[Number] = [0] * (d + 1)
+    for idx, mass in f.atoms() if isinstance(f, JointPmf) else f.atoms:
         levels[level_weight(idx)] += mass
-    if not all(_is_exact(m) for _, m in f.atoms):
+    if not f.exact:
         levels = [float(v) for v in levels]
     return SumPmf(levels)
 
@@ -245,13 +287,15 @@ def cross_moment(f: AnyJoint, subset: Iterable[int]) -> Number:
     mask = 0
     for j in coords:
         mask |= 1 << (j - 1)
+    if isinstance(f, JointPmf) and not f.exact:
+        return _fsum(f.values[(np.arange(1 << f.d) & mask) == mask])
     atoms = f.atoms() if isinstance(f, JointPmf) else f.atoms
-    picked = [mass for idx, mass in atoms if idx & mask == mask]
-    if picked and all(_is_exact(m) for m in picked):
-        return sum(picked)
-    return math.fsum(float(m) for m in picked)
+    return _total(mass for idx, mass in atoms if idx & mask == mask)
 
 
 def entropy(pmf: AnyPmf) -> float:
     """Shannon entropy in nats; zero atoms are skipped (0 log 0 = 0)."""
+    if isinstance(pmf, JointPmf) and not pmf.exact:
+        m = pmf.values[pmf.values > 0]
+        return -_fsum(m * np.log(m))
     return -math.fsum(float(m) * math.log(float(m)) for m in pmf.positive_masses())

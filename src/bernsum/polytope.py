@@ -14,8 +14,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .indexing import _check_dimension, level_element, level_indices, level_weight
-from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _is_exact, entropy, sum_map
+import numpy as np
+
+from .indexing import _check_dimension, _level_slice, _popcounts, level_element
+from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _total, entropy, sum_map
 
 FLAT_WEIGHTS_MAX = 10_000
 
@@ -135,9 +137,12 @@ def decompose(f: JointPmf, p: SumPmf, tol: float = 1e-9) -> list[tuple[Number, .
     for k in range(d + 1):
         if k not in support:
             blocks.append(())
-            continue
-        pk = p.values[k]
-        blocks.append(tuple(f.values[i] / pk for i in level_indices(d, k)))
+        elif f.exact:
+            pk = p.values[k]
+            blocks.append(tuple(f.values[i] / pk for i in _level_slice(d, k).tolist()))
+        else:
+            # A float over a Fraction or int divides by its float value, as here.
+            blocks.append(tuple((f.values[_level_slice(d, k)] / float(p.values[k])).tolist()))
     return blocks
 
 
@@ -167,14 +172,11 @@ def exchangeable_pmf(p: SumPmf) -> JointPmf:
     """The level-wise uniform element of the fiber (its entropy maximizer)."""
     d = p.d
     _check_dimension(d)
-    values: list[Number] = [0] * (1 << d)
-    exact = p.exact
-    for k in p.support:
-        c = math.comb(d, k)
-        share = Fraction(p.values[k], c) if exact else float(p.values[k]) / c
-        for i in level_indices(d, k):
-            values[i] = share
-    return JointPmf(d, values)
+    if p.exact:
+        shares = [Fraction(v, math.comb(d, k)) if v else 0 for k, v in enumerate(p.values)]
+        return JointPmf(d, [shares[k] for k in _popcounts(d).tolist()])
+    shares = np.array([float(v) / math.comb(d, k) for k, v in enumerate(p.values)])
+    return JointPmf(d, shares[_popcounts(d)])
 
 
 def moment_bounds(p: SumPmf, order: int) -> tuple[Number, Number]:
@@ -182,13 +184,7 @@ def moment_bounds(p: SumPmf, order: int) -> tuple[Number, Number]:
     d = p.d
     if not 1 <= order <= d:
         raise ValueError(f"moment order must be in 1..{d}, got {order}")
-    lower = p.values[d]
-    tail = p.values[order:]
-    if all(_is_exact(v) for v in tail):
-        upper = sum(tail)
-    else:
-        upper = math.fsum(float(v) for v in tail)
-    return lower, upper
+    return p.values[d], _total(p.values[order:])
 
 
 def entropy_bounds(p: SumPmf) -> tuple[float, float]:
@@ -224,7 +220,7 @@ class LabelMap:
 
     @classmethod
     def popcount(cls, d: int) -> "LabelMap":
-        return cls(d, tuple(level_weight(i) for i in range(1 << d)))
+        return cls(d, _popcounts(d).tolist())
 
     @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:

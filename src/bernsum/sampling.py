@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .indexing import level_indices
+from .indexing import _level_slice
 from .measure import LN2, LogMeasure
 from .pmf import JointPmf, SumPmf
 
@@ -144,16 +144,14 @@ def sample_polytope_uniform(p: SumPmf, rng) -> JointPmf:
     g = _as_generator(rng)
     values = np.zeros(1 << d)
     for k in p.support:
-        size = math.comb(d, k)
-        block = sample_uniform_simplex(size - 1, g) if size > 1 else np.ones(1)
-        values[list(level_indices(d, k))] = float(p.values[k]) * block
-    return JointPmf(d, tuple(values))
+        block = sample_uniform_simplex(math.comb(d, k) - 1, g)
+        values[_level_slice(d, k)] = float(p.values[k]) * block
+    return JointPmf(d, values)
 
 
 def sample_Fd_uniform(d: int, rng) -> JointPmf:
     """Uniform draw from the full simplex of joint Bernoulli pmfs."""
-    values = sample_uniform_simplex((1 << d) - 1, _as_generator(rng))
-    return JointPmf(d, tuple(values))
+    return JointPmf(d, sample_uniform_simplex((1 << d) - 1, _as_generator(rng)))
 
 
 def _interior_start(spec: NeighborhoodSpec) -> np.ndarray:

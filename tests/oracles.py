@@ -157,9 +157,54 @@ def satisfies_homogeneous_system(f_values, p_values, theta) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class ConstraintSystem:
+    """Equality system A f = b over the 2^d atom masses, with f >= 0.
+
+    Rows 0..d are the level-sum constraints, rows d+1..2d the coordinate-mean
+    constraints; the feasible set is exactly the mean-constrained fiber.
+    """
+
+    d: int
+    matrix: tuple
+    rhs: tuple
+
+    @property
+    def n_vars(self) -> int:
+        return 1 << self.d
+
+    def residual(self, f) -> tuple:
+        x = [Fraction(v) for v in f.values]
+        return tuple(
+            sum((a * xi for a, xi in zip(row, x)), _ZERO) - b
+            for row, b in zip(self.matrix, self.rhs)
+        )
+
+
+def constraint_system(p, theta) -> ConstraintSystem:
+    """The dense system over all 2^d atoms; floats enter as their exact binary
+    fractions, and a float p that misses 1 is renormalized exactly."""
+    d = p.d
+    thetas = [Fraction(t) for t in theta]
+    if len(thetas) != d:
+        raise ValueError(f"dimension mismatch: theta has d={len(thetas)}, p has d={d}")
+    pvals = [Fraction(v) for v in p.values]
+    total = sum(pvals)
+    pvals = [v / total for v in pvals]
+    n = 1 << d
+    rows = [tuple(Fraction(popcount(i) == k) for i in range(n)) for k in range(d + 1)]
+    rows += [tuple(Fraction(i >> j & 1) for i in range(n)) for j in range(d)]
+    return ConstraintSystem(d=d, matrix=tuple(rows), rhs=tuple(pvals + thetas))
+
+
 # ---------------------------------------------------------------------------
 # naive moment / entropy / pushforward sums
 # ---------------------------------------------------------------------------
+
+def level_slices(d: int) -> list[list[int]]:
+    """Indices of weight k, for k = 0..d, by scanning all 2^d indices."""
+    return [[i for i in range(1 << d) if popcount(i) == k] for k in range(d + 1)]
+
 
 def naive_sum_map(d: int, values):
     out = [0.0] * (d + 1)

@@ -12,7 +12,6 @@ from bernsum.feasibility import (
     MeanVector,
     constrained_moment_bounds,
     constrained_vertices,
-    constraint_system,
     feasible_point,
     necessary_conditions,
     _solve,
@@ -20,7 +19,12 @@ from bernsum.feasibility import (
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment
 from bernsum.polytope import exchangeable_pmf, extremal_enumerate, membership
 
-from oracles import brute_constrained_vertices, exact_levels_and_means, satisfies_homogeneous_system
+from oracles import (
+    brute_constrained_vertices,
+    constraint_system,
+    exact_levels_and_means,
+    satisfies_homogeneous_system,
+)
 
 B_HALF_3 = SumPmf([Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)])
 THETA_REF = [Fraction(1, 4), Fraction(2, 4), Fraction(3, 4)]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from bernsum.indexing import (
     BinaryIndexer,
+    _level_order,
+    _level_slice,
     index_to_vector,
     level_element,
     level_indices,
@@ -13,6 +15,9 @@ from bernsum.indexing import (
     level_weight,
     vector_to_index,
 )
+from bernsum.pmf import JointPmf, sum_map
+
+from oracles import level_slices
 
 
 def test_reverse_lex_order_d3():
@@ -101,3 +106,24 @@ def test_round_trip_random(d, data):
     assert len(vec) == d
     assert vector_to_index(vec) == i
     assert level_weight(i) == sum(vec)
+
+
+def test_cached_level_slices_match_brute_force():
+    for d in range(1, 13):
+        want = level_slices(d)
+        for k in range(d + 1):
+            assert _level_slice(d, k).tolist() == want[k]
+            assert list(level_indices(d, k)) == want[k]
+
+
+def test_cached_index_arrays_are_read_only():
+    f = JointPmf(3, [0.125] * 8)
+    before = sum_map(f).values
+    with pytest.raises(ValueError, match="read-only"):
+        BinaryIndexer(3).popcounts()[7] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        _level_slice(3, 1)[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        _level_order(3)[0][:] = 0
+    assert sum_map(f).values == before == (0.125, 0.375, 0.375, 0.125)
+    assert level_indices(3, 1) == (1, 2, 4)

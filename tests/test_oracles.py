@@ -170,3 +170,25 @@ class TestMutationSensitivity:
         reference = np.array([sample_uniform_simplex(2, g).max() for _ in range(4000)])
         assert ks_two_sample_pvalue(fair, reference) > 0.01
         assert ks_two_sample_pvalue(biased, reference) < 1e-6
+
+
+def test_package_never_imports_the_oracles():
+    """Brute-force references stay in the tests; the package must not use them."""
+    import ast
+    from pathlib import Path
+
+    import bernsum
+
+    banned = {"oracles", "tests"}
+    sources = sorted(Path(bernsum.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, f"{path.name} imports {name}"

@@ -177,3 +177,74 @@ def test_sum_map_is_pmf(d, raw):
     p = sum_map(f)
     assert all(v >= 0 for v in p.values)
     assert math.isclose(math.fsum(float(v) for v in p.values), 1.0, abs_tol=1e-12)
+
+
+class TestFloatCarrier:
+    def test_values_are_a_read_only_array(self):
+        f = random_joint(np.random.default_rng(17), 4)
+        assert isinstance(f.values, np.ndarray) and f.values.dtype == np.float64
+        assert f.array is f.values
+        assert not f.exact
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 1.0
+
+    def test_input_array_is_copied(self):
+        raw = np.full(8, 0.125)
+        f = JointPmf(3, raw)
+        raw[0] = 0.5
+        assert f.values[0] == 0.125
+        assert raw.flags.writeable
+
+    def test_equal_and_hash_like_a_copy(self):
+        f = random_joint(np.random.default_rng(19), 5)
+        g = JointPmf(5, f.values.tolist())
+        assert f == g and hash(f) == hash(g)
+        assert f != JointPmf(5, [1.0 / 32] * 32)
+        nudged = f.values.copy()
+        nudged[0] = np.nextafter(nudged[0], 1.0)
+        assert f != JointPmf(5, nudged)
+        assert f != JointPmf(4, [1.0 / 16] * 16)
+        # Exact and float carriers with the same masses compare and hash equal.
+        assert UNIFORM_3 == JointPmf(3, [Fraction(1, 8)] * 8)
+        assert hash(UNIFORM_3) == hash(JointPmf(3, [Fraction(1, 8)] * 8))
+
+    def test_json_round_trip(self):
+        f = random_joint(np.random.default_rng(23), 6)
+        text = json.dumps(f.to_json_obj())
+        back = JointPmf.from_json_obj(json.loads(text))
+        assert back == f
+        assert back.values.tobytes() == f.values.tobytes()
+        assert json.dumps(back.to_json_obj()) == text
+
+    def test_mixed_int_float_input_is_float(self):
+        f = JointPmf(2, [0, 0.25, 0, 0.75])
+        assert not f.exact
+        assert isinstance(f.values, np.ndarray)
+        assert f.values.tolist() == [0.0, 0.25, 0.0, 0.75]
+        g = JointPmf(1, [Fraction(1, 3), 2 / 3])
+        assert not g.exact and g.values.tolist() == [1 / 3, 2 / 3]
+
+    def test_exact_input_stays_exact(self):
+        f = JointPmf(2, [Fraction(1, 4), 0, Fraction(1, 2), Fraction(1, 4)])
+        assert f.exact
+        assert f.values == (Fraction(1, 4), 0, Fraction(1, 2), Fraction(1, 4))
+        assert JointPmf(1, [0, 1]).values == (0, 1)
+        assert JointPmf.from_json_obj({"d": 1, "values": ["1/3", "2/3"]}).exact
+
+    def test_validation_matches_the_exact_rule(self):
+        with pytest.raises(ValueError, match="nonnegativity"):
+            JointPmf(1, np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="normalization"):
+            JointPmf(1, np.array([0.5, 0.5 + 2e-12]))
+        JointPmf(1, np.array([0.5, 0.5 + 5e-13]))
+        with pytest.raises(ValueError, match="not a probability value"):
+            JointPmf(1, [True, 0.0])
+
+    def test_reads_match_the_oracles(self):
+        f = random_joint(np.random.default_rng(29), 7)
+        assert sorted(m for _, m in f.atoms()) == sorted(f.positive_masses())
+        assert f.to_sparse().to_dense() == f
+        assert math.isclose(entropy(f), naive_entropy(f.values), rel_tol=1e-13)
+        assert cross_moment(f, [2, 5]) == math.fsum(
+            v for i, v in enumerate(f.values.tolist()) if i & 0b10010 == 0b10010
+        )
