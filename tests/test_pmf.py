@@ -99,6 +99,11 @@ class TestCrossMoment:
     def test_uniform_pair(self):
         assert cross_moment(UNIFORM_3, [1, 2]) == 0.25
 
+    def test_exact_carrier_with_no_matching_atom_gives_float_zero(self):
+        for f in (SparseJointPmf(2, [(0, 1)]), JointPmf(2, [1, 0, 0, 0])):
+            got = cross_moment(f, [1])
+            assert got == 0 and isinstance(got, float)
+
     def test_requires_valid_subset(self):
         with pytest.raises(ValueError, match="nonempty"):
             cross_moment(UNIFORM_3, [])
