@@ -14,24 +14,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .measure import LogMeasure, density_l, dist_sup, maximal_pmf, polytope_measure
-from .pmf import Number, SumPmf, _is_exact
+from .pmf import Number, SumPmf, _is_exact, _total
 
 
 def binomial_pmf(theta: Number, d: int) -> SumPmf:
     """Sum law of d iid Bernoulli(theta) trials."""
     if not 0 <= theta <= 1:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
-    if _is_exact(theta):
-        t = Fraction(theta)
-        values = [math.comb(d, k) * t**k * (1 - t) ** (d - k) for k in range(d + 1)]
-        return SumPmf(values)
-    t = float(theta)
-    if t == 0.0:
-        return SumPmf([1.0] + [0.0] * d)
-    if t == 1.0:
-        return SumPmf([0.0] * d + [1.0])
-    values = [math.comb(d, k) * t**k * (1.0 - t) ** (d - k) for k in range(d + 1)]
-    total = math.fsum(values)
+    t = Fraction(theta) if _is_exact(theta) else float(theta)
+    values = [math.comb(d, k) * t**k * (1 - t) ** (d - k) for k in range(d + 1)]
+    total = _total(values)
     return SumPmf([v / total for v in values])
 
 
@@ -42,23 +34,14 @@ def poisson_binomial_pmf(theta: Sequence[Number]) -> SumPmf:
         raise ValueError("poisson_binomial_pmf needs at least one trial probability")
     if any(not 0 <= t <= 1 for t in thetas):
         raise ValueError("trial probabilities must lie in [0,1]")
-    if all(_is_exact(t) for t in thetas):
-        pmf = [Fraction(1)]
-        for t in thetas:
-            t = Fraction(t)
-            nxt = [x * (1 - t) for x in pmf] + [Fraction(0)]
-            for k, x in enumerate(pmf):
-                nxt[k + 1] += x * t
-            pmf = nxt
-        return SumPmf(pmf)
-    pmf = [1.0]
-    for t in thetas:
-        t = float(t)
-        nxt = [x * (1.0 - t) for x in pmf] + [0.0]
+    coerce = Fraction if all(_is_exact(t) for t in thetas) else float
+    pmf: list[Number] = [1]
+    for t in map(coerce, thetas):
+        nxt = [x * (1 - t) for x in pmf] + [0]
         for k, x in enumerate(pmf):
             nxt[k + 1] += x * t
         pmf = nxt
-    total = math.fsum(pmf)
+    total = _total(pmf)
     return SumPmf([v / total for v in pmf])
 
 

@@ -21,7 +21,11 @@ walks the graph of feasible bases, where two bases are adjacent when they
 differ by one column swap that preserves feasibility.  For bounded polytopes
 that graph is connected, so a breadth-first walk from any feasible basis
 reaches every basic feasible solution; distinct solution vectors are the
-vertices.
+vertices.  Each edge costs one pivot on the parent's tableau, and _pivot is
+the only routine that changes a tableau.  Column j may enter on row i when
+x_i / a_ij is the minimum ratio over the rows with a_ij > 0, or when x_i = 0
+and a_ij != 0 of either sign: such a degenerate swap changes the basis but
+not the vertex.
 """
 from __future__ import annotations
 
@@ -188,15 +192,16 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]):
             T.append(list(rows[i]) + [_ZERO] * m + [rhs[i]])
         T[i][n + i] = _ONE
     basis = [n + i for i in range(m)]
-    # Reduced-cost row for min(sum of artificials): z_j = c_j - sum_i T[i][j].
-    width = n + m + 1
-    z = [-sum(T[i][j] for i in range(m)) for j in range(width)]
+    # Reduced-cost row for min(sum of artificials), kept as the last row of T
+    # so that _pivot updates it: z_j = c_j - sum_i T[i][j].
+    z = [-sum(T[i][j] for i in range(m)) for j in range(n + m + 1)]
     for j in range(n, n + m):
         z[j] += 1
+    T.append(z)
 
     while True:
-        enter = next((j for j in range(n) if z[j] < 0), None)  # Bland: lowest index,
-        if enter is None:                                      # artificials barred
+        enter = next((j for j in range(n) if T[m][j] < 0), None)  # Bland: lowest index,
+        if enter is None:                                         # artificials barred
             break
         leave_row = None
         best = None
@@ -209,10 +214,10 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]):
                     leave_row = i
         if leave_row is None:
             raise RuntimeError("unbounded phase-1 ray in a bounded system")
-        _pivot(T, z, leave_row, enter)
+        _pivot(T, leave_row, enter)
         basis[leave_row] = enter
 
-    if -z[-1] != 0:  # optimum of sum of artificials
+    if -T[m][-1] != 0:  # optimum of sum of artificials
         return None
 
     # Drive out (or drop) leftover artificial rows; their value is zero here.
@@ -224,7 +229,7 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]):
         enter = next((j for j in range(n) if T[i][j] != 0), None)
         if enter is None:
             continue  # redundant original row
-        _pivot(T, z, i, enter)
+        _pivot(T, i, enter)
         basis[i] = enter
         keep.append(i)
     R = [[T[i][j] for j in range(n)] for i in keep]
@@ -232,51 +237,31 @@ def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]):
     return R, s, [basis[i] for i in keep]
 
 
-def _pivot(T, z, row, col):
+def _pivot(T, row, col):
+    """Gauss-Jordan pivot on T[row][col].  Rows are rebound, never mutated,
+    so a shallow copy of T leaves the original tableau intact."""
     pv = T[row][col]
-    T[row] = [v / pv for v in T[row]]
-    prow = T[row]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [a - f * b for a, b in zip(T[i], prow)]
-    if z[col] != 0:
-        f = z[col]
-        for j in range(len(z)):
-            z[j] -= f * prow[j]
-
-
-def _solve_basis(R, s, basis):
-    """Gauss-Jordan tableau for a given basis; row i carries basis[i]."""
-    r = len(R)
-    T = [list(R[i]) + [s[i]] for i in range(r)]
-    owner = [-1] * r
-    for b in basis:
-        prow = next((i for i in range(r) if owner[i] < 0 and T[i][b] != 0), None)
-        if prow is None:
-            return None
-        owner[prow] = b
-        pv = T[prow][b]
-        T[prow] = [v / pv for v in T[prow]]
-        for i in range(r):
-            if i != prow and T[i][b] != 0:
-                f = T[i][b]
-                T[i] = [a - f * c for a, c in zip(T[i], T[prow])]
-    order = sorted(range(r), key=lambda i: basis.index(owner[i]))
-    return [T[i] for i in order]
+    prow = T[row] = [v / pv for v in T[row]]
+    for i, ti in enumerate(T):
+        f = ti[col]
+        if i != row and f != 0:
+            T[i] = [a - f * b for a, b in zip(ti, prow)]
 
 
 def _enumerate_bases(R, s, basis0, max_bases=None):
-    """All basic feasible solutions reachable by feasible single swaps."""
+    """All basic feasible solutions reachable by feasible single swaps.
+
+    [R | s] is in canonical form for basis0 (row i carries basis0[i]); each
+    queued basis is reached by one pivot on a copy of its parent's tableau.
+    """
     r = len(R)
     n = len(R[0])
-    start = tuple(sorted(basis0))
-    seen = {start}
-    queue = deque([start])
+    seen = {tuple(sorted(basis0))}
+    queue = deque([(list(basis0), [R[i] + [s[i]] for i in range(r)], None)])
     solutions = {}
     visited = 0
     while queue:
-        basis = queue.popleft()
+        basis, T, swap = queue.popleft()
         visited += 1
         if max_bases is not None and visited > max_bases:
             raise BasisLimitError(
@@ -284,29 +269,34 @@ def _enumerate_bases(R, s, basis0, max_bases=None):
                 f"({len(solutions)} vertices found so far); degenerate instances "
                 f"can have combinatorially many feasible bases"
             )
-        T = _solve_basis(R, s, list(basis))
+        if swap is not None:
+            row, col = swap
+            T, basis = list(T), list(basis)
+            _pivot(T, row, col)
+            basis[row] = col
         xB = [T[i][-1] for i in range(r)]
         x = [_ZERO] * n
         for i, b in enumerate(basis):
             x[b] = xB[i]
         solutions[tuple(x)] = x
         in_basis = set(basis)
+        rows = sorted(range(r), key=basis.__getitem__)
         for j in range(n):
             if j in in_basis:
                 continue
             col = [T[i][j] for i in range(r)]
-            for i in range(r):
+            # Min-ratio rule; a row with xB[i] == 0 swaps at step 0 whatever
+            # the sign of its pivot entry, leaving x unchanged.
+            step = min((xB[k] / col[k] for k in range(r) if col[k] > 0), default=None)
+            for i in rows:
                 if col[i] == 0:
                     continue
-                step = xB[i] / col[i]
-                if step < 0:
-                    continue
-                if step > 0 and any(xB[k] - step * col[k] < 0 for k in range(r)):
+                if xB[i] != 0 and not (col[i] > 0 and xB[i] / col[i] == step):
                     continue
                 nb = tuple(sorted(in_basis - {basis[i]} | {j}))
                 if nb not in seen:
                     seen.add(nb)
-                    queue.append(nb)
+                    queue.append((basis, T, (i, j)))
     return [solutions[key] for key in sorted(solutions)]
 
 

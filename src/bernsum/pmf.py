@@ -50,7 +50,8 @@ def _total(masses: Iterable[Number]) -> Number:
 
 
 def _check_normalized(total: Number, what: str) -> None:
-    if (total != 1) if _is_exact(total) else (abs(total - 1.0) > PROB_TOL):
+    # Written as `not ... <=` so that a NaN total fails too.
+    if (total != 1) if _is_exact(total) else not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"{what} violates normalization: sum {total!r} != 1")
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .indexing import _check_dimension, _level_slice, _popcounts, level_element
-from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _total, entropy, sum_map
+from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _is_exact, _total, entropy, sum_map
 
 FLAT_WEIGHTS_MAX = 10_000
 
@@ -249,22 +249,14 @@ def convex_min_pmf(d: int, mu: Number) -> SumPmf:
     collapses by continuity).
     """
     _check_dimension(d, dense=False)
-    if isinstance(mu, float) and mu.is_integer():
-        mu = int(mu)
     if not 0 <= mu <= d:
         raise ValueError(f"mean must lie in [0, {d}], got {mu}")
-    values: list[Number] = [0] * (d + 1)
-    if isinstance(mu, int) or (isinstance(mu, Fraction) and mu.denominator == 1):
-        values[int(mu)] = 1
-        return SumPmf(values)
+    mu = Fraction(mu) if _is_exact(mu) else float(mu)
     lo = math.floor(mu)
-    hi = lo + 1
-    if isinstance(mu, Fraction):
-        w_hi = mu - lo
-        values[lo] = 1 - w_hi
-        values[hi] = w_hi
+    w_hi = mu - lo
+    values: list[Number] = [0] * (d + 1)
+    if w_hi:
+        values[lo], values[lo + 1] = 1 - w_hi, w_hi
     else:
-        w_hi = float(mu) - lo
-        values[lo] = 1.0 - w_hi
-        values[hi] = w_hi
+        values[lo] = 1
     return SumPmf(values)

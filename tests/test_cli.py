@@ -255,6 +255,12 @@ class TestErrors:
         assert code == 2
         assert "normalization" in err
 
+    def test_nan_pmf_names_invariant(self, capsys):
+        # json.loads admits NaN; the carrier must refuse it.
+        code, _, err = run(capsys, "density", "--p", "[NaN, 1.0]")
+        assert code == 2
+        assert "normalization" in err
+
     def test_negative_pmf(self, capsys):
         code, _, err = run(capsys, "measure", "--p", "[1.2, -0.2]")
         assert code == 2

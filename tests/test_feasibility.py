@@ -284,9 +284,10 @@ class TestConstrainedVertices:
 
     def test_basis_budget_fails_fast_on_degenerate_d5(self):
         # The fully symmetric d=5 instance has combinatorially many feasible
-        # bases; the budget turns an open-ended run into a clear error.
+        # bases; the budget turns an open-ended run into a clear error.  The
+        # vertex count in it pins the breadth-first walk order.
         p = SumPmf([Fraction(math.comb(5, k), 32) for k in range(6)])
-        with pytest.raises(BasisLimitError, match="max_bases"):
+        with pytest.raises(BasisLimitError, match=r"max_bases=300 \(24 vertices found so far\)"):
             constrained_vertices(p, [Fraction(1, 2)] * 5, max_bases=300)
 
     def test_basis_budget_loose_enough_is_invisible(self):
@@ -297,10 +298,13 @@ class TestConstrainedVertices:
         p = SumPmf([Fraction(math.comb(4, k), 16) for k in range(5)])
         theta = [Fraction(1, 2)] * 4
         vs = constrained_vertices(p, theta)
-        assert len(vs) >= 1
+        # Degenerate: many bases share a vertex, and the walk takes zero-step
+        # swaps on negative pivot entries.  90 is the exhaustive oracle's count.
+        assert len(vs) == 90
+        assert len({v.values for v in vs}) == 90
         for v in vs:
             assert membership(v, p, 0)
-            assert coordinate_means(v) == theta
+            assert exact_levels_and_means(4, v.atoms()) == (list(p.values), theta)
 
     def test_theta_on_box_corner_forces_unique_point(self):
         # theta_i equal to p_d pins every coordinate: the only member puts

@@ -37,6 +37,16 @@ class TestValidation:
             SumPmf([0.5, 0.4])
         with pytest.raises(ValueError, match="normalization"):
             JointPmf(1, [0.5, 0.500001])
+        # Every comparison with NaN is false; the normalization test must
+        # still refuse a NaN mass.
+        for build in (
+            lambda: SumPmf([math.nan, 1.0]),
+            lambda: JointPmf(1, [math.nan, 1.0]),
+            lambda: JointPmf(1, np.array([math.nan, 1.0])),
+            lambda: SparseJointPmf(1, [(0, math.nan), (1, 1.0)]),
+        ):
+            with pytest.raises(ValueError, match="normalization"):
+                build()
 
     def test_exact_sum_must_be_exact(self):
         with pytest.raises(ValueError):
