@@ -1,10 +1,10 @@
 """Command-line front end: reproducible, machine-readable output.
 
-Every subcommand prints JSON (or CSV via --format csv) on stdout and
-diagnostics on stderr, exits 0 on success and 2 on validation problems with
-the violated invariant named.  Stochastic subcommands take --seed; when it
-is omitted a fresh seed is drawn and recorded in the output so any run can
-be replayed.
+Every subcommand prints JSON on stdout (or CSV via --format csv, which only
+the subcommands with flat output accept) and diagnostics on stderr, exits 0
+on success and 2 on validation problems with the violated invariant named.
+Stochastic subcommands take --seed; when it is omitted a fresh seed is drawn
+and recorded in the output so any run can be replayed.
 """
 from __future__ import annotations
 
@@ -261,6 +261,13 @@ def _cmd_bin_vs_mode(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernsum",
@@ -268,10 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # JSON lines or nested records: these have no CSV form.
+    nested = {"extremals", "feasible", "constrained-vertices", "sample"}
+
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if name not in nested:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         return sp
 
     sp = add("extremals", _cmd_extremals, help="stream the vertices of the fiber over p")
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metric", choices=("sup", "tv"), default="sup")
     sp.add_argument("-n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=int, default=_usable_cpus())
     sp.add_argument("--paper-sigma-s", action="store_true",
                     help="use the looser parameterized region without the last-coordinate window")
 

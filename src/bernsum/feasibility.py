@@ -76,8 +76,11 @@ class MeanVector:
         return sum(self.values, _ZERO)
 
 
-def _coerce_theta(theta) -> MeanVector:
-    return theta if isinstance(theta, MeanVector) else MeanVector(theta)
+def _coerce_theta(theta, d: int) -> MeanVector:
+    theta = theta if isinstance(theta, MeanVector) else MeanVector(theta)
+    if theta.d != d:
+        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={d}")
+    return theta
 
 
 def _exact_p(p: SumPmf) -> tuple[Fraction, ...]:
@@ -110,9 +113,7 @@ def necessary_conditions(p: SumPmf, theta, tol: float = 1e-12) -> NecessaryCondi
     largest sum to at most mean(p) - p_d), and mean_ok is its s = d equality;
     here they are checked with a tolerance.
     """
-    theta = _coerce_theta(theta)
-    if theta.d != p.d:
-        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={p.d}")
+    theta = _coerce_theta(theta, p.d)
     pvals = _exact_p(p)
     mu = sum((k * v for k, v in enumerate(pvals)), _ZERO)
     slack = Fraction(tol) if tol else _ZERO
@@ -123,59 +124,25 @@ def necessary_conditions(p: SumPmf, theta, tol: float = 1e-12) -> NecessaryCondi
 
 
 def _reduced_system(p: SumPmf, theta: MeanVector):
-    """Structurally eliminate forced-zero atoms, then list the live rows.
+    """Columns and rows of the constrained system after structural elimination.
 
-    Returns (columns, rows, rhs) over the surviving atom indices, or None
-    when a forced elimination already contradicts a nonzero right-hand side.
+    A column is an atom not forced to zero: its level is supported, it has no
+    bit where theta_i = 0 and every bit where theta_i = 1.  The rows are the
+    level equations in ascending k, then the mean equations for
+    0 < theta_i < 1.  A row left with no live atom keeps its positive
+    right-hand side, so _phase1 proves the system infeasible.
     """
-    d = p.d
     pvals = _exact_p(p)
-    support = {k for k in range(d + 1) if pvals[k] > 0}
-    zero_bits = [i for i in range(d) if theta.values[i] == 0]
-    one_bits = [i for i in range(d) if theta.values[i] == 1]
-
-    def alive(idx: int) -> bool:
-        if idx.bit_count() not in support:
-            return False
-        if any(idx >> i & 1 for i in zero_bits):
-            return False
-        if any(not (idx >> i & 1) for i in one_bits):
-            return False
-        return True
-
-    columns = [idx for idx in range(1 << d) if alive(idx)]
-    col_pos = {idx: j for j, idx in enumerate(columns)}
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    for k in sorted(support):
-        row = [_ZERO] * len(columns)
-        hit = False
-        for idx in columns:
-            if idx.bit_count() == k:
-                row[col_pos[idx]] = _ONE
-                hit = True
-        if not hit:
-            return None  # level mass p_k > 0 with every carrier forced to zero
-        rows.append(row)
-        rhs.append(pvals[k])
-    for i in range(d):
-        t = theta.values[i]
-        if t == 0 or t == 1:
-            continue  # absorbed by the structural elimination
-        bit = 1 << i
-        row = [_ZERO] * len(columns)
-        hit = False
-        for idx in columns:
-            if idx & bit:
-                row[col_pos[idx]] = _ONE
-                hit = True
-        if not hit:
-            return None  # theta_i > 0 but no surviving atom has coordinate i set
-        rows.append(row)
-        rhs.append(t)
-    return columns, rows, rhs
+    zeros = sum(1 << i for i, t in enumerate(theta.values) if t == 0)
+    ones = sum(1 << i for i, t in enumerate(theta.values) if t == 1)
+    columns = [idx for idx in range(1 << p.d)
+               if pvals[idx.bit_count()] > 0 and not idx & zeros and idx & ones == ones]
+    levels = [([_ONE if idx.bit_count() == k else _ZERO for idx in columns], v)
+              for k, v in enumerate(pvals) if v > 0]
+    means = [([_ONE if idx >> i & 1 else _ZERO for idx in columns], t)
+             for i, t in enumerate(theta.values) if 0 < t < 1]
+    rows, rhs = zip(*levels, *means)
+    return columns, list(rows), list(rhs)
 
 
 def _phase1(rows: list[list[Fraction]], rhs: list[Fraction]):
@@ -301,16 +268,9 @@ def _enumerate_bases(R, s, basis0, max_bases=None):
 
 
 def _solve(p: SumPmf, theta: MeanVector):
-    reduced = _reduced_system(p, theta)
-    if reduced is None:
-        return None
-    columns, rows, rhs = reduced
-    if not rows:
-        return None
+    columns, rows, rhs = _reduced_system(p, theta)
     got = _phase1(rows, rhs)
-    if got is None:
-        return None
-    return columns, got
+    return None if got is None else (columns, got)
 
 
 def _to_joint(d: int, columns, x) -> JointPmf:
@@ -376,10 +336,8 @@ def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
     witness carries at most d atoms per supported level of p.  It is a dense
     carrier, so d is limited to the dense guard (d <= 20).
     """
-    theta = _coerce_theta(theta)
     d = p.d
-    if theta.d != d:
-        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={p.d}")
+    theta = _coerce_theta(theta, d)
     _check_dimension(d)
     pvals = _exact_p(p)
     order = sorted(range(d), key=lambda i: theta.values[i], reverse=True)
@@ -404,10 +362,8 @@ def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list
     (symmetric p with exchangeable theta) can be far larger.  Pass max_bases
     to fail fast with BasisLimitError instead of running to completion.
     """
-    theta = _coerce_theta(theta)
     d = p.d
-    if theta.d != d:
-        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={p.d}")
+    theta = _coerce_theta(theta, d)
     if d > VERTEX_D_MAX:
         raise ValueError(f"constrained_vertices is limited to d <= {VERTEX_D_MAX}")
     got = _solve(p, theta)

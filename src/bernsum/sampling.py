@@ -79,11 +79,14 @@ class NeighborhoodSpec:
         hi = np.minimum(p + self.epsilon, 1.0)
         return lo, hi
 
-    def last_window(self) -> tuple[float, float]:
+    def box(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """(lo, hi) over the d free coordinates and the window [lo_d, hi_d] on
+        the last one, 1 - sum(x); paper_region widens that window to [0, 1]."""
         lo, hi = self.bounds()
+        d = self.d
         if self.paper_region:
-            return 0.0, 1.0
-        return float(lo[-1]), float(hi[-1])
+            return lo[:d], hi[:d], 0.0, 1.0
+        return lo[:d], hi[:d], float(lo[d]), float(hi[d])
 
 
 @dataclass(frozen=True)
@@ -183,14 +186,8 @@ def hit_and_run(
         raise ValueError("hit_and_run needs an explicit rng")
     g = _as_generator(rng)
     d = spec.d
-    lo_all, hi_all = spec.bounds()
-    lo, hi = lo_all[:d], hi_all[:d]
-    lo_d, hi_d = spec.last_window()
+    lo, hi, lo_d, hi_d = spec.box()
     x = np.clip(_interior_start(spec), lo, hi)
-
-    def feasible(v: np.ndarray) -> bool:
-        last = 1.0 - v.sum()
-        return lo_d <= last <= hi_d
 
     def step(v: np.ndarray) -> np.ndarray:
         u = g.standard_normal(d)
@@ -219,7 +216,7 @@ def hit_and_run(
             return v
         t = g.uniform(t_lo, t_hi)
         cand = np.clip(v + t * u, lo, hi)
-        return cand if feasible(cand) else v
+        return cand if lo_d <= 1.0 - cand.sum() <= hi_d else v
 
     for _ in range(burn_in):
         x = step(x)
@@ -229,50 +226,30 @@ def hit_and_run(
         yield SumPmf(tuple(x) + (1.0 - x.sum(),))
 
 
-@dataclass(frozen=True)
-class _RegionDraws:
-    """Sufficient statistics of one rejection run against the bounding box."""
+def _region_mc(
+    spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1, density: bool = True
+) -> tuple[float, int, np.ndarray | None]:
+    """One rejection pass from the bounding box into the spec's own ball.
 
-    n: int
-    log_box: float
-    box_vol: float
-    m_sup: int
-    logl_sup: np.ndarray
-    m_tv: int
-    logl_tv: np.ndarray
-
-
-def _density_log_terms(d: int) -> tuple[np.ndarray, np.ndarray, float]:
-    n_k = np.array([math.comb(d, k) - 1 for k in range(d + 1)], dtype=float)
-    cols = np.flatnonzero(n_k > 0)
-    const = float(sum(math.lgamma(v + 1.0) for v in n_k[cols]))
-    return n_k, cols, const
-
-
-def _chunk_counts(n: int) -> list[int]:
-    counts = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        counts.append(n % CHUNK)
-    return counts
-
-
-def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1) -> _RegionDraws:
+    Returns (log_box, m, logl): the log volume of the box, the number of the
+    n draws that land in the ball and, when density is set, the log fiber
+    density at each of them in chunk order (None otherwise).  A tv draw must
+    pass the sup window first, then the TV test.
+    """
     if not isinstance(rng, RngStream):
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
     if n < 1:
         raise ValueError("need at least one draw")
     d = spec.d
-    lo_all, hi_all = spec.bounds()
-    lo, hi = lo_all[:d], hi_all[:d]
-    lo_d, hi_d = spec.last_window()
+    lo, hi, lo_d, hi_d = spec.box()
     widths = hi - lo
     if np.any(widths <= 0):
         raise ValueError("degenerate bounding box; epsilon must be positive")
     log_box = float(np.log(widths).sum())
-    box_vol = float(np.exp(log_box))
-    n_k, cols, const = _density_log_terms(d)
-    want_tv = spec.metric == "tv"
-    eps = spec.epsilon
+    # Log fiber density: sum_k n_k log x_k - log Gamma(n_k + 1), n_k = C(d, k) - 1.
+    n_k = np.array([math.comb(d, k) - 1 for k in range(d + 1)], dtype=float)
+    cols = np.flatnonzero(n_k > 0)
+    const = float(sum(math.lgamma(v + 1.0) for v in n_k[cols]))
     p_full = spec.center.array
 
     def run_chunk(args):
@@ -282,29 +259,23 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1)
         last = 1.0 - X.sum(axis=1)
         acc = (last >= lo_d) & (last <= hi_d)
         P = np.column_stack([X[acc], last[acc]])
-        with np.errstate(divide="ignore"):
-            logl = (np.log(P[:, cols]) * n_k[cols]).sum(axis=1) - const
-        if want_tv:
-            tv = 0.5 * np.abs(P - p_full).sum(axis=1)
-            keep = tv <= eps
-            return int(acc.sum()), logl, int(keep.sum()), logl[keep]
-        return int(acc.sum()), logl, 0, logl[:0]
+        logl = None
+        if density:
+            with np.errstate(divide="ignore"):
+                logl = (np.log(P[:, cols]) * n_k[cols]).sum(axis=1) - const
+        if spec.metric == "sup":
+            return len(P), logl
+        keep = 0.5 * np.abs(P - p_full).sum(axis=1) <= spec.epsilon
+        return int(keep.sum()), None if logl is None else logl[keep]
 
-    jobs = list(enumerate(_chunk_counts(n)))
+    jobs = [(i, min(CHUNK, n - start)) for i, start in enumerate(range(0, n, CHUNK))]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run_chunk, jobs))
     else:
         parts = [run_chunk(j) for j in jobs]
-
-    m_sup = sum(p[0] for p in parts)
-    logl_sup = np.concatenate([p[1] for p in parts]) if parts else np.empty(0)
-    m_tv = sum(p[2] for p in parts)
-    logl_tv = np.concatenate([p[3] for p in parts]) if parts else np.empty(0)
-    return _RegionDraws(
-        n=n, log_box=log_box, box_vol=box_vol,
-        m_sup=m_sup, logl_sup=logl_sup, m_tv=m_tv, logl_tv=logl_tv,
-    )
+    m = sum(part[0] for part in parts)
+    return log_box, m, np.concatenate([part[1] for part in parts]) if density else None
 
 
 def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1) -> EstimateReport:
@@ -312,15 +283,15 @@ def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int =
     Lebesgue volume, estimated by rejection from the bounding box."""
     if spec.metric != "sup":
         raise ValueError("region_volume is defined for the sup metric")
-    draws = _region_mc(spec, n, rng, threads)
+    log_box, m, _ = _region_mc(spec, n, rng, threads, density=False)
     d = spec.d
-    acc = draws.m_sup / draws.n
-    scale = math.sqrt(d + 1) * draws.box_vol
-    se = scale * math.sqrt(max(acc * (1.0 - acc), 0.0) / draws.n)
-    if draws.m_sup == 0:
-        return EstimateReport(LogMeasure.zero(), se, draws.n, 0.0, se_volume=se)
-    est = LogMeasure.from_log(0.5 * math.log(d + 1) + draws.log_box + math.log(acc))
-    return EstimateReport(est, se, draws.n, acc, se_volume=se)
+    acc = m / n
+    scale = math.sqrt(d + 1) * float(np.exp(log_box))
+    se = scale * math.sqrt(max(acc * (1.0 - acc), 0.0) / n)
+    if m == 0:
+        return EstimateReport(LogMeasure.zero(), se, n, 0.0, se_volume=se)
+    est = LogMeasure.from_log(0.5 * math.log(d + 1) + log_box + math.log(acc))
+    return EstimateReport(est, se, n, acc, se_volume=se)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -330,12 +301,17 @@ def _logsumexp(a: np.ndarray) -> float:
     return shift + math.log(float(np.exp(a - shift).sum()))
 
 
-def _measure_report(draws: _RegionDraws, d: int, m: int, logl: np.ndarray) -> EstimateReport:
-    n = draws.n
+def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> EstimateReport:
+    """Induced measure of the spec's ball: sqrt(2^d) x box volume x the mean
+    fiber density over the n box draws (zero outside the ball)."""
+    if n < 1000:
+        raise ValueError("need at least 10^3 draws for a meaningful estimate")
+    d = spec.d
+    log_box, m, logl = _region_mc(spec, n, rng, threads)
     acc = m / n
     if m == 0:
         return EstimateReport(LogMeasure.zero(), 0.0, n, 0.0)
-    log_est = 0.5 * d * LN2 + draws.log_box - math.log(n) + _logsumexp(logl)
+    log_est = 0.5 * d * LN2 + log_box - math.log(n) + _logsumexp(logl)
     if not math.isfinite(log_est):  # every accepted point sat on a zero-density face
         return EstimateReport(LogMeasure.zero(), 0.0, n, acc)
     # Delta method on (volume stage) x (mean-density stage).
@@ -364,10 +340,7 @@ def estimate_neighborhood_measure(
     """
     if spec.metric != "sup":
         raise ValueError("this estimator handles the sup metric; see the tv bound")
-    if n < 1000:
-        raise ValueError("need at least 10^3 draws for a meaningful estimate")
-    draws = _region_mc(spec, n, rng, threads)
-    return _measure_report(draws, spec.d, draws.m_sup, draws.logl_sup)
+    return _estimate(spec, n, rng, threads)
 
 
 def estimate_tv_neighborhood_bound(
@@ -380,7 +353,4 @@ def estimate_tv_neighborhood_bound(
     """
     if spec.metric != "tv":
         raise ValueError("this estimator handles the tv metric")
-    if n < 1000:
-        raise ValueError("need at least 10^3 draws for a meaningful estimate")
-    draws = _region_mc(spec, n, rng, threads)
-    return _measure_report(draws, spec.d, draws.m_tv, draws.logl_tv)
+    return _estimate(spec, n, rng, threads)

@@ -1,18 +1,31 @@
-"""Pinned digests of seeded dense carriers and what is read from them.
+"""Pinned digests of seeded dense carriers, what is read from them, and the
+Monte Carlo estimators.
 
-The digests were taken from the tuple-backed carriers that preceded the
-ndarray ones.  Any change that reorders a level slice, alters a draw or
-moves a float in the last bit fails here, so speed-ups must keep every
-seeded result bit-identical.
+The carrier digests were taken from the tuple-backed carriers that preceded
+the ndarray ones; the estimator digests from the rejection pass that kept
+both balls' statistics at once.  Any change that reorders a level slice,
+alters a draw or moves a float in the last bit fails here, so speed-ups and
+refactors must keep every seeded result bit-identical.
 """
 import hashlib
+import math
 
 import numpy as np
+import pytest
 
 from bernsum.cli import main
 from bernsum.pmf import SumPmf, cross_moment, sum_map
 from bernsum.polytope import decompose, exchangeable_pmf
-from bernsum.sampling import RngStream, sample_Fd_uniform, sample_polytope_uniform
+from bernsum.sampling import (
+    NeighborhoodSpec,
+    RngStream,
+    estimate_neighborhood_measure,
+    estimate_tv_neighborhood_bound,
+    hit_and_run,
+    region_volume,
+    sample_Fd_uniform,
+    sample_polytope_uniform,
+)
 
 
 def gapped_pmf(d: int) -> SumPmf:
@@ -74,3 +87,52 @@ def test_cli_sample_d6(capsys):
     assert main(["sample", "--p", p, "-n", "3", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINS["cli_sample"]
+
+
+# Monte Carlo estimators: each pin covers the report tuples of several balls,
+# and every thread count must reproduce it.
+B_HALF = {d: SumPmf([math.comb(d, k) / 2**d for k in range(d + 1)]) for d in (3, 8)}
+SKEWED_5 = SumPmf([0.05, 0.1, 0.15, 0.2, 0.3, 0.2])
+
+MC_PINS = {
+    "sup": "91f05f3b360523a95ecaf8c22974c11d16ec1c3dff7584b92413d0c14c457b60",
+    "tv": "0f4514496d8a3304e1602667c158d610b3ab6cdcc425a4c34ae45d0e11079ef1",
+    "tv_paper_region": "f4fb8522d9963f16f18502ad4de4220ada67d8d7a60883130f615ab4eccde8cd",
+    "region_volume": "8bddf7c695727765e4750f10b7cbc145d3468a7fd0122f89a4dd7ffd8f807d9a",
+    "hit_and_run": "07d5930e5c1468b7746d0bf7a45195d5b96b536a80bd8435f0d1d4f6866fcc09",
+}
+
+MC_CASES = {
+    "sup": (estimate_neighborhood_measure, "sup", False,
+            [(B_HALF[3], 0.2), (B_HALF[3], 1.5), (B_HALF[8], 0.05), (SKEWED_5, 0.1)]),
+    "tv": (estimate_tv_neighborhood_bound, "tv", False,
+           [(B_HALF[3], 0.2), (B_HALF[8], 0.05), (SKEWED_5, 0.5)]),
+    "tv_paper_region": (estimate_tv_neighborhood_bound, "tv", True,
+                        [(B_HALF[3], 0.2), (SKEWED_5, 0.5)]),
+    "region_volume": (region_volume, "sup", False,
+                      [(B_HALF[3], 0.2), (B_HALF[8], 0.05), (SKEWED_5, 1.5)]),
+}
+
+
+def report_row(r) -> list:
+    pe = r.point_estimate
+    return [pe.log_value, pe.is_zero, r.std_error, r.n_samples,
+            r.acceptance_rate, r.se_volume, r.se_density]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(MC_CASES))
+def test_mc_estimators(name, threads):
+    fn, metric, paper_region, balls = MC_CASES[name]
+    rows = []
+    for seed, (p, eps) in enumerate(balls, start=31):
+        spec = NeighborhoodSpec(p, eps, metric=metric, paper_region=paper_region)
+        rows.append(report_row(fn(spec, 40_000, RngStream(seed), threads=threads)))
+    assert digest(*rows) == MC_PINS[name]
+
+
+def test_hit_and_run_chain():
+    spec = NeighborhoodSpec(SKEWED_5, 0.1)
+    chain = hit_and_run(spec, burn_in=50, thin=3, rng=RngStream(77))
+    states = [next(chain).values for _ in range(40)]
+    assert digest(*states) == MC_PINS["hit_and_run"]

@@ -1,10 +1,11 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
-from bernsum.cli import main
+from bernsum.cli import build_parser, main
 from bernsum.pmf import JointPmf, SumPmf
 from bernsum.polytope import membership
 
@@ -208,6 +209,12 @@ class TestNeighborhood:
         for key in ("estimate", "std_error", "acceptance_rate", "log_estimate"):
             assert float(csv_rec[key]) == rec[key]
 
+    def test_threads_default_counts_usable_cpus(self, monkeypatch):
+        # Under taskset or a cpuset the affinity mask, not the host, sets the default.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        args = build_parser().parse_args(["neighborhood", "--p", "[0.5,0.5]", "--eps", "0.1"])
+        assert args.threads == 1
+
     def test_paper_sigma_flag(self, capsys):
         base = ["neighborhood", "--p", "[0.2,0.2,0.6]", "--eps", "0.3",
                 "-n", "20000", "--seed", "31"]
@@ -270,6 +277,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["extremals", "--p", B_HALF],
+        ["feasible", "--p", B_HALF, "--theta", THETA],
+        ["constrained-vertices", "--p", B_HALF, "--theta", THETA],
+        ["sample", "--p", B_HALF, "--seed", "1"],
+    ])
+    def test_format_refused_where_output_is_nested(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_unreadable_input(self, capsys):
         code, _, err = run(capsys, "measure", "--p", "not-a-file.json")

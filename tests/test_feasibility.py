@@ -332,10 +332,25 @@ class TestConstrainedVertices:
         assert w is not None and coordinate_means(w) == theta
 
     def test_degenerate_theta_infeasible_detected_structurally(self):
-        # theta = (0, 1, 0) forces the single atom 010, which carries the
-        # wrong level weight for a pmf supported on levels {0, 3}.
-        assert feasible_point(P_CORNER, [0, 1, 0]) is None
-        assert constrained_vertices(P_CORNER, [0, 1, 0]) == []
+        # Each elimination leaves a row with no live atom and a positive
+        # right-hand side; phase 1 alone must prove it infeasible.
+        cases = [
+            # theta = (0, 1, 0) forces the single atom 010, which carries the
+            # wrong level weight for a pmf supported on levels {0, 3}.
+            (P_CORNER, [0, 1, 0]),
+            # Level 2's only atom 11 has the bit that theta_1 = 0 forbids.
+            (SumPmf([0, 0, 1]), [0, 1]),
+            # theta_1 = 1 leaves the atom 01 alone, and it lacks coordinate 2.
+            (SumPmf([0, 1, 0]), [1, Fraction(1, 2)]),
+            # theta_1 = 0 kills level 2; level 1 alone cannot give theta_2 = 3/4.
+            (SumPmf([0, Fraction(1, 2), Fraction(1, 2)]), [0, Fraction(3, 4)]),
+        ]
+        for p, theta in cases:
+            assert _solve(p, MeanVector(theta)) is None
+            assert constrained_vertices(p, theta) == []
+            with pytest.raises(InfeasibleError):
+                constrained_moment_bounds(p, theta, [1])
+            assert feasible_point(p, theta) is None
 
     def test_randomized_stress_against_oracle(self):
         rng = np.random.default_rng(131)
