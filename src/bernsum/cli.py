@@ -106,13 +106,18 @@ def _require_seed(args) -> int:
 
 
 def _cmd_extremals(args) -> int:
+    if args.offset < 0:
+        raise ValueError("--offset must be >= 0")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be >= 0")
     p = _load_sum_pmf(args.p)
-    stream = zip(extremal_indices(p), extremal_enumerate(p))
-    stop = args.offset + args.limit if args.limit is not None else None
-    for sigma, vertex in itertools.islice(stream, args.offset, stop):
+    # A vertex's atom at index i carries p_k for k = popcount(i).
+    enc = [_jsonable(v) for v in p.values]
+    stream = zip(extremal_indices(p, args.offset), extremal_enumerate(p, args.offset))
+    for sigma, vertex in itertools.islice(stream, args.limit):
         record = {
             "sigma": list(sigma.sigma),
-            "pmf": {"d": vertex.d, "atoms": [[i, _jsonable(m)] for i, m in vertex.atoms]},
+            "pmf": {"d": vertex.d, "atoms": [[i, enc[i.bit_count()]] for i, _ in vertex.atoms]},
         }
         print(json.dumps(record))
     return 0

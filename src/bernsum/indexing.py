@@ -86,6 +86,15 @@ def level_element(d: int, k: int, j: int) -> int:
     return index
 
 
+def _next_in_level(x: int) -> int:
+    """The next-larger index with the same popcount as x > 0, so that stepping
+    from 2^k - 1 walks the level-k slice in the order level_element unranks
+    (Gosper's successor; Knuth, TAOCP 7.2.1.3)."""
+    c = x & -x
+    r = x + c
+    return (((r ^ x) >> 2) // c) | r
+
+
 def level_rank(i: int) -> int:
     """1-based position of index i within its own level slice."""
     r = 0

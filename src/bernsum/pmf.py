@@ -210,6 +210,19 @@ class JointPmf:
         return cls(int(obj["d"]), obj["values"])
 
 
+def _sorted_atoms(d: int, atoms: list[tuple[int, Number]]) -> tuple[tuple[int, Number], ...]:
+    """The atoms sorted by index, refused unless the indices are distinct and in 0..2^d - 1."""
+    pairs = tuple(sorted(atoms))
+    if len({i for i, _ in pairs}) < len(pairs):
+        dup = next(i for (i, _), (j, _) in zip(pairs, pairs[1:]) if i == j)
+        raise ValueError(f"duplicate atom index {dup}")
+    # Sorted, so the first and the last index bound the rest.
+    for i, _ in pairs[:1] + pairs[-1:]:
+        if not 0 <= i < 1 << d:
+            raise ValueError(f"atom index {i} out of range for d={d}")
+    return pairs
+
+
 @dataclass(frozen=True)
 class SparseJointPmf:
     """Support-indexed pmf over {0,1}^d; works for any d."""
@@ -219,23 +232,23 @@ class SparseJointPmf:
 
     def __init__(self, d: int, atoms: Iterable[tuple[int, Number]]):
         _check_dimension(d, dense=False)
-        pairs = []
-        seen = set()
-        for idx, mass in atoms:
-            idx = int(idx)
-            mass = as_number(mass)
-            if not 0 <= idx < (1 << d):
-                raise ValueError(f"atom index {idx} out of range for d={d}")
-            if idx in seen:
-                raise ValueError(f"duplicate atom index {idx}")
+        pairs = _sorted_atoms(d, [(int(idx), as_number(mass)) for idx, mass in atoms])
+        for _, mass in pairs:
             if mass <= 0:
                 raise ValueError(f"atom masses must be positive, got {mass}")
-            seen.add(idx)
-            pairs.append((idx, mass))
-        pairs.sort()
         _check_normalized(_total(m for _, m in pairs), "SparseJointPmf")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "atoms", tuple(pairs))
+        object.__setattr__(self, "atoms", pairs)
+
+    @classmethod
+    def _with_validated_masses(cls, d: int, atoms: list[tuple[int, Number]]) -> "SparseJointPmf":
+        """A pmf whose masses are the very objects that SparseJointPmf(d, ...)
+        has already validated together, as on every vertex of a stream after
+        its first: only the indices, which change, are checked here."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "atoms", _sorted_atoms(d, atoms))
+        return self
 
     @property
     def exact(self) -> bool:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .indexing import _check_dimension, _level_slice, _popcounts, level_element
+from .indexing import _check_dimension, _level_slice, _next_in_level, _popcounts, level_element
 from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _is_exact, _total, entropy, sum_map
 
 FLAT_WEIGHTS_MAX = 10_000
@@ -54,7 +54,7 @@ class ExtremalIndex:
     sigma: tuple[int, ...]
 
     def __init__(self, sigma: Iterable[int]):
-        object.__setattr__(self, "sigma", tuple(int(s) for s in sigma))
+        object.__setattr__(self, "sigma", tuple(map(int, sigma)))
 
     def validate(self, p: SumPmf) -> None:
         d = p.d
@@ -80,38 +80,77 @@ def extremal_by_index(p: SumPmf, sigma: ExtremalIndex | Sequence[int]) -> Sparse
     return SparseJointPmf(d, atoms)
 
 
-def _sigma_stream(block_sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Colexicographic odometer over sigma: the first coordinate cycles fastest."""
-    sigma = [1] * len(block_sizes)
+def _sigma_stream(
+    sizes: Sequence[int],
+    offset: int = 0,
+    unrank: Callable[[int, int], int] = lambda k, s: s,
+    successor: Callable[[int], int] = lambda e: e + 1,
+) -> Iterator[tuple[int, ...]]:
+    """Colexicographic odometer over sigma: the first coordinate cycles fastest.
+
+    Starts at stream position `offset`, decoded in mixed radix (an offset at
+    or past the end yields nothing), and yields every coordinate's element
+    unrank(k, sigma_k), which is sigma itself by default.  Only the start is
+    unranked: a step moves one coordinate to its successor and resets those
+    below it to their first elements, so a vertex costs amortized O(1).
+    """
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+    sigma = []
+    for size in sizes:
+        offset, r = divmod(offset, size)
+        sigma.append(r + 1)
+    if offset:
+        return
+    elems = [unrank(k, s) for k, s in enumerate(sigma)]
+    firsts = [e if s == 1 else unrank(k, 1) for k, (s, e) in enumerate(zip(sigma, elems))]
+    n = len(sizes)
     while True:
-        yield tuple(sigma)
+        yield tuple(elems)
         pos = 0
-        while pos < len(block_sizes):
-            if sigma[pos] < block_sizes[pos]:
+        while pos < n:
+            if sigma[pos] < sizes[pos]:
                 sigma[pos] += 1
+                elems[pos] = successor(elems[pos])
                 break
             sigma[pos] = 1
+            elems[pos] = firsts[pos]
             pos += 1
         else:
             return
 
 
-def extremal_enumerate(p: SumPmf) -> Iterator[SparseJointPmf]:
-    """Lazily yield every vertex exactly once, in colex sigma order."""
-    d = p.d
-    support = p.support
-    sizes = [math.comb(d, k) if k in set(support) else 1 for k in range(d + 1)]
-    for sigma in _sigma_stream(sizes):
-        atoms = [(level_element(d, k, sigma[k]), p.values[k]) for k in support]
-        yield SparseJointPmf(d, atoms)
-
-
-def extremal_indices(p: SumPmf) -> Iterator[ExtremalIndex]:
-    """The sigma labels in the same order extremal_enumerate yields vertices."""
+def _block_sizes(p: SumPmf) -> list[int]:
+    """sigma's radix: C(d, k) on supported levels, 1 elsewhere."""
     d = p.d
     support = set(p.support)
-    sizes = [math.comb(d, k) if k in support else 1 for k in range(d + 1)]
-    return (ExtremalIndex(s) for s in _sigma_stream(sizes))
+    return [math.comb(d, k) if k in support else 1 for k in range(d + 1)]
+
+
+def _vertex_stream(d: int, atom_lists: Iterable[list[tuple[int, Number]]]) -> Iterator[SparseJointPmf]:
+    """The first vertex is validated in full; every later one carries the same
+    mass objects, so only its indices are checked."""
+    build = SparseJointPmf
+    for atoms in atom_lists:
+        yield build(d, atoms)
+        build = SparseJointPmf._with_validated_masses
+
+
+def extremal_enumerate(p: SumPmf, offset: int = 0) -> Iterator[SparseJointPmf]:
+    """Lazily yield every vertex exactly once, in colex sigma order, starting
+    at stream position offset.
+
+    Each supported level keeps its current weight-k index, which steps to the
+    next-larger index of the same popcount, so no vertex is unranked."""
+    d = p.d
+    masses = [(k, p.values[k]) for k in p.support]
+    indices = _sigma_stream(_block_sizes(p), offset, partial(level_element, d), _next_in_level)
+    yield from _vertex_stream(d, ([(idx[k], m) for k, m in masses] for idx in indices))
+
+
+def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[ExtremalIndex]:
+    """The sigma labels in the same order extremal_enumerate yields vertices."""
+    return (ExtremalIndex(s) for s in _sigma_stream(_block_sizes(p), offset))
 
 
 def membership(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = PROB_TOL) -> bool:
@@ -237,9 +276,8 @@ def generalized_extremals(h: LabelMap, p: SumPmf) -> Iterator[SparseJointPmf]:
     support = p.support
     pre = h.preimages
     sizes = [len(pre[y]) if y in set(support) else 1 for y in range(p.d + 1)]
-    for sigma in _sigma_stream(sizes):
-        atoms = [(pre[y][sigma[y] - 1], p.values[y]) for y in support]
-        yield SparseJointPmf(p.d, atoms)
+    atom_lists = ([(pre[y][s[y] - 1], p.values[y]) for y in support] for s in _sigma_stream(sizes))
+    yield from _vertex_stream(p.d, atom_lists)
 
 
 def convex_min_pmf(d: int, mu: Number) -> SumPmf:

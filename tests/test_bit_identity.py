@@ -1,5 +1,5 @@
-"""Pinned digests of seeded dense carriers, what is read from them, and the
-Monte Carlo estimators.
+"""Pinned digests of seeded dense carriers, what is read from them, the
+Monte Carlo estimators and the CLI's extremal stream.
 
 The carrier digests were taken from the tuple-backed carriers that preceded
 the ndarray ones; the estimator digests from the rejection pass that kept
@@ -50,6 +50,22 @@ PINS = {
     "cli_sample": "c1c210175895a270358b0f1dd8bf0bf17af079103ff4e94d7fad1bb367e3d288",
 }
 
+# `bernsum extremals` stdout, pinned on the stream that unranked every level
+# of every vertex and validated each one in full.
+RATIONAL_8 = "[" + ", ".join(f'"{k + 1}/45"' for k in range(9)) + "]"
+EXTREMALS = {
+    # --limit 600 crosses carries into sigma_1, sigma_2 and sigma_3.
+    "rational_d8": (["--p", RATIONAL_8, "--limit", "600"],
+                    "01bc07cc0b83f433ba077d25b71936243627913e3f6f8c4122a40ebabebbd4c3"),
+    "gapped_float_d6": (["--p", repr([w / 15 for w in (1, 0, 2, 3, 0, 4, 5)])],
+                        "21db7e099ac63d414b2079cfb358e8ac35d1ae3698de27fb0e68d847c94540c6"),
+    # The float mass 1.0 prints as the integer 1.
+    "point_mass_d4": (["--p", "[0.0,0.0,1.0,0.0,0.0]"],
+                      "73439351640fa3caf9699ca91d750ba9e22afaefd4790dacc23ae24b74967dc7"),
+    "rational_d8_offset": (["--p", RATIONAL_8, "--offset", "37", "--limit", "20"],
+                           "716c66b6483ef7f5d7c791366c39788b422c1882e98888bb62f63711cf43c235"),
+}
+
 
 def fiber_draws():
     p = gapped_pmf(10)
@@ -87,6 +103,14 @@ def test_cli_sample_d6(capsys):
     assert main(["sample", "--p", p, "-n", "3", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINS["cli_sample"]
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMALS))
+def test_cli_extremals(name, capsys):
+    argv, pin = EXTREMALS[name]
+    assert main(["extremals", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 # Monte Carlo estimators: each pin covers the report tuples of several balls,

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bernsum.cli import build_parser, main
-from bernsum.pmf import JointPmf, SumPmf
-from bernsum.polytope import membership
+from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf
+from bernsum.polytope import describe, extremal_by_index, membership
 
 from oracles import exact_levels_and_means
 
@@ -61,6 +61,25 @@ class TestExtremals:
     def test_rational_input_stays_exact(self, capsys):
         _, out, _ = run(capsys, "extremals", "--p", '["1/8","3/8","3/8","1/8"]', "--limit", "1")
         assert json_lines(out)[0]["pmf"]["atoms"][0] == [0, "1/8"]
+
+    def test_offset_decodes_to_the_last_vertex(self, capsys):
+        d = 12
+        p = SumPmf([0 if k == 5 else Fraction(k + 1, 85) for k in range(d + 1)])
+        count = describe(p).vertex_count
+        argv = ["extremals", "--p", json.dumps(p.to_json_obj())]
+        code, out, _ = run(capsys, *argv, "--offset", str(count - 1))
+        assert code == 0
+        (rec,) = json_lines(out)
+        sizes = [math.comb(d, k) if p.values[k] else 1 for k in range(d + 1)]
+        assert rec["sigma"] == sizes
+        assert SparseJointPmf.from_json_obj(rec["pmf"]) == extremal_by_index(p, sizes)
+        assert run(capsys, *argv, "--offset", str(count)) == (0, "", "")
+
+    @pytest.mark.parametrize("flag", ["--offset", "--limit"])
+    def test_negative_offset_or_limit_refused(self, capsys, flag):
+        code, out, err = run(capsys, "extremals", "--p", B_HALF, flag, "-1")
+        assert code == 2 and out == ""
+        assert f"{flag} must be >= 0" in err
 
 
 class TestBounds:

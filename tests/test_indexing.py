@@ -8,6 +8,7 @@ from bernsum.indexing import (
     BinaryIndexer,
     _level_order,
     _level_slice,
+    _next_in_level,
     index_to_vector,
     level_element,
     level_indices,
@@ -114,6 +115,15 @@ def test_cached_level_slices_match_brute_force():
         for k in range(d + 1):
             assert _level_slice(d, k).tolist() == want[k]
             assert list(level_indices(d, k)) == want[k]
+
+
+def test_successor_walks_each_level_in_unranking_order():
+    for d in range(1, 13):
+        for k, want in enumerate(level_slices(d)):
+            walk = [(1 << k) - 1]
+            while len(walk) < len(want):
+                walk.append(_next_in_level(walk[-1]))
+            assert walk == want
 
 
 def test_cached_index_arrays_are_read_only():

@@ -63,12 +63,16 @@ class TestValidation:
             JointPmf(21, [0.0] * (1 << 21))
 
     def test_sparse_guards(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseJointPmf(2, [(1, 0.5), (1, 0.5)])
         with pytest.raises(ValueError, match="positive"):
             SparseJointPmf(2, [(1, 0.0), (2, 1.0)])
-        with pytest.raises(ValueError, match="out of range"):
-            SparseJointPmf(2, [(4, 1.0)])
+        # A stream's later vertices skip the mass checks, never the index checks.
+        for build in (SparseJointPmf, SparseJointPmf._with_validated_masses):
+            with pytest.raises(ValueError, match="duplicate atom index 1"):
+                build(2, [(3, 0.25), (1, 0.5), (1, 0.25)])
+            with pytest.raises(ValueError, match="atom index 4 out of range"):
+                build(2, [(4, 1.0)])
+            with pytest.raises(ValueError, match="atom index -1 out of range"):
+                build(2, [(0, 0.5), (-1, 0.5)])
 
     def test_support_cached(self):
         p = SumPmf([0, 0.8, 0.2, 0])

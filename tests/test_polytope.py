@@ -116,6 +116,32 @@ class TestEnumerate:
         assert got == brute_vertices(4, p.values)
         assert len(got) == 96
 
+    @pytest.mark.parametrize("gaps", [False, True])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_stream_matches_validated_unranked_vertices(self, d, gaps):
+        # Past the first vertex the stream neither unranks nor re-checks the
+        # masses; each vertex must still be the one extremal_by_index unranks
+        # for its sigma and builds through the validating constructor.
+        weights = [0 if gaps and k % 3 == 1 else k + 1 for k in range(d + 1)]
+        p = SumPmf([Fraction(w, sum(weights)) for w in weights])
+        count = 0
+        for v, sigma in zip(extremal_enumerate(p), extremal_indices(p), strict=True):
+            assert v == extremal_by_index(p, sigma)
+            count += 1
+        assert count == describe(p).vertex_count
+
+    def test_offset_resumes_the_stream(self):
+        p = SumPmf([Fraction(1, 10), 0, Fraction(3, 10), Fraction(2, 5), 0, Fraction(1, 5)])
+        vertices = list(extremal_enumerate(p))
+        sigmas = list(extremal_indices(p))
+        n = len(vertices)
+        for offset in (0, 1, 9, 10, 37, n - 1, n, n + 5):
+            assert list(extremal_enumerate(p, offset)) == vertices[offset:]
+            assert list(extremal_indices(p, offset)) == sigmas[offset:]
+        for stream in (extremal_enumerate, extremal_indices):
+            with pytest.raises(ValueError, match="offset must be >= 0"):
+                next(iter(stream(p, -1)))
+
     def test_point_mass_single_vertex(self):
         p = SumPmf([0, 0, 0, 1])
         vertices = list(extremal_enumerate(p))
