@@ -141,7 +141,8 @@ def extremal_enumerate(p: SumPmf, offset: int = 0) -> Iterator[SparseJointPmf]:
     at stream position offset.
 
     Each supported level keeps its current weight-k index, which steps to the
-    next-larger index of the same popcount, so no vertex is unranked."""
+    next-larger index of the same popcount, so only the first vertex is
+    unranked."""
     d = p.d
     masses = [(k, p.values[k]) for k in p.support]
     indices = _sigma_stream(_block_sizes(p), offset, partial(level_element, d), _next_in_level)
