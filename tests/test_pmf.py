@@ -67,9 +67,11 @@ class TestValidation:
             SparseJointPmf(2, [(1, 0.0), (2, 1.0)])
         # A stream's later vertices skip the mass checks, never the index checks.
         for build in (SparseJointPmf, SparseJointPmf._with_validated_masses):
+            with pytest.raises(ValueError, match="duplicate"):
+                build(2, [(1, 0.5), (1, 0.5)])
             with pytest.raises(ValueError, match="duplicate atom index 1"):
                 build(2, [(3, 0.25), (1, 0.5), (1, 0.25)])
-            with pytest.raises(ValueError, match="atom index 4 out of range"):
+            with pytest.raises(ValueError, match="out of range"):
                 build(2, [(4, 1.0)])
             with pytest.raises(ValueError, match="atom index -1 out of range"):
                 build(2, [(0, 0.5), (-1, 0.5)])
