@@ -9,6 +9,7 @@ and recorded in the output so any run can be replayed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -273,6 +274,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _thread_count(text: str) -> int:
+    """--threads: an integer >= 1; the default "auto" counts usable CPUs at each parse."""
+    count = _usable_cpus() if text == "auto" else int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernsum",
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metric", choices=("sup", "tv"), default="sup")
     sp.add_argument("-n", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=_usable_cpus())
+    sp.add_argument("--threads", type=_thread_count, default="auto")
     sp.add_argument("--paper-sigma-s", action="store_true",
                     help="use the looser parameterized region without the last-coordinate window")
 
@@ -354,9 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser as it was, so one instance serves every call.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, InfeasibleError, BasisLimitError) as exc:

@@ -240,6 +240,8 @@ def _region_mc(
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
     if n < 1:
         raise ValueError("need at least one draw")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     d = spec.d
     lo, hi, lo_d, hi_d = spec.box()
     widths = hi - lo
@@ -254,17 +256,22 @@ def _region_mc(
 
     def run_chunk(args):
         chunk_idx, count = args
-        g = rng.chunk_generator(chunk_idx)
-        X = g.uniform(lo, hi, size=(count, d))
+        # One bulk fill scaled in place: the same bits as g.uniform(lo, hi),
+        # whose broadcast over array bounds runs per element, is slower, and
+        # does not overlap across threads.
+        X = rng.chunk_generator(chunk_idx).random((count, d))
+        X *= widths
+        X += lo
         last = 1.0 - X.sum(axis=1)
         acc = (last >= lo_d) & (last <= hi_d)
-        P = np.column_stack([X[acc], last[acc]])
+        X = X[acc]
         logl = None
-        if density:
+        if density:  # n_d = 0, so the last coordinate never enters the density
             with np.errstate(divide="ignore"):
-                logl = (np.log(P[:, cols]) * n_k[cols]).sum(axis=1) - const
+                logl = (np.log(X[:, cols]) * n_k[cols]).sum(axis=1) - const
         if spec.metric == "sup":
-            return len(P), logl
+            return len(X), logl
+        P = np.column_stack([X, last[acc]])
         keep = 0.5 * np.abs(P - p_full).sum(axis=1) <= spec.epsilon
         return int(keep.sum()), None if logl is None else logl[keep]
 
@@ -294,13 +301,6 @@ def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int =
     return EstimateReport(est, se, n, acc, se_volume=se)
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    shift = float(a.max())
-    if shift == float("-inf"):
-        return float("-inf")
-    return shift + math.log(float(np.exp(a - shift).sum()))
-
-
 def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> EstimateReport:
     """Induced measure of the spec's ball: sqrt(2^d) x box volume x the mean
     fiber density over the n box draws (zero outside the ball)."""
@@ -311,13 +311,14 @@ def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> E
     acc = m / n
     if m == 0:
         return EstimateReport(LogMeasure.zero(), 0.0, n, 0.0)
-    log_est = 0.5 * d * LN2 + log_box - math.log(n) + _logsumexp(logl)
-    if not math.isfinite(log_est):  # every accepted point sat on a zero-density face
+    shift = float(logl.max())
+    if shift == float("-inf"):  # every accepted point sat on a zero-density face
         return EstimateReport(LogMeasure.zero(), 0.0, n, acc)
+    # Shifted weights serve both the log-sum-exp and the delta method.
+    w = np.exp(logl - shift)
+    log_est = 0.5 * d * LN2 + log_box - math.log(n) + (shift + math.log(float(w.sum())))
     # Delta method on (volume stage) x (mean-density stage).
     se_v_rel = math.sqrt(max((1.0 - acc), 0.0) / (acc * n))
-    shift = float(logl.max())
-    w = np.exp(logl - shift)
     mean_w = float(w.mean())
     sd_w = float(w.std(ddof=1)) if m > 1 else 0.0
     se_l_rel = sd_w / (mean_w * math.sqrt(m)) if mean_w > 0 else 0.0

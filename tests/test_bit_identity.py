@@ -160,3 +160,43 @@ def test_hit_and_run_chain():
     chain = hit_and_run(spec, burn_in=50, thin=3, rng=RngStream(77))
     states = [next(chain).values for _ in range(40)]
     assert digest(*states) == MC_PINS["hit_and_run"]
+
+
+# The dimensions the benchmark's `mc` workload adds to the pins above: d = 2,
+# 10 and 16, at 1, 2 and 3 threads.  40,000 draws make two full chunks and a
+# partial third, so three threads each take one.  At d = 2 the TV ball is the
+# sup ball; at d = 16 the eps = 0.2 sup ball takes a handful of the draws and
+# the TV ball none.  Taken on the box sampler that drew through
+# Generator.uniform with array bounds.
+def binomial(d: int, theta: float) -> SumPmf:
+    return SumPmf([math.comb(d, k) * theta**k * (1 - theta) ** (d - k) for k in range(d + 1)])
+
+
+WIDE_PINS = {
+    "sup": "dc4d66853e328ee344aee438b4835d5ff0a46d92489fe9353604a0c20773100a",
+    "tv": "0fd93d9594e42732dfe51b54173995c5e1c26f248ab78b96f08e836a7d1636d4",
+    "region_volume": "a57167a34422702c9cb36563d248d69eeb37561b03d7f76bfdd608f06325ddc8",
+}
+
+WIDE_CASES = {
+    "sup": (estimate_neighborhood_measure, "sup",
+            [(binomial(2, 0.5), 0.1), (binomial(2, 0.3), 0.5), (binomial(10, 0.5), 0.05),
+             (binomial(10, 0.3), 0.1), (binomial(16, 0.5), 0.05), (binomial(16, 0.3), 0.1),
+             (binomial(16, 0.5), 0.2)]),
+    "tv": (estimate_tv_neighborhood_bound, "tv",
+           [(binomial(2, 0.5), 0.1), (binomial(2, 0.3), 0.5), (binomial(10, 0.5), 0.2),
+            (binomial(10, 0.3), 0.5), (binomial(16, 0.5), 0.05)]),
+    "region_volume": (region_volume, "sup",
+                      [(binomial(2, 0.5), 0.1), (binomial(2, 0.3), 0.5), (binomial(2, 0.3), 1.5)]),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(WIDE_CASES))
+def test_mc_estimators_wide_d(name, threads):
+    fn, metric, balls = WIDE_CASES[name]
+    rows = []
+    for seed, (p, eps) in enumerate(balls, start=61):
+        spec = NeighborhoodSpec(p, eps, metric=metric)
+        rows.append(report_row(fn(spec, 40_000, RngStream(seed), threads=threads)))
+    assert digest(*rows) == WIDE_PINS[name]

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bernsum import cli
 from bernsum.cli import build_parser, main
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf
 from bernsum.polytope import describe, extremal_by_index, membership
@@ -234,12 +238,48 @@ class TestNeighborhood:
         args = build_parser().parse_args(["neighborhood", "--p", "[0.5,0.5]", "--eps", "0.1"])
         assert args.threads == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_refused(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["neighborhood", "--p", "[0.5,0.5]", "--eps", "0.1", "-n", "2000",
+                  "--seed", "1", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
+
     def test_paper_sigma_flag(self, capsys):
         base = ["neighborhood", "--p", "[0.2,0.2,0.6]", "--eps", "0.3",
                 "-n", "20000", "--seed", "31"]
         _, tight, _ = run(capsys, *base)
         _, loose, _ = run(capsys, *base, "--paper-sigma-s")
         assert json.loads(loose)["acceptance_rate"] > json.loads(tight)["acceptance_rate"]
+
+
+class TestSharedParser:
+    """main parses with one cached parser; no call may see an earlier one's arguments."""
+
+    def test_offset_does_not_carry_over(self, capsys):
+        argv = ["extremals", "--p", B_HALF]
+        run(capsys, *argv, "--offset", "5")
+        _, out, _ = run(capsys, *argv)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        fresh = subprocess.run([sys.executable, "-m", "bernsum.cli", *argv], env=env,
+                               capture_output=True, text=True, check=True)
+        assert out == fresh.stdout
+
+    def test_threads_default_follows_the_mask_at_each_call(self, capsys, monkeypatch):
+        seen, estimate = [], cli.estimate_neighborhood_measure
+
+        def capture(spec, n, rng, threads):
+            seen.append(threads)
+            return estimate(spec, n, rng, threads=threads)
+
+        monkeypatch.setattr(cli, "estimate_neighborhood_measure", capture)
+        argv = ["neighborhood", "--p", "[0.5,0.5]", "--eps", "0.1", "-n", "2000", "--seed", "1"]
+        for mask in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, mask=mask: mask, raising=False)
+            assert run(capsys, *argv)[0] == 0
+        assert seen == [1, 3]
 
 
 class TestScanCommands:

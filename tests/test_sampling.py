@@ -329,6 +329,12 @@ class TestNeighborhoodMeasure:
         with pytest.raises(TypeError):
             estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.1), 2000, RngStream(1).generator())
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    def test_threads_below_one_refused(self, fn, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            fn(NeighborhoodSpec(P_D2, 0.1), 2000, RngStream(1), threads=threads)
+
     def test_paper_region_flag_loosens_the_set(self):
         p = SumPmf([0.2, 0.2, 0.6])
         tight = estimate_neighborhood_measure(NeighborhoodSpec(p, 0.3), 50_000, RngStream(107))
