@@ -274,12 +274,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _thread_count(text: str) -> int:
-    """--threads: an integer >= 1; the default "auto" counts usable CPUs at each parse."""
-    count = _usable_cpus() if text == "auto" else int(text)
+def _at_least_one(text: str) -> int:
+    """An integer option that must be >= 1 (--threads, --max-bases)."""
+    count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
     return count
+
+
+def _thread_count(text: str) -> int:
+    """--threads: an integer >= 1; the default "auto" counts usable CPUs at each parse."""
+    return _usable_cpus() if text == "auto" else _at_least_one(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
              help="exact vertices of the mean-constrained fiber")
     sp.add_argument("--p", required=True)
     sp.add_argument("--theta", required=True)
-    sp.add_argument("--max-bases", type=int, default=None,
+    sp.add_argument("--max-bases", type=_at_least_one, default=None,
                     help="abort with an error if the basis walk exceeds this budget")
 
     sp = add("constrained-bounds", _cmd_constrained_bounds,

@@ -291,16 +291,19 @@ def sum_map(f: AnyJoint) -> SumPmf:
     return SumPmf(levels)
 
 
-def cross_moment(f: AnyJoint, subset: Iterable[int]) -> Number:
-    """E[X_{j1} ... X_{jk}] for coordinates subset of {1, ..., d}."""
+def _subset_mask(d: int, subset: Iterable[int]) -> int:
+    """The index mask of a nonempty coordinate subset of {1, ..., d}."""
     coords = sorted(set(int(j) for j in subset))
     if not coords:
         raise ValueError("cross_moment needs a nonempty coordinate subset")
-    if coords[0] < 1 or coords[-1] > f.d:
-        raise ValueError(f"coordinates {coords} out of range for d={f.d}")
-    mask = 0
-    for j in coords:
-        mask |= 1 << (j - 1)
+    if coords[0] < 1 or coords[-1] > d:
+        raise ValueError(f"coordinates {coords} out of range for d={d}")
+    return sum(1 << (j - 1) for j in coords)
+
+
+def cross_moment(f: AnyJoint, subset: Iterable[int]) -> Number:
+    """E[X_{j1} ... X_{jk}] for coordinates subset of {1, ..., d}."""
+    mask = _subset_mask(f.d, subset)
     if isinstance(f, JointPmf) and not f.exact:
         return _fsum(f.values[(np.arange(1 << f.d) & mask) == mask])
     atoms = f.atoms() if isinstance(f, JointPmf) else f.atoms

@@ -1,14 +1,16 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here recomputes results from definitions: exhaustive basis
-enumeration for vertex sets, tensor Gauss-Legendre quadrature for integrals,
-and naive sums for moments and entropy.  Nothing imports from the package
+enumeration for vertex sets, a breadth-first feasible-basis walk on a
+Fraction tableau, tensor Gauss-Legendre quadrature for integrals, and naive
+sums for moments and entropy.  Nothing imports from the package
 under test, so agreement is evidence rather than tautology; results are
 plain dicts, lists and Fractions.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -195,6 +197,131 @@ def constraint_system(p, theta) -> ConstraintSystem:
     rows = [tuple(Fraction(popcount(i) == k) for i in range(n)) for k in range(d + 1)]
     rows += [tuple(Fraction(i >> j & 1) for i in range(n)) for j in range(d)]
     return ConstraintSystem(d=d, matrix=tuple(rows), rhs=tuple(pvals + thetas))
+
+
+# ---------------------------------------------------------------------------
+# the feasible-basis walk on a Fraction tableau
+# ---------------------------------------------------------------------------
+
+class ReferenceBasisLimit(RuntimeError):
+    """The reference walk visited more bases than its budget."""
+
+
+def _fraction_pivot(T, row, col):
+    """Gauss-Jordan pivot on T[row][col]; rows are rebound, never mutated."""
+    pv = T[row][col]
+    prow = T[row] = [v / pv for v in T[row]]
+    for i, ti in enumerate(T):
+        f = ti[col]
+        if i != row and f != 0:
+            T[i] = [a - f * b for a, b in zip(ti, prow)]
+
+
+def _fraction_phase1(rows, rhs):
+    """Bland's-rule phase 1 on [rows | I | rhs]; (R, s, basis) or None."""
+    m, n = len(rows), len(rows[0])
+    T = [list(rows[i]) + [Fraction(int(i == k)) for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    z = [-sum(T[i][j] for i in range(m)) for j in range(n + m + 1)]
+    for j in range(n, n + m):
+        z[j] += 1
+    T.append(z)
+    while True:
+        enter = next((j for j in range(n) if T[m][j] < 0), None)
+        if enter is None:
+            break
+        leave_row, best = None, None
+        for i in range(m):
+            t = T[i][enter]
+            if t > 0:
+                ratio = T[i][-1] / t
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave_row]):
+                    best, leave_row = ratio, i
+        _fraction_pivot(T, leave_row, enter)
+        basis[leave_row] = enter
+    if T[m][-1] != 0:
+        return None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if T[i][j] != 0), None)
+            if enter is None:
+                continue
+            _fraction_pivot(T, i, enter)
+            basis[i] = enter
+        keep.append(i)
+    return [T[i][:n] for i in keep], [T[i][-1] for i in keep], [basis[i] for i in keep]
+
+
+def reference_constrained_walk(d: int, p_values, theta, max_bases=None):
+    """Breadth-first walk over the feasible bases of the mean-constrained
+    system, one Fraction pivot per edge from the parent's tableau.
+
+    The system keeps the atoms of supported levels whose bits agree with
+    theta_i in {0, 1}, one row per supported level and one per fractional
+    theta_i.  Returns the distinct vertices as dense tuples over the 2^d
+    atoms, sorted by their column vectors; [] when the slice is empty.
+    Raises ReferenceBasisLimit when more than max_bases bases are visited.
+    """
+    pvals = [Fraction(v) for v in p_values]
+    thetas = [Fraction(t) for t in theta]
+    zeros = sum(1 << i for i, t in enumerate(thetas) if t == 0)
+    ones = sum(1 << i for i, t in enumerate(thetas) if t == 1)
+    columns = [idx for idx in range(1 << d)
+               if pvals[popcount(idx)] > 0 and not idx & zeros and idx & ones == ones]
+    rows = [[Fraction(popcount(idx) == k) for idx in columns] for k, v in enumerate(pvals) if v > 0]
+    rows += [[Fraction(idx >> i & 1) for idx in columns] for i, t in enumerate(thetas) if 0 < t < 1]
+    rhs = [v for v in pvals if v > 0] + [t for t in thetas if 0 < t < 1]
+    got = _fraction_phase1(rows, rhs)
+    if got is None:
+        return []
+    R, s, basis0 = got
+    r, n = len(R), len(columns)
+    seen = {tuple(sorted(basis0))}
+    queue = deque([(list(basis0), [R[i] + [s[i]] for i in range(r)], None)])
+    solutions = {}
+    visited = 0
+    while queue:
+        basis, T, swap = queue.popleft()
+        visited += 1
+        if max_bases is not None and visited > max_bases:
+            raise ReferenceBasisLimit(
+                f"vertex enumeration exceeded max_bases={max_bases} "
+                f"({len(solutions)} vertices found so far); degenerate instances "
+                f"can have combinatorially many feasible bases"
+            )
+        if swap is not None:
+            T, basis = list(T), list(basis)
+            _fraction_pivot(T, *swap)
+            basis[swap[0]] = swap[1]
+        xB = [T[i][-1] for i in range(r)]
+        x = [_ZERO] * n
+        for i, b in enumerate(basis):
+            x[b] = xB[i]
+        solutions[tuple(x)] = x
+        in_basis = set(basis)
+        rows_by_basis = sorted(range(r), key=basis.__getitem__)
+        for j in range(n):
+            if j in in_basis:
+                continue
+            col = [T[i][j] for i in range(r)]
+            step = min((xB[k] / col[k] for k in range(r) if col[k] > 0), default=None)
+            for i in rows_by_basis:
+                if col[i] == 0:
+                    continue
+                if xB[i] != 0 and not (col[i] > 0 and xB[i] / col[i] == step):
+                    continue
+                nb = tuple(sorted(in_basis - {basis[i]} | {j}))
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append((basis, T, (i, j)))
+    vertices = []
+    for key in sorted(solutions):
+        dense = [_ZERO] * (1 << d)
+        for idx, v in zip(columns, key):
+            dense[idx] = v
+        vertices.append(tuple(dense))
+    return vertices
 
 
 # ---------------------------------------------------------------------------

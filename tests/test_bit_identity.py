@@ -1,5 +1,6 @@
 """Pinned digests of seeded dense carriers, what is read from them, the
-Monte Carlo estimators and the CLI's extremal stream.
+Monte Carlo estimators, the CLI's extremal stream and the exact LP's
+vertex walk.
 
 The carrier digests were taken from the tuple-backed carriers that preceded
 the ndarray ones; the estimator digests from the rejection pass that kept
@@ -9,11 +10,13 @@ refactors must keep every seeded result bit-identical.
 """
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bernsum.cli import main
+from bernsum.feasibility import constrained_moment_bounds, constrained_vertices
 from bernsum.pmf import SumPmf, cross_moment, sum_map
 from bernsum.polytope import decompose, exchangeable_pmf
 from bernsum.sampling import (
@@ -200,3 +203,48 @@ def test_mc_estimators_wide_d(name, threads):
         spec = NeighborhoodSpec(p, eps, metric=metric)
         rows.append(report_row(fn(spec, 40_000, RngStream(seed), threads=threads)))
     assert digest(*rows) == WIDE_PINS[name]
+
+
+# The exact LP's vertex walk: the repr (types included) of every result of
+# the benchmark's constrained jobs at seed 5, and the README's
+# `bernsum constrained-vertices` example.  Taken on the Fraction tableau.
+CONSTRAINED_JOBS = [
+    # (p, theta, subset); subset None lists the vertices
+    (["1/16", "27/64", "25/64", "1/8"], ["37/64", "35/64", "29/64"], [1, 2, 3]),
+    (["3/64", "7/16", "5/16", "13/64"], ["39/64", "9/16", "1/2"], None),
+    (["1/32", "17/64", "7/16", "1/4", "1/64"], ["1/2", "29/64", "1/2", "1/2"], None),
+    (["1/32", "17/32", "19/64", "9/64"], ["1/2", "37/64", "15/32"], None),
+    (["1/8", "11/32", "27/64", "7/64"], ["35/64", "1/2", "15/32"], [1, 2, 3]),
+    (["7/64", "11/32", "27/64", "1/8"], ["39/64", "7/16", "33/64"], None),
+    (["1/32", "9/32", "21/64", "5/16", "3/64"], ["1/2", "35/64", "1/2", "33/64"], None),
+    (["5/64", "27/64", "3/8", "1/8"], ["33/64", "33/64", "33/64"], None),
+    (["3/32", "31/64", "21/64", "3/32"], ["7/16", "33/64", "15/32"], [1, 2, 3]),
+    (["1/16", "27/64", "13/32", "7/64"], ["33/64", "19/32", "29/64"], [1, 2, 3]),
+    (["1/8", "13/32", "11/32", "1/8"], ["1/2", "7/16", "17/32"], [1, 2]),
+    (["3/64", "7/32", "25/64", "17/64", "5/64"], ["41/64", "7/16", "15/32", "9/16"], None),
+    (["3/64", "5/16", "19/64", "7/32", "1/8"], ["1/2", "27/64", "1/2", "41/64"], [2, 3, 4]),
+]
+
+CONSTRAINED_PINS = {
+    "jobs": "3e9e3d9fecd7920ba22f371492874767cad9403fcb374a4661a0605f6957c81b",
+    "cli_readme": "86df9a3a393f1dc8d94ee5c4c3af82640897f95adf30f6520b12bfd258dd2a1f",
+}
+
+
+def test_constrained_jobs_repr():
+    h = hashlib.sha256()
+    for p, theta, subset in CONSTRAINED_JOBS:
+        p, theta = SumPmf([Fraction(v) for v in p]), [Fraction(v) for v in theta]
+        if subset is None:
+            got = constrained_vertices(p, theta)
+        else:
+            got = constrained_moment_bounds(p, theta, subset)
+        h.update(repr(got).encode())
+    assert h.hexdigest() == CONSTRAINED_PINS["jobs"]
+
+
+def test_cli_constrained_vertices_readme(capsys):
+    assert main(["constrained-vertices", "--p", '["1/8","3/8","3/8","1/8"]',
+                 "--theta", '["1/4","2/4","3/4"]']) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRAINED_PINS["cli_readme"]

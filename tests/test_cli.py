@@ -145,6 +145,14 @@ class TestFeasible:
                         (6, Fraction(1, 4)), (7, Fraction(1, 8))})
         assert r1 in atom_sets
 
+    @pytest.mark.parametrize("max_bases", ["0", "-5"])
+    def test_max_bases_below_one_refused(self, capsys, max_bases):
+        with pytest.raises(SystemExit) as exc:
+            main(["constrained-vertices", "--p", '["1/8","3/8","3/8","1/8"]',
+                  "--theta", THETA, "--max-bases", max_bases])
+        assert exc.value.code == 2
+        assert f"--max-bases: must be >= 1, got {max_bases}" in capsys.readouterr().err
+
     def test_constrained_bounds(self, capsys):
         code, out, _ = run(capsys, "constrained-bounds", "--p", B_HALF,
                            "--theta", THETA, "--subset", "1,2")

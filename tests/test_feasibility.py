@@ -20,9 +20,11 @@ from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment
 from bernsum.polytope import exchangeable_pmf, extremal_enumerate, membership
 
 from oracles import (
+    ReferenceBasisLimit,
     brute_constrained_vertices,
     constraint_system,
     exact_levels_and_means,
+    reference_constrained_walk,
     satisfies_homogeneous_system,
 )
 
@@ -290,6 +292,33 @@ class TestConstrainedVertices:
         with pytest.raises(BasisLimitError, match=r"max_bases=300 \(24 vertices found so far\)"):
             constrained_vertices(p, [Fraction(1, 2)] * 5, max_bases=300)
 
+    @pytest.mark.parametrize("max_bases,found", [(50, 13), (1000, 68)])
+    def test_basis_budget_pins_walk_order_symmetric_d5(self, max_bases, found):
+        p = SumPmf([Fraction(math.comb(5, k), 32) for k in range(6)])
+        with pytest.raises(BasisLimitError) as exc:
+            constrained_vertices(p, [Fraction(1, 2)] * 5, max_bases=max_bases)
+        assert str(exc.value) == (
+            f"vertex enumeration exceeded max_bases={max_bases} ({found} vertices found "
+            f"so far); degenerate instances can have combinatorially many feasible bases"
+        )
+
+    def test_basis_budget_pins_walk_order_generic_d5(self):
+        # A generic d=5 slice: the means of a random joint pmf in 64ths.
+        rng = np.random.default_rng(55)
+        f = [Fraction(int(w), 64) for w in rng.multinomial(64, np.ones(32) / 32)]
+        p = SumPmf([sum((m for i, m in enumerate(f) if i.bit_count() == k), Fraction(0))
+                    for k in range(6)])
+        theta = [sum((m for i, m in enumerate(f) if i >> j & 1), Fraction(0)) for j in range(5)]
+        with pytest.raises(BasisLimitError, match=r"max_bases=3000 \(1861 vertices found so far\)"):
+            constrained_vertices(p, theta, max_bases=3000)
+
+    @pytest.mark.parametrize("max_bases", [0, -5])
+    def test_basis_budget_below_one_refused(self, max_bases):
+        with pytest.raises(ValueError, match=r"^max_bases must be >= 1$"):
+            constrained_vertices(B_HALF_3, THETA_REF, max_bases=max_bases)
+        with pytest.raises(ValueError, match=r"^max_bases must be >= 1$"):
+            constrained_moment_bounds(B_HALF_3, THETA_REF, [1], max_bases=max_bases)
+
     def test_basis_budget_loose_enough_is_invisible(self):
         vs = constrained_vertices(B_HALF_3, THETA_REF, max_bases=1000)
         assert len(vs) == 3
@@ -380,6 +409,50 @@ class TestConstrainedVertices:
         assert feasible_seen >= 7
 
 
+@st.composite
+def sparse_joints_in_64ths(draw):
+    """(d, p, theta, budget): the laws of a random joint pmf in 64ths, d <= 4.
+
+    Some coordinates are forced off or on and some atoms dropped before the
+    64ths are dealt, so theta_i in {0, 1} and empty levels occur."""
+    d = 4 - draw(st.integers(min_value=0, max_value=3))  # d = 4 most often
+    drop_rate = draw(st.sampled_from([0, 0.25, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    forced = rng.choice([-1, 0, 1], p=[0.8, 0.1, 0.1], size=d)
+    off = sum(1 << i for i, c in enumerate(forced) if c == 0)
+    on = sum(1 << i for i, c in enumerate(forced) if c == 1)
+    candidates = [idx for idx in range(1 << d) if not idx & off and idx & on == on]
+    kept = [idx for idx in candidates if rng.random() >= drop_rate] or candidates[:1]
+    weights = rng.multinomial(64, np.ones(len(kept)) / len(kept))
+    f = {idx: Fraction(int(w), 64) for idx, w in zip(kept, weights)}
+    p = [sum((m for idx, m in f.items() if idx.bit_count() == k), Fraction(0)) for k in range(d + 1)]
+    theta = [sum((m for idx, m in f.items() if idx >> j & 1), Fraction(0)) for j in range(d)]
+    return d, p, theta, draw(st.integers(min_value=1, max_value=40))
+
+
+def _walk_or_limit(walk, limit_error):
+    try:
+        return walk()
+    except limit_error as exc:
+        return str(exc)
+
+
+@given(sparse_joints_in_64ths())
+@settings(max_examples=100, deadline=None)
+def test_walk_matches_fraction_reference(instance):
+    # The integer tableau must reproduce the Fraction walk: the same vertices
+    # in the same order with the same types, and the same budget error.  A
+    # floor division that is not exact shows up as a mismatch.
+    d, p, theta, budget = instance
+    got = constrained_vertices(SumPmf(p), theta)
+    assert {v.d for v in got} <= {d}
+    assert repr([v.values for v in got]) == repr(reference_constrained_walk(d, p, theta))
+    got = _walk_or_limit(lambda: [v.values for v in constrained_vertices(SumPmf(p), theta, budget)],
+                         BasisLimitError)
+    want = _walk_or_limit(lambda: reference_constrained_walk(d, p, theta, budget), ReferenceBasisLimit)
+    assert repr(got) == repr(want)
+
+
 class TestConstrainedMomentBounds:
     @pytest.mark.parametrize(
         "subset,want",
@@ -395,6 +468,18 @@ class TestConstrainedMomentBounds:
     )
     def test_reference_moment_bounds(self, subset, want):
         assert constrained_moment_bounds(B_HALF_3, THETA_REF, subset) == want
+
+    @pytest.mark.parametrize("subset,message", [([0], "out of range"), ([], "nonempty")])
+    def test_subset_checked_before_the_walk(self, subset, message):
+        # The walk would stop at its second basis, so only a check made
+        # before the walk can name the subset.
+        p = SumPmf([Fraction(math.comb(5, k), 32) for k in range(6)])
+        with pytest.raises(ValueError, match=message):
+            constrained_moment_bounds(p, [Fraction(1, 2)] * 5, subset, max_bases=1)
+
+    def test_subset_checked_before_feasibility(self):
+        with pytest.raises(ValueError, match=r"coordinates \[4\] out of range for d=3"):
+            constrained_moment_bounds(P_CORNER, [0, Fraction(3, 10), Fraction(3, 10)], [4])
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError):
