@@ -17,6 +17,7 @@ import os
 import secrets
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .binomial import bin_vs_mode, curve_log_measure
 from .feasibility import (
@@ -34,13 +35,8 @@ from .measure import (
     normalizing_constant,
     polytope_measure,
 )
-from .pmf import SumPmf, _num_to_json, entropy
-from .polytope import (
-    entropy_bounds,
-    extremal_enumerate,
-    extremal_indices,
-    moment_bounds,
-)
+from .pmf import SparseJointPmf, SumPmf, _num_to_json, entropy
+from .polytope import _sigma_stream, entropy_bounds, moment_bounds
 from .sampling import (
     NeighborhoodSpec,
     RngStream,
@@ -106,21 +102,44 @@ def _require_seed(args) -> int:
     return secrets.randbits(63)
 
 
+def _extremal_lines(p: SumPmf, offset: int) -> Iterator[str]:
+    """The `extremals` records, each exactly as json.dumps writes
+    {"sigma": [...], "pmf": {"d": d, "atoms": [[i, p_k], ...]}}.
+
+    Each level's mass is encoded once per stream.  A level's sigma digit and
+    its atom fragment are rebuilt only when the odometer moves the level;
+    a line then sorts the at most d + 1 atoms by index and joins the parts.
+    """
+    d = p.d
+    support = p.support
+    masses = [json.dumps(_jsonable(v)) for v in p.values]
+    digits = [""] * (d + 1)
+    atoms: list[tuple[int, str]] = [(0, "")] * len(support)
+    head, mid, tail = '{"sigma": [', f'], "pmf": {{"d": {d}, "atoms": [', "]}}"
+    for sigma, elems, low in _sigma_stream(p, offset):
+        if low > d:
+            # The first vertex is validated as extremal_enumerate validates
+            # it: a p mixing float zeros with exact masses can pass SumPmf's
+            # float tolerance while its exact support does not sum to 1.
+            SparseJointPmf(d, [(elems[k], p.values[k]) for k in support])
+        for k in range(low):
+            digits[k] = str(sigma[k])
+        for j, k in enumerate(support):
+            if k >= low:
+                break
+            atoms[j] = (elems[k], f"[{elems[k]}, {masses[k]}]")
+        yield head + ", ".join(digits) + mid + ", ".join([a for _, a in sorted(atoms)]) + tail
+
+
 def _cmd_extremals(args) -> int:
     if args.offset < 0:
         raise ValueError("--offset must be >= 0")
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be >= 0")
     p = _load_sum_pmf(args.p)
-    # A vertex's atom at index i carries p_k for k = popcount(i).
-    enc = [_jsonable(v) for v in p.values]
-    stream = zip(extremal_indices(p, args.offset), extremal_enumerate(p, args.offset))
-    for sigma, vertex in itertools.islice(stream, args.limit):
-        record = {
-            "sigma": list(sigma.sigma),
-            "pmf": {"d": vertex.d, "atoms": [[i, enc[i.bit_count()]] for i, _ in vertex.atoms]},
-        }
-        print(json.dumps(record))
+    lines = itertools.islice(_extremal_lines(p, args.offset), args.limit)
+    while batch := list(itertools.islice(lines, 1024)):
+        sys.stdout.write("\n".join(batch) + "\n")
     return 0
 
 
@@ -161,7 +180,7 @@ def _cmd_constrained_vertices(args) -> int:
 def _cmd_constrained_bounds(args) -> int:
     p = _load_sum_pmf(args.p)
     subset = [int(tok) for tok in args.subset.split(",") if tok]
-    lower, upper = constrained_moment_bounds(p, _load_theta(args.theta), subset)
+    lower, upper = constrained_moment_bounds(p, _load_theta(args.theta), subset, args.max_bases)
     _emit(
         {"subset": "|".join(str(j) for j in subset),
          "lower": _jsonable(lower), "upper": _jsonable(upper)},
@@ -274,12 +293,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _at_least_one(text: str) -> int:
-    """An integer option that must be >= 1 (--threads, --max-bases)."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+def _at_least(low: int):
+    """An argparse type: an integer that must be >= low."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
     return count
+
+
+_at_least_one = _at_least(1)  # --threads, --max-bases, binomial-scan --d
+_at_least_zero = _at_least(0)  # sample -n: 0 prints the header alone
 
 
 def _thread_count(text: str) -> int:
@@ -333,6 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--theta", required=True)
     sp.add_argument("--subset", required=True, help="comma-separated coordinates, e.g. 1,2")
+    sp.add_argument("--max-bases", type=_at_least_one, default=None,
+                    help="abort with an error if the basis walk exceeds this budget")
 
     sp = add("measure", _cmd_measure, help="Hausdorff measures and density at p")
     sp.add_argument("--p", required=True)
@@ -345,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("sample", _cmd_sample, help="uniform draws from the fiber over p (JSON lines)")
     sp.add_argument("--p", required=True)
-    sp.add_argument("-n", type=int, default=10)
+    sp.add_argument("-n", type=_at_least_zero, default=10)
     sp.add_argument("--seed", type=int, default=None)
 
     sp = add("neighborhood", _cmd_neighborhood, help="Monte Carlo measure of a metric ball")
@@ -359,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="use the looser parameterized region without the last-coordinate window")
 
     sp = add("binomial-scan", _cmd_binomial_scan, help="(theta, log fiber measure) table")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_at_least_one, required=True)
     sp.add_argument("--points", type=int, default=101)
 
     sp = add("bin-vs-mode", _cmd_bin_vs_mode, help="distance of b(1/2) from the maximal pmf by dimension")
@@ -375,10 +402,18 @@ _shared_parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, InfeasibleError, BasisLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (`bernsum extremals ... | head -1`).
+        # Point stdout at devnull so the flush at exit cannot fail again, and
+        # exit 141, as a writer killed by SIGPIPE reports under pipefail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ exact when p is exact: vertices inherit p's entries verbatim.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,51 +81,44 @@ def extremal_by_index(p: SumPmf, sigma: ExtremalIndex | Sequence[int]) -> Sparse
     return SparseJointPmf(d, atoms)
 
 
-def _sigma_stream(
-    sizes: Sequence[int],
-    offset: int = 0,
-    unrank: Callable[[int, int], int] = lambda k, s: s,
-    successor: Callable[[int], int] = lambda e: e + 1,
-) -> Iterator[tuple[int, ...]]:
-    """Colexicographic odometer over sigma: the first coordinate cycles fastest.
+def _sigma_stream(p: SumPmf, offset: int = 0) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The one odometer over the vertices of the fiber over p, in colex sigma
+    order (the first level cycles fastest), from stream position `offset`.
 
-    Starts at stream position `offset`, decoded in mixed radix (an offset at
-    or past the end yields nothing), and yields every coordinate's element
-    unrank(k, sigma_k), which is sigma itself by default.  Only the start is
-    unranked: a step moves one coordinate to its successor and resets those
-    below it to their first elements, so a vertex costs amortized O(1).
+    sigma_k runs over 1..C(d, k) on a supported level and stays 1 elsewhere.
+    Each step yields (sigma, elems, low): the labels, the index of each
+    level's sigma_k-th weight-k vector, and the lowest level that did not move
+    since the previous step (d + 1 at the first, when every level is new).
+    Only the start is decoded from offset in mixed radix (an offset at or
+    past the end yields nothing) and unranked by level_element.  A step moves
+    one level to its next element (_next_in_level) and resets the levels
+    below it to their first, 2^k - 1, so a vertex costs amortized O(1).
     """
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
+    d = p.d
+    support = set(p.support)
+    sizes = [math.comb(d, k) if k in support else 1 for k in range(d + 1)]
     sigma = []
     for size in sizes:
         offset, r = divmod(offset, size)
         sigma.append(r + 1)
     if offset:
         return
-    elems = [unrank(k, s) for k, s in enumerate(sigma)]
-    firsts = [e if s == 1 else unrank(k, 1) for k, (s, e) in enumerate(zip(sigma, elems))]
-    n = len(sizes)
+    elems = [level_element(d, k, s) for k, s in enumerate(sigma)]
+    low = d + 1
     while True:
-        yield tuple(elems)
-        pos = 0
-        while pos < n:
-            if sigma[pos] < sizes[pos]:
-                sigma[pos] += 1
-                elems[pos] = successor(elems[pos])
+        yield tuple(sigma), tuple(elems), low
+        for k in range(d + 1):
+            if sigma[k] < sizes[k]:
+                sigma[k] += 1
+                elems[k] = _next_in_level(elems[k])
+                low = k + 1
                 break
-            sigma[pos] = 1
-            elems[pos] = firsts[pos]
-            pos += 1
+            sigma[k] = 1
+            elems[k] = (1 << k) - 1
         else:
             return
-
-
-def _block_sizes(p: SumPmf) -> list[int]:
-    """sigma's radix: C(d, k) on supported levels, 1 elsewhere."""
-    d = p.d
-    support = set(p.support)
-    return [math.comb(d, k) if k in support else 1 for k in range(d + 1)]
 
 
 def _vertex_stream(d: int, atom_lists: Iterable[list[tuple[int, Number]]]) -> Iterator[SparseJointPmf]:
@@ -138,20 +132,16 @@ def _vertex_stream(d: int, atom_lists: Iterable[list[tuple[int, Number]]]) -> It
 
 def extremal_enumerate(p: SumPmf, offset: int = 0) -> Iterator[SparseJointPmf]:
     """Lazily yield every vertex exactly once, in colex sigma order, starting
-    at stream position offset.
-
-    Each supported level keeps its current weight-k index, which steps to the
-    next-larger index of the same popcount, so only the first vertex is
-    unranked."""
-    d = p.d
+    at stream position offset: level k's mass p_k sits on the odometer's
+    current weight-k index."""
     masses = [(k, p.values[k]) for k in p.support]
-    indices = _sigma_stream(_block_sizes(p), offset, partial(level_element, d), _next_in_level)
-    yield from _vertex_stream(d, ([(idx[k], m) for k, m in masses] for idx in indices))
+    atom_lists = ([(elems[k], m) for k, m in masses] for _, elems, _ in _sigma_stream(p, offset))
+    yield from _vertex_stream(p.d, atom_lists)
 
 
 def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[ExtremalIndex]:
     """The sigma labels in the same order extremal_enumerate yields vertices."""
-    return (ExtremalIndex(s) for s in _sigma_stream(_block_sizes(p), offset))
+    return (ExtremalIndex(sigma) for sigma, _, _ in _sigma_stream(p, offset))
 
 
 def membership(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = PROB_TOL) -> bool:
@@ -276,8 +266,9 @@ def generalized_extremals(h: LabelMap, p: SumPmf) -> Iterator[SparseJointPmf]:
         raise ValueError(f"dimension mismatch: label map d={h.d}, p has d={p.d}")
     support = p.support
     pre = h.preimages
-    sizes = [len(pre[y]) if y in set(support) else 1 for y in range(p.d + 1)]
-    atom_lists = ([(pre[y][s[y] - 1], p.values[y]) for y in support] for s in _sigma_stream(sizes))
+    # Colex, as extremal_enumerate: product() cycles its last factor fastest.
+    choices = itertools.product(*(pre[y] for y in reversed(support)))
+    atom_lists = ([(i, p.values[y]) for i, y in zip(reversed(c), support)] for c in choices)
     yield from _vertex_stream(p.d, atom_lists)
 
 

@@ -56,6 +56,7 @@ PINS = {
 # `bernsum extremals` stdout, pinned on the stream that unranked every level
 # of every vertex and validated each one in full.
 RATIONAL_8 = "[" + ", ".join(f'"{k + 1}/45"' for k in range(9)) + "]"
+RATIONAL_12 = "[" + ", ".join(f'"{k + 1}/91"' for k in range(13)) + "]"
 EXTREMALS = {
     # --limit 600 crosses carries into sigma_1, sigma_2 and sigma_3.
     "rational_d8": (["--p", RATIONAL_8, "--limit", "600"],
@@ -67,6 +68,15 @@ EXTREMALS = {
                       "73439351640fa3caf9699ca91d750ba9e22afaefd4790dacc23ae24b74967dc7"),
     "rational_d8_offset": (["--p", RATIONAL_8, "--offset", "37", "--limit", "20"],
                            "716c66b6483ef7f5d7c791366c39788b422c1882e98888bb62f63711cf43c235"),
+    # Pinned on the stream that zipped the sigma odometer with the vertex
+    # odometer.  Level 2 is empty; the window carries through sigma_1,
+    # sigma_3 and sigma_4 into sigma_5 at 9 * 84 * 126 = 95256.
+    "gapped_float_d9_offset": (["--p", repr([w / 52 for w in (1, 2, 0, 4, 5, 6, 7, 8, 9, 10)]),
+                                "--offset", "95252", "--limit", "12"],
+                               "193d76f0dd176eedd212cc5f12fe3e2357cf049bc9bf62fee48d6084476e1cdb"),
+    # Carries into sigma_3 at 12 * 66 = 792.
+    "rational_d12_offset": (["--p", RATIONAL_12, "--offset", "700", "--limit", "200"],
+                            "f836e51a9c203e5f6cc47b87b9f5a975639fbd3bd9d15f7259cbd5a84d3a96af"),
 }
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
@@ -7,16 +10,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernsum import cli
 from bernsum.cli import build_parser, main
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf
-from bernsum.polytope import describe, extremal_by_index, membership
+from bernsum.polytope import (
+    describe,
+    extremal_by_index,
+    extremal_enumerate,
+    extremal_indices,
+    membership,
+)
 
 from oracles import exact_levels_and_means
 
 B_HALF = "[0.125, 0.375, 0.375, 0.125]"
 THETA = '["1/4", "2/4", "3/4"]'
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -84,6 +96,65 @@ class TestExtremals:
         code, out, err = run(capsys, "extremals", "--p", B_HALF, flag, "-1")
         assert code == 2 and out == ""
         assert f"{flag} must be >= 0" in err
+
+    def test_vertex_refusal_matches_the_api(self, capsys):
+        # Mixed input: the float zero lets SumPmf accept an exact support
+        # summing to 1 - 1e-15, which the vertex carrier refuses.
+        text = '[0.0, "333333333333333/1000000000000000", "666666666666666/1000000000000000"]'
+        p = SumPmf.from_json_obj(json.loads(text))
+        with pytest.raises(ValueError) as api:
+            next(extremal_enumerate(p))
+        assert run(capsys, "extremals", "--p", text) == (2, "", f"error: {api.value}\n")
+        assert run(capsys, "extremals", "--p", text, "--limit", "0") == (0, "", "")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stream_matches_the_api(self, data):
+        p, offset, limit = data.draw(extremal_requests())
+        argv = ["extremals", "--p", json.dumps(p.to_json_obj()), "--offset", str(offset)]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0
+        assert err.getvalue() == ""
+        pairs = zip(extremal_indices(p, offset), extremal_enumerate(p, offset), strict=True)
+        want = []
+        for sigma, vertex in itertools.islice(pairs, limit):
+            atoms = [[i, mass_json(m)] for i, m in vertex.atoms]
+            record = {"sigma": list(sigma.sigma), "pmf": {"d": p.d, "atoms": atoms}}
+            want.append(json.dumps(record) + "\n")
+        assert out.getvalue() == "".join(want)
+
+
+def mass_json(m):
+    """A vertex mass as `extremals` prints it: "num/den" when exact, an
+    integer-valued float as the integer."""
+    if isinstance(m, Fraction):
+        return f"{m.numerator}/{m.denominator}"
+    return int(m) if isinstance(m, float) and m.is_integer() else m
+
+
+@st.composite
+def extremal_requests(draw):
+    """A sum law at d <= 7, exact or float, with some empty levels and
+    sometimes all mass on one level, and an --offset/--limit window that may
+    be empty or start past the end (--limit is left out only near the end)."""
+    d = draw(st.integers(1, 7))
+    if draw(st.integers(0, 4)) == 0:
+        weights = [0] * (d + 1)
+        weights[draw(st.integers(0, d))] = 1
+    else:
+        weights = draw(st.lists(st.integers(0, 4), min_size=d + 1, max_size=d + 1).filter(any))
+    total = sum(weights)
+    exact = draw(st.booleans())
+    p = SumPmf([Fraction(w, total) if exact else w / total for w in weights])
+    count = describe(p).vertex_count
+    offset = draw(st.integers(0, count + 2) | st.sampled_from([count - 1, count]))
+    limits = st.integers(0, 40)
+    if count - offset <= 40:
+        limits = limits | st.none()
+    return p, offset, draw(limits)
 
 
 class TestBounds:
@@ -161,6 +232,22 @@ class TestFeasible:
         assert Fraction(rec["lower"]) == Fraction(1, 8)
         assert Fraction(rec["upper"]) == Fraction(1, 4)
 
+    def test_constrained_bounds_max_bases(self, capsys):
+        # The symmetric d = 5 slice has 3,650 vertices; the walk stops at 50 bases.
+        p = json.dumps([f"{math.comb(5, k)}/32" for k in range(6)])
+        code, out, err = run(capsys, "constrained-bounds", "--p", p, "--theta",
+                             json.dumps(["1/2"] * 5), "--subset", "1,2", "--max-bases", "50")
+        assert (code, out) == (2, "")
+        assert err == ("error: vertex enumeration exceeded max_bases=50 (13 vertices found so "
+                       "far); degenerate instances can have combinatorially many feasible bases\n")
+
+    def test_constrained_bounds_max_bases_below_one_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["constrained-bounds", "--p", B_HALF, "--theta", THETA,
+                  "--subset", "1,2", "--max-bases", "0"])
+        assert exc.value.code == 2
+        assert "--max-bases: must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestMeasureCommands:
     def test_measure_fields(self, capsys):
@@ -194,6 +281,19 @@ class TestSample:
         for rec in lines[1:]:
             f = JointPmf.from_json_obj(rec)
             assert membership(f, p, 1e-12)
+
+    def test_zero_draws_print_the_header_alone(self, capsys):
+        code, out, _ = run(capsys, "sample", "--p", B_HALF, "-n", "0", "--seed", "3")
+        assert code == 0
+        assert json_lines(out) == [{"seed": 3, "n": 0, "d": 3}]
+
+    def test_negative_count_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--p", B_HALF, "-n", "-2", "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument -n: must be >= 0, got -2" in captured.err
 
     def test_reproducible(self, capsys):
         _, a, _ = run(capsys, "sample", "--p", B_HALF, "-n", "3", "--seed", "7")
@@ -269,8 +369,7 @@ class TestSharedParser:
         argv = ["extremals", "--p", B_HALF]
         run(capsys, *argv, "--offset", "5")
         _, out, _ = run(capsys, *argv)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
         fresh = subprocess.run([sys.executable, "-m", "bernsum.cli", *argv], env=env,
                                capture_output=True, text=True, check=True)
         assert out == fresh.stdout
@@ -312,6 +411,12 @@ class TestScanCommands:
                 assert log_measure == ""
             else:
                 assert float(log_measure) == rec["log_measure"]
+
+    def test_binomial_scan_dimension_below_one_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["binomial-scan", "--d", "-1"])
+        assert exc.value.code == 2
+        assert "argument --d: must be >= 1, got -1" in capsys.readouterr().err
 
     def test_bin_vs_mode_table(self, capsys):
         code, out, _ = run(capsys, "bin-vs-mode", "--dmax", "6", "--format", "csv")
@@ -368,3 +473,23 @@ class TestErrors:
         code, out, _ = run(capsys, "bounds", "--p", str(path), "--order", "1")
         assert code == 0
         assert json.loads(out)["upper"] == 0.875
+
+
+class TestClosedPipe:
+    """A JSON-lines stream whose reader goes away ends quietly, with the
+    status a writer killed by SIGPIPE reports under pipefail."""
+
+    @pytest.mark.parametrize("argv", [
+        ["extremals", "--p", "[0.1,0.2,0.3,0.2,0.1,0.05,0.05]"],
+        ["sample", "--p", "[0.1,0.2,0.3,0.2,0.1,0.05,0.05]", "-n", "100000", "--seed", "1"],
+    ])
+    def test_reader_closes_after_one_line(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen([sys.executable, "-m", "bernsum.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with proc:
+            assert json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
