@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import secrets
 import sys
@@ -28,6 +27,7 @@ from .feasibility import (
     feasible_point,
 )
 from .measure import (
+    LN2,
     LogMeasure,
     density_l,
     dirichlet_pdf,
@@ -35,7 +35,7 @@ from .measure import (
     normalizing_constant,
     polytope_measure,
 )
-from .pmf import SparseJointPmf, SumPmf, _num_to_json, entropy
+from .pmf import SumPmf, _num_to_json, entropy
 from .polytope import _sigma_stream, entropy_bounds, moment_bounds
 from .sampling import (
     NeighborhoodSpec,
@@ -44,8 +44,6 @@ from .sampling import (
     estimate_tv_neighborhood_bound,
     sample_polytope_uniform,
 )
-
-LN2 = math.log(2.0)
 
 
 def _parse_json_or_file(text: str):
@@ -117,11 +115,6 @@ def _extremal_lines(p: SumPmf, offset: int) -> Iterator[str]:
     atoms: list[tuple[int, str]] = [(0, "")] * len(support)
     head, mid, tail = '{"sigma": [', f'], "pmf": {{"d": {d}, "atoms": [', "]}}"
     for sigma, elems, low in _sigma_stream(p, offset):
-        if low > d:
-            # The first vertex is validated as extremal_enumerate validates
-            # it: a p mixing float zeros with exact masses can pass SumPmf's
-            # float tolerance while its exact support does not sum to 1.
-            SparseJointPmf(d, [(elems[k], p.values[k]) for k in support])
         for k in range(low):
             digits[k] = str(sigma[k])
         for j, k in enumerate(support):

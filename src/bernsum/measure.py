@@ -11,11 +11,14 @@ change-of-variables factor.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pmf import SumPmf
+import numpy as np
+
+from .pmf import SumPmf, _read_only
 
 LN2 = math.log(2.0)
 
@@ -88,34 +91,45 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
 def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
     """Ambient and intrinsic Hausdorff measures of the fiber over p.
 
-    Ambient multiplies over every level (a missing level with a nontrivial
-    block forces zero); intrinsic multiplies over the support only.
+    Intrinsic multiplies the block measures over the support.  Ambient
+    multiplies over every level, so, as levels 0 and d are points, it is
+    intrinsic when every level 0 < k < d is supported and zero otherwise.
     """
     d = p.d
-    ambient = LogMeasure.one()
     intrinsic = LogMeasure.one()
-    for k in range(d + 1):
-        n_k = math.comb(d, k) - 1
-        block = simplex_hausdorff(n_k, float(p.values[k]))
-        ambient = ambient * block
-        if p.values[k] > 0:
-            intrinsic = intrinsic * block
+    for k in p.support:
+        intrinsic = intrinsic * simplex_hausdorff(math.comb(d, k) - 1, float(p.values[k]))
+    ambient = intrinsic if all(v > 0 for v in p.values[1:d]) else LogMeasure.zero()
     return {"ambient": ambient, "intrinsic": intrinsic}
+
+
+@functools.cache
+def _fiber_table(d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The levels 0 < k < d, the ones whose block dimension n_k = C(d, k) - 1
+    is positive; their n_k; and the sum of their log n_k!."""
+    n = np.array([math.comb(d, k) - 1 for k in range(1, d)], dtype=float)
+    return _read_only(np.arange(1, d)), _read_only(n), float(sum(math.lgamma(v + 1.0) for v in n))
+
+
+def _log_density_rows(X: np.ndarray, d: int) -> np.ndarray:
+    """log l(p) = sum_k n_k log p_k - log n_k! at each row of X (column k holds
+    p_k; the d free coordinates will do), -inf where a level 0 < k < d is
+    empty.  The terms are added level by level, as numpy reduces the
+    column-major X[:, cols] of two or more rows, so no row's value depends on
+    the rows beside it (numpy would sum a lone row pairwise)."""
+    cols, n, const = _fiber_table(d)
+    with np.errstate(divide="ignore"):
+        terms = np.log(X[:, cols]) * n
+    total = np.zeros(len(X))
+    for column in terms.T:
+        total += column
+    return total - const
 
 
 def density_l(p: SumPmf) -> LogMeasure:
     """Fiber-measure density prod_k p_k^{n_k} / n_k! with 0^0 = 1."""
-    d = p.d
-    lv = 0.0
-    for k in range(d + 1):
-        n_k = math.comb(d, k) - 1
-        if n_k == 0:
-            continue
-        pk = float(p.values[k])
-        if pk == 0.0:
-            return LogMeasure.zero()
-        lv += n_k * math.log(pk) - math.lgamma(n_k + 1)
-    return LogMeasure(lv)
+    lv = float(_log_density_rows(p.array[None, :], p.d)[0])
+    return LogMeasure.zero() if lv == -math.inf else LogMeasure(lv)
 
 
 def normalizing_constant(d: int) -> LogMeasure:
@@ -128,21 +142,11 @@ def normalizing_constant(d: int) -> LogMeasure:
 def dirichlet_pdf(p: SumPmf) -> float:
     """Density of the normalized induced law at p: Dirichlet with alpha_k = C(d,k).
 
-    Evaluated with respect to Lebesgue measure on the d free coordinates; on
-    the boundary it is 0 wherever a vanishing p_k carries alpha_k > 1.
+    It is l(p) (2^d - 1)!, as Gamma(alpha_k) = n_k! and the alpha_k sum to
+    2^d: with respect to Lebesgue measure on the d free coordinates, and 0
+    wherever a vanishing p_k carries alpha_k > 1.
     """
-    d = p.d
-    lv = math.lgamma(1 << d)
-    for k in range(d + 1):
-        alpha = math.comb(d, k)
-        lv -= math.lgamma(alpha)
-        if alpha == 1:
-            continue
-        pk = float(p.values[k])
-        if pk == 0.0:
-            return 0.0
-        lv += (alpha - 1) * math.log(pk)
-    return math.exp(lv)
+    return (density_l(p) * LogMeasure(math.lgamma(1 << p.d))).value
 
 
 def maximal_pmf(d: int) -> SumPmf:

@@ -3,8 +3,9 @@
 Three carriers: SumPmf (a point of the d-simplex of sum laws), JointPmf
 (dense over the 2^d binary vectors, reverse-lex indexed), and SparseJointPmf
 (support-indexed, the natural carrier for extremal pmfs which have at most
-d+1 atoms).  Values may be floats or exact Fractions; a pmf whose entries are
-all exact must sum to exactly 1, a float pmf must sum to 1 within PROB_TOL.
+d+1 atoms).  Values may be floats or exact Fractions.  Nonzero masses that
+are all exact must sum to exactly 1, float zeros beside them or not, so a sum
+pmf and each of its vertices meet one rule; else the sum is 1 within PROB_TOL.
 
 JSON forms: SumPmf is a bare array, JointPmf is {"d": ..., "values": [...]},
 SparseJointPmf is {"d": ..., "atoms": [[index, mass], ...]}.  Exact values
@@ -42,11 +43,13 @@ def as_number(v) -> Number:
 
 
 def _total(masses: Iterable[Number]) -> Number:
-    """Exact sum when every mass is an int or Fraction, else the correctly rounded float sum."""
+    """Exact sum when every nonzero mass is an int or Fraction, else the
+    correctly rounded float sum; zeros decide only when every mass is zero."""
     masses = list(masses)
-    if all(_is_exact(m) for m in masses):
-        return sum(masses)
-    return math.fsum(float(m) for m in masses)
+    deciding = [m for m in masses if m] or masses
+    if all(_is_exact(m) for m in deciding):
+        return sum(m for m in masses if _is_exact(m))
+    return math.fsum(float(m) for m in deciding)
 
 
 def _check_normalized(total: Number, what: str) -> None:
@@ -126,9 +129,7 @@ class SumPmf:
         return all(_is_exact(v) for v in self.values)
 
     def mean(self) -> Number:
-        if self.exact:
-            return sum(k * v for k, v in enumerate(self.values))
-        return math.fsum(k * float(v) for k, v in enumerate(self.values))
+        return _total(k * v for k, v in enumerate(self.values))
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -242,9 +243,10 @@ class SparseJointPmf:
 
     @classmethod
     def _with_validated_masses(cls, d: int, atoms: list[tuple[int, Number]]) -> "SparseJointPmf":
-        """A pmf whose masses are the very objects that SparseJointPmf(d, ...)
-        has already validated together, as on every vertex of a stream after
-        its first: only the indices, which change, are checked here."""
+        """A vertex whose masses are the positive masses of a validated
+        SumPmf, one per supported level.  _total decides exactness on the
+        nonzero masses only, so SumPmf's normalization check is this
+        carrier's: only the indices, which change, are checked here."""
         self = object.__new__(cls)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "atoms", _sorted_atoms(d, atoms))

@@ -121,22 +121,13 @@ def _sigma_stream(p: SumPmf, offset: int = 0) -> Iterator[tuple[tuple[int, ...],
             return
 
 
-def _vertex_stream(d: int, atom_lists: Iterable[list[tuple[int, Number]]]) -> Iterator[SparseJointPmf]:
-    """The first vertex is validated in full; every later one carries the same
-    mass objects, so only its indices are checked."""
-    build = SparseJointPmf
-    for atoms in atom_lists:
-        yield build(d, atoms)
-        build = SparseJointPmf._with_validated_masses
-
-
 def extremal_enumerate(p: SumPmf, offset: int = 0) -> Iterator[SparseJointPmf]:
     """Lazily yield every vertex exactly once, in colex sigma order, starting
     at stream position offset: level k's mass p_k sits on the odometer's
     current weight-k index."""
     masses = [(k, p.values[k]) for k in p.support]
-    atom_lists = ([(elems[k], m) for k, m in masses] for _, elems, _ in _sigma_stream(p, offset))
-    yield from _vertex_stream(p.d, atom_lists)
+    for _, elems, _ in _sigma_stream(p, offset):
+        yield SparseJointPmf._with_validated_masses(p.d, [(elems[k], m) for k, m in masses])
 
 
 def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[ExtremalIndex]:
@@ -267,9 +258,9 @@ def generalized_extremals(h: LabelMap, p: SumPmf) -> Iterator[SparseJointPmf]:
     support = p.support
     pre = h.preimages
     # Colex, as extremal_enumerate: product() cycles its last factor fastest.
-    choices = itertools.product(*(pre[y] for y in reversed(support)))
-    atom_lists = ([(i, p.values[y]) for i, y in zip(reversed(c), support)] for c in choices)
-    yield from _vertex_stream(p.d, atom_lists)
+    for c in itertools.product(*(pre[y] for y in reversed(support))):
+        atoms = [(i, p.values[y]) for i, y in zip(reversed(c), support)]
+        yield SparseJointPmf._with_validated_masses(p.d, atoms)
 
 
 def convex_min_pmf(d: int, mu: Number) -> SumPmf:

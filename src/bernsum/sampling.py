@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .indexing import _level_slice
-from .measure import LN2, LogMeasure
+from .measure import LN2, LogMeasure, _log_density_rows
 from .pmf import JointPmf, SumPmf
 
 CHUNK = 1 << 14
@@ -248,10 +248,6 @@ def _region_mc(
     if np.any(widths <= 0):
         raise ValueError("degenerate bounding box; epsilon must be positive")
     log_box = float(np.log(widths).sum())
-    # Log fiber density: sum_k n_k log x_k - log Gamma(n_k + 1), n_k = C(d, k) - 1.
-    n_k = np.array([math.comb(d, k) - 1 for k in range(d + 1)], dtype=float)
-    cols = np.flatnonzero(n_k > 0)
-    const = float(sum(math.lgamma(v + 1.0) for v in n_k[cols]))
     p_full = spec.center.array
 
     def run_chunk(args):
@@ -266,9 +262,8 @@ def _region_mc(
         acc = (last >= lo_d) & (last <= hi_d)
         X = X[acc]
         logl = None
-        if density:  # n_d = 0, so the last coordinate never enters the density
-            with np.errstate(divide="ignore"):
-                logl = (np.log(X[:, cols]) * n_k[cols]).sum(axis=1) - const
+        if density:
+            logl = _log_density_rows(X, d)
         if spec.metric == "sup":
             return len(X), logl
         P = np.column_stack([X, last[acc]])

@@ -98,14 +98,17 @@ class TestExtremals:
         assert f"{flag} must be >= 0" in err
 
     def test_vertex_refusal_matches_the_api(self, capsys):
-        # Mixed input: the float zero lets SumPmf accept an exact support
-        # summing to 1 - 1e-15, which the vertex carrier refuses.
+        # A float zero beside exact masses decides nothing, so p's exact
+        # support, which sums to 1 - 1e-15, is refused when p is loaded: by
+        # the API and by every command, whether or not it prints a vertex.
         text = '[0.0, "333333333333333/1000000000000000", "666666666666666/1000000000000000"]'
-        p = SumPmf.from_json_obj(json.loads(text))
         with pytest.raises(ValueError) as api:
-            next(extremal_enumerate(p))
-        assert run(capsys, "extremals", "--p", text) == (2, "", f"error: {api.value}\n")
-        assert run(capsys, "extremals", "--p", text, "--limit", "0") == (0, "", "")
+            SumPmf.from_json_obj(json.loads(text))
+        want = "error: SumPmf violates normalization: sum Fraction(999999999999999, 1000000000000000) != 1\n"
+        assert f"error: {api.value}\n" == want
+        for command, *extra in (["extremals"], ["extremals", "--limit", "0"],
+                                ["bounds", "--order", "1"], ["measure"]):
+            assert run(capsys, command, "--p", text, *extra) == (2, "", want)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -6,6 +6,7 @@ import pytest
 
 from bernsum.measure import (
     LogMeasure,
+    _log_density_rows,
     density_l,
     dirichlet_pdf,
     dist_sup,
@@ -108,6 +109,46 @@ class TestDensity:
 
     def test_zero_on_missing_supported_block(self):
         assert density_l(SumPmf([0.5, 0, 0, 0.5])).is_zero
+
+
+class TestKernel:
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 10, 16])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rows_match_density_l_bit_for_bit(self, d, exact):
+        rng = np.random.default_rng(1000 * d + exact)
+        if exact:
+            counts = rng.integers(1, 1000, size=(40, d + 1))
+            ps = [SumPmf([Fraction(int(c), int(row.sum())) for c in row]) for row in counts]
+        else:
+            ps = [random_interior_pmf(rng, d) for _ in range(40)]
+        want = np.array([density_l(p).log for p in ps])
+        X = np.stack([p.array for p in ps])
+        assert _log_density_rows(X, d).tobytes() == want.tobytes()
+        # The Monte Carlo form: the d free coordinates alone.
+        assert _log_density_rows(X[:, :d], d).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 0.0, 0.5],
+        [0.25, 0.25, 0.0, 0.5],
+        ["1/4", "1/4", 0, "1/4", "1/4"],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.2, 0.3, 0.0, 0.0, 0.5],
+    ])
+    def test_empty_interior_level(self, values):
+        p = SumPmf(values)
+        assert density_l(p).is_zero
+        assert dirichlet_pdf(p) == 0.0
+        m = polytope_measure(p)
+        assert m["ambient"].is_zero
+        assert not m["intrinsic"].is_zero and math.isfinite(m["intrinsic"].log)
+
+    @pytest.mark.parametrize("values", [[0.0, 0.5, 0.5], [0.0, 0.25, "1/2", 0.25, 0.0], [0.3, 0.7]])
+    def test_empty_end_levels_keep_the_measures(self, values):
+        # Levels 0 and d are points: leaving them empty zeroes nothing.
+        p = SumPmf(values)
+        m = polytope_measure(p)
+        assert m["ambient"] == m["intrinsic"] and not m["ambient"].is_zero
+        assert dirichlet_pdf(p) > 0.0 and not density_l(p).is_zero
 
 
 class TestNormalizingConstant:

@@ -76,10 +76,45 @@ class TestValidation:
             with pytest.raises(ValueError, match="atom index -1 out of range"):
                 build(2, [(0, 0.5), (-1, 0.5)])
 
+    def test_float_zero_leaves_the_mean_exact(self):
+        mean = SumPmf([0.0, "1/2", "1/2"]).mean()
+        assert isinstance(mean, Fraction) and mean == Fraction(3, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(masses=st.data())
+    def test_carriers_agree_on_mixed_masses(self, masses):
+        # The same masses, float zeros among them, are accepted or refused
+        # alike whether they are a sum law, a dense joint or a sparse joint.
+        m = masses.draw(mixed_masses())
+        outcomes = []
+        for build in (
+            lambda: SumPmf(m),
+            lambda: JointPmf(2, m),
+            lambda: SparseJointPmf(2, [(i, v) for i, v in enumerate(m) if v]),
+        ):
+            try:
+                build()
+                outcomes.append("accepted")
+            except ValueError as exc:
+                outcomes.append(str(exc).split(" violates ")[-1])
+        assert len(set(outcomes)) == 1, (m, outcomes)
+
     def test_support_cached(self):
         p = SumPmf([0, 0.8, 0.2, 0])
         assert p.support == (1, 2)
         assert p.d == 3
+
+
+@st.composite
+def mixed_masses(draw):
+    """Four nonnegative masses whose exact sum is 1, or 1 off by 1e-15, 1e-13
+    or 1e-11; each mass, zero or not, is kept exact or turned to a float."""
+    parts = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4).filter(any))
+    masses = [Fraction(a, sum(parts)) for a in parts]
+    masses[parts.index(max(parts))] += draw(st.sampled_from(
+        [0, Fraction(-1, 10**15), Fraction(1, 10**13), Fraction(1, 10**11)]))
+    floats = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    return [float(v) if f else v for v, f in zip(masses, floats)]
 
 
 class TestSumMap:
