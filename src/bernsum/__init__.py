@@ -1,10 +1,8 @@
 """Geometry of multivariate Bernoulli distributions with a prescribed sum law."""
 
 from .indexing import (
-    BinaryIndexer,
     index_to_vector,
     level_element,
-    level_indices,
     level_rank,
     level_weight,
     vector_to_index,
@@ -38,11 +36,9 @@ from .feasibility import (
     BasisLimitError,
     InfeasibleError,
     MeanVector,
-    NecessaryConditions,
     constrained_moment_bounds,
     constrained_vertices,
     feasible_point,
-    necessary_conditions,
 )
 from .measure import (
     LogMeasure,
@@ -69,12 +65,10 @@ from .sampling import (
     sample_uniform_simplex,
 )
 from .binomial import (
-    BinomialCurvePoint,
     bin_vs_mode,
     binomial_pmf,
     curve_argmax,
     curve_log_measure,
-    curve_point,
     poisson_binomial_pmf,
 )
 

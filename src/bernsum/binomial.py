@@ -9,11 +9,10 @@ optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .measure import LogMeasure, density_l, dist_sup, maximal_pmf, polytope_measure
+from .measure import LogMeasure, dist_sup, maximal_pmf, polytope_measure
 from .pmf import Number, SumPmf, _is_exact, _total
 
 
@@ -43,18 +42,6 @@ def poisson_binomial_pmf(theta: Sequence[Number]) -> SumPmf:
         pmf = nxt
     total = _total(pmf)
     return SumPmf([v / total for v in pmf])
-
-
-@dataclass(frozen=True)
-class BinomialCurvePoint:
-    theta: float
-    p: SumPmf
-    log_density: LogMeasure
-
-
-def curve_point(theta: float, d: int) -> BinomialCurvePoint:
-    p = binomial_pmf(theta, d)
-    return BinomialCurvePoint(theta=float(theta), p=p, log_density=density_l(p))
 
 
 def curve_log_measure(theta: float, d: int) -> LogMeasure:

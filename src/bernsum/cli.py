@@ -15,7 +15,6 @@ import json
 import os
 import secrets
 import sys
-from fractions import Fraction
 from typing import Iterator
 
 from .binomial import bin_vs_mode, curve_log_measure
@@ -64,7 +63,7 @@ def _load_theta(text: str) -> list:
     obj = _parse_json_or_file(text)
     if not isinstance(obj, list):
         raise ValueError("theta must be a JSON array of means")
-    return [Fraction(t) if isinstance(t, str) else t for t in obj]
+    return obj
 
 
 def _jsonable(v):

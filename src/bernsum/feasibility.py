@@ -45,7 +45,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .indexing import _check_dimension
-from .pmf import JointPmf, Number, SumPmf, _subset_mask, cross_moment
+from .pmf import JointPmf, Number, SumPmf, _subset_mask, as_number, cross_moment
 
 VERTEX_D_MAX = 5
 
@@ -68,20 +68,18 @@ class MeanVector:
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Sequence[Number]):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(as_number(v) for v in values)
         if not vals:
             raise ValueError("mean vector needs at least one coordinate")
         for t in vals:
+            # Written as `not ... <=` so that NaN is refused too, before Fraction sees it.
             if not 0 <= t <= 1:
                 raise ValueError(f"coordinate means must lie in [0,1], got {t}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(map(Fraction, vals)))
 
     @property
     def d(self) -> int:
         return len(self.values)
-
-    def total(self) -> Fraction:
-        return sum(self.values, _ZERO)
 
 
 def _coerce_theta(theta, d: int) -> MeanVector:
@@ -98,37 +96,6 @@ def _exact_p(p: SumPmf) -> tuple[Fraction, ...]:
         total = sum(vals)
         vals = tuple(v / total for v in vals)
     return vals
-
-
-@dataclass(frozen=True)
-class NecessaryConditions:
-    mean_ok: bool
-    box_ok: bool
-
-    def __bool__(self) -> bool:
-        return self.mean_ok and self.box_ok
-
-
-def necessary_conditions(p: SumPmf, theta, tol: float = 1e-12) -> NecessaryConditions:
-    """Check sum(theta) = mean(p) and the sharp mean box p_d <= theta_i <= 1 - p_0.
-
-    Both box ends come from the order-1 cross-moment bounds: every coordinate
-    mean is at least the all-ones mass and at most one minus the all-zeros
-    mass, so a violation certifies an empty constrained fiber.
-
-    The two box ends are the s = 1 and s = d - 1 cases of the exact test in
-    feasible_point (the largest theta_i is at most 1 - p_0; the d - 1
-    largest sum to at most mean(p) - p_d), and mean_ok is its s = d equality;
-    here they are checked with a tolerance.
-    """
-    theta = _coerce_theta(theta, p.d)
-    pvals = _exact_p(p)
-    mu = sum((k * v for k, v in enumerate(pvals)), _ZERO)
-    slack = Fraction(tol) if tol else _ZERO
-    mean_ok = abs(theta.total() - mu) <= slack
-    lo, hi = pvals[-1], 1 - pvals[0]
-    box_ok = all(lo - slack <= t <= hi + slack for t in theta.values)
-    return NecessaryConditions(mean_ok=mean_ok, box_ok=box_ok)
 
 
 def _reduced_system(p: SumPmf, theta: MeanVector):
@@ -371,8 +338,9 @@ def _systematic_atoms(z: Sequence[Fraction], bits: Sequence[int]):
 def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
     """An exact element of the mean-constrained fiber, or None if empty.
 
-    The verdict is the exact majorization test of the module docstring; the
-    witness carries at most d atoms per supported level of p.  It is a dense
+    The verdict is the exact majorization test of the module docstring, whose
+    s = 1, d - 1 and d cases are the mean box p_d <= theta_i <= 1 - p_0 and
+    sum(theta) = mean(p).  The witness carries at most d atoms per supported level of p.  It is a dense
     carrier, so d is limited to the dense guard (d <= 20).
     """
     d = p.d

@@ -8,7 +8,6 @@ index arithmetic is plain bit twiddling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -47,18 +46,6 @@ def vector_to_index(x) -> int:
 def level_weight(i: int) -> int:
     """Number of ones in the vector at index i."""
     return int(i).bit_count()
-
-
-def level_indices(d: int, k: int) -> tuple[int, ...]:
-    """All indices with exactly k ones, in increasing index order.
-
-    The first element is always the vector with k leading ones (index 2^k - 1)
-    and the cardinality is C(d, k).
-    """
-    _check_dimension(d)
-    if not 0 <= k <= d:
-        raise ValueError(f"level k={k} out of range for d={d}")
-    return tuple(_level_slice(d, k).tolist())
 
 
 def level_element(d: int, k: int, j: int) -> int:
@@ -127,36 +114,6 @@ def _level_order(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _level_slice(d: int, k: int) -> np.ndarray:
-    """Read-only view of the level-k indices, as level_indices lists them."""
+    """Read-only view of the C(d, k) level-k indices, ascending from 2^k - 1."""
     order, offsets = _level_order(d)
     return order[offsets[k]:offsets[k + 1]]
-
-
-@dataclass(frozen=True)
-class BinaryIndexer:
-    """Bijection between {0, ..., 2^d - 1} and {0,1}^d in reverse-lex order."""
-
-    d: int
-
-    def __post_init__(self):
-        _check_dimension(self.d)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.d
-
-    def to_vector(self, i: int) -> tuple[int, ...]:
-        return index_to_vector(i, self.d)
-
-    def to_index(self, x) -> int:
-        x = tuple(x)
-        if len(x) != self.d:
-            raise ValueError(f"expected a vector of length {self.d}, got {len(x)}")
-        return vector_to_index(x)
-
-    def level(self, k: int) -> tuple[int, ...]:
-        return level_indices(self.d, k)
-
-    def popcounts(self) -> np.ndarray:
-        """Vector of level weights for all indices, aligned with index order."""
-        return _popcounts(self.d)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pmf import SumPmf, _read_only
+from .pmf import SumPmf, _read_only, _total
 
 LN2 = math.log(2.0)
 
@@ -37,10 +37,6 @@ class LogMeasure:
         if v == 0:
             return cls.zero()
         return cls(math.log(v))
-
-    @classmethod
-    def from_log(cls, lv: float) -> "LogMeasure":
-        return cls(lv)
 
     @classmethod
     def zero(cls) -> "LogMeasure":
@@ -161,18 +157,21 @@ def maximal_pmf(d: int) -> SumPmf:
     return SumPmf(tuple(Fraction(math.comb(d, k) - 1, denom) for k in range(d + 1)))
 
 
-def _check_pair(p: SumPmf, q: SumPmf) -> None:
+def _gaps(p: SumPmf, q: SumPmf) -> list:
+    """|p_k - q_k| for each k.  When both pmfs are exact so are the gaps (a
+    float zero enters as 0), and a distance is rounded once, at the end."""
     if p.d != q.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    if p.exact and q.exact:
+        return [abs((a or 0) - (b or 0)) for a, b in zip(p.values, q.values)]
+    return [abs(float(a) - float(b)) for a, b in zip(p.values, q.values)]
 
 
 def dist_tv(p: SumPmf, q: SumPmf) -> float:
     """Total variation distance, half the l1 gap of the sum pmfs."""
-    _check_pair(p, q)
-    return 0.5 * math.fsum(abs(float(a) - float(b)) for a, b in zip(p.values, q.values))
+    return float(_total(_gaps(p, q)) / 2)
 
 
 def dist_sup(p: SumPmf, q: SumPmf) -> float:
     """Largest coordinate gap between two sum pmfs."""
-    _check_pair(p, q)
-    return max(abs(float(a) - float(b)) for a, b in zip(p.values, q.values))
+    return float(max(_gaps(p, q)))

@@ -36,7 +36,10 @@ def _is_exact(v) -> bool:
 def as_number(v) -> Number:
     """Coerce a JSON-ish scalar ("num/den" strings allowed) to int/float/Fraction."""
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"not a probability value: {v!r} has a zero denominator") from None
     if isinstance(v, (int, float, Fraction)) and not isinstance(v, bool):
         return v
     raise ValueError(f"not a probability value: {v!r}")
@@ -126,7 +129,8 @@ class SumPmf:
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(v) for v in self.values)
+        """Every nonzero mass is an int or Fraction: _total's rule, so float zeros do not count."""
+        return all(_is_exact(v) for v in self.values if v)
 
     def mean(self) -> Number:
         return _total(k * v for k, v in enumerate(self.values))
@@ -137,9 +141,6 @@ class SumPmf:
 
     def positive_masses(self) -> Iterator[Number]:
         return (v for v in self.values if v > 0)
-
-    def to_floats(self) -> "SumPmf":
-        return SumPmf(tuple(float(v) for v in self.values))
 
     def to_json_obj(self):
         return [_num_to_json(v) for v in self.values]

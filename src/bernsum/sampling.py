@@ -292,7 +292,7 @@ def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int =
     se = scale * math.sqrt(max(acc * (1.0 - acc), 0.0) / n)
     if m == 0:
         return EstimateReport(LogMeasure.zero(), se, n, 0.0, se_volume=se)
-    est = LogMeasure.from_log(0.5 * math.log(d + 1) + log_box + math.log(acc))
+    est = LogMeasure(0.5 * math.log(d + 1) + log_box + math.log(acc))
     return EstimateReport(est, se, n, acc, se_volume=se)
 
 
@@ -320,7 +320,7 @@ def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> E
     est_lin = math.exp(log_est) if log_est > math.log(_TINY) else 0.0
     se = est_lin * math.hypot(se_v_rel, se_l_rel)
     return EstimateReport(
-        LogMeasure.from_log(log_est), se, n, acc,
+        LogMeasure(log_est), se, n, acc,
         se_volume=est_lin * se_v_rel, se_density=est_lin * se_l_rel,
     )
 

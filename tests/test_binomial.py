@@ -9,7 +9,6 @@ from bernsum.binomial import (
     binomial_pmf,
     curve_argmax,
     curve_log_measure,
-    curve_point,
     poisson_binomial_pmf,
 )
 from bernsum.measure import dist_sup, maximal_pmf, polytope_measure
@@ -116,12 +115,6 @@ class TestCurveMeasure:
             logs = np.array([curve_log_measure(float(t), d).log for t in thetas])
             second = logs[:-2] - 2 * logs[1:-1] + logs[2:]
             assert np.all(second <= 1e-9)
-
-    def test_curve_point_bundle(self):
-        cp = curve_point(0.3, 4)
-        assert cp.theta == 0.3
-        assert cp.p.values == binomial_pmf(0.3, 4).values
-        assert not cp.log_density.is_zero
 
 
 class TestCurveArgmax:

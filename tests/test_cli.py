@@ -443,6 +443,19 @@ class TestErrors:
         assert code == 2
         assert "normalization" in err
 
+    @pytest.mark.parametrize("p, theta, invariant", [
+        ("[0.25, 0.5, 0.25]", "[Infinity, 0.5]", "must lie in [0,1]"),
+        ("[0.25, 0.5, 0.25]", "[NaN, 0.5]", "must lie in [0,1]"),
+        ("[0.25, 0.5, 0.25]", "[true, false]", "not a probability value"),
+        ('["1/0", 1]', "[0.5]", "zero denominator"),
+        ("[0.25, 0.5, 0.25]", '["1/0", 0.5]', "zero denominator"),
+    ])
+    def test_bad_scalar_names_invariant(self, capsys, p, theta, invariant):
+        # p and theta meet one scalar rule: no traceback, no bool taken as 0/1.
+        code, out, err = run(capsys, "feasible", "--p", p, "--theta", theta)
+        assert (code, out) == (2, "")
+        assert invariant in err
+
     def test_negative_pmf(self, capsys):
         code, _, err = run(capsys, "measure", "--p", "[1.2, -0.2]")
         assert code == 2

@@ -1,5 +1,8 @@
 """numpy is the package's only runtime dependency: importing bernsum and its
-CLI in a fresh interpreter loads no scipy, no test tool and no test oracle."""
+CLI in a fresh interpreter loads no scipy, no test tool and no test oracle.
+The names `import bernsum` exposes are pinned, so adding or removing one is a
+visible change here."""
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +12,21 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 FORBIDDEN = {"scipy", "hypothesis", "_hypothesis_pytestplugin", "pytest", "_pytest", "oracles"}
+PUBLIC = [
+    "BasisLimitError", "EstimateReport", "ExtremalIndex", "InfeasibleError", "JointPmf",
+    "LabelMap", "LogMeasure", "MeanVector", "NeighborhoodSpec", "PolytopeDescriptor",
+    "RngStream", "SparseJointPmf", "SumPmf", "bin_vs_mode", "binomial_pmf",
+    "constrained_moment_bounds", "constrained_vertices", "convex_min_pmf", "cross_moment",
+    "curve_argmax", "curve_log_measure", "decompose", "density_l", "describe",
+    "dirichlet_pdf", "dist_sup", "dist_tv", "entropy", "entropy_bounds",
+    "estimate_neighborhood_measure", "estimate_tv_neighborhood_bound", "exchangeable_pmf",
+    "extremal_by_index", "extremal_enumerate", "extremal_indices", "feasible_point",
+    "flat_weights", "generalized_extremals", "hit_and_run", "index_to_vector",
+    "level_element", "level_rank", "level_weight", "maximal_pmf", "membership",
+    "moment_bounds", "normalizing_constant", "poisson_binomial_pmf", "polytope_measure",
+    "region_volume", "sample_Fd_uniform", "sample_dirichlet", "sample_polytope_uniform",
+    "sample_uniform_simplex", "simplex_hausdorff", "sum_map", "vector_to_index",
+]
 
 
 def test_import_loads_no_test_or_scipy_module():
@@ -20,3 +38,10 @@ def test_import_loads_no_test_or_scipy_module():
     loaded = json.loads(proc.stdout)
     assert "numpy" in loaded and "bernsum.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in FORBIDDEN] == []
+
+
+def test_public_surface_is_pinned():
+    import bernsum
+    names = sorted(n for n, v in vars(bernsum).items()
+                   if not n.startswith("_") and not inspect.ismodule(v))
+    assert names == PUBLIC

@@ -13,7 +13,6 @@ from bernsum.feasibility import (
     constrained_moment_bounds,
     constrained_vertices,
     feasible_point,
-    necessary_conditions,
     _solve,
 )
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment
@@ -62,31 +61,42 @@ def coordinate_means(f: JointPmf) -> list:
 
 
 class TestNecessaryConditions:
+    """The mean equation sum(theta) = mean(p) and the mean box
+    p_d <= theta_i <= 1 - p_0 are necessary; feasible_point's exact test
+    holds them as its s = d, s = 1 and s = d - 1 cases."""
+
     def test_reference_theta_passes(self):
-        nc = necessary_conditions(B_HALF_3, THETA_REF)
-        assert nc.mean_ok and nc.box_ok and bool(nc)
+        assert sum(THETA_REF) == B_HALF_3.mean()
+        assert feasible_point(B_HALF_3, THETA_REF) is not None
 
     def test_counterexample_fails_box_only(self):
-        nc = necessary_conditions(P_CORNER, [0, Fraction(3, 10), Fraction(3, 10)])
-        assert nc.mean_ok
-        assert not nc.box_ok
-        assert not bool(nc)
+        theta = [0, Fraction(3, 10), Fraction(3, 10)]
+        assert sum(theta) == P_CORNER.mean()
+        assert min(theta) < P_CORNER.values[-1]
+        assert feasible_point(P_CORNER, theta) is None
 
     def test_exchangeable_theta_always_passes(self):
         rng = np.random.default_rng(79)
         for d in (1, 2, 4, 6):
             p = exact_random_pmf(rng, d)
-            mu = p.mean()
-            nc = necessary_conditions(p, [mu / d] * d)
-            assert nc.mean_ok and nc.box_ok
+            assert feasible_point(p, [p.mean() / d] * d) is not None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            necessary_conditions(B_HALF_3, [Fraction(1, 2)] * 4)
+            feasible_point(B_HALF_3, [Fraction(1, 2)] * 4)
 
     def test_theta_range_guard(self):
-        with pytest.raises(ValueError, match="\\[0,1\\]"):
-            MeanVector([0.5, 1.2, 0.5])
+        # theta meets SumPmf's scalar rule; inf and NaN fail the range check
+        # before a Fraction is built.
+        for theta, invariant in (
+            ([0.5, 1.2, 0.5], "\\[0,1\\]"),
+            ([math.inf, 0.5], "\\[0,1\\]"),
+            ([math.nan, 0.5], "\\[0,1\\]"),
+            ([True, False], "not a probability value"),
+            (["1/0", 0.5], "zero denominator"),
+        ):
+            with pytest.raises(ValueError, match=invariant):
+                MeanVector(theta)
 
 
 class TestConstraintSystem:
@@ -145,7 +155,7 @@ class TestFeasiblePoint:
             if rest > 1:
                 continue
             theta = [bad, rest, rest]
-            assert not necessary_conditions(p, theta).box_ok
+            assert theta[0] < p.values[-1]
             assert feasible_point(p, theta) is None
 
     def test_exchangeable_theta_feasible_up_to_d8(self):

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsum.indexing import (
-    BinaryIndexer,
+    _check_dimension,
     _level_order,
     _level_slice,
     _next_in_level,
+    _popcounts,
     index_to_vector,
     level_element,
-    level_indices,
     level_rank,
     level_weight,
     vector_to_index,
@@ -46,32 +46,31 @@ def test_round_trip_exhaustive():
 
 
 def test_level_indices_examples():
-    assert level_indices(3, 0) == (0,)
-    assert level_indices(3, 1) == (1, 2, 4)
-    lvl = level_indices(4, 2)
-    assert len(lvl) == 6
-    assert index_to_vector(lvl[0], 4) == (1, 1, 0, 0)
+    assert _level_slice(3, 0).tolist() == [0]
+    assert _level_slice(3, 1).tolist() == [1, 2, 4]
+    assert [level_element(3, 2, j) for j in (1, 2, 3)] == [3, 5, 6]
+    assert len(_level_slice(4, 2)) == 6
+    assert index_to_vector(level_element(4, 2, 1), 4) == (1, 1, 0, 0)
 
 
 def test_level_indices_partition():
     for d in (1, 3, 5, 8):
         seen = []
         for k in range(d + 1):
-            lvl = level_indices(d, k)
+            lvl = _level_slice(d, k).tolist()
             assert len(lvl) == math.comb(d, k)
-            assert lvl[0] == (1 << k) - 1
-            assert list(lvl) == sorted(lvl)
+            assert lvl[0] == level_element(d, k, 1) == (1 << k) - 1
+            assert lvl == sorted(lvl)
             seen.extend(lvl)
         assert sorted(seen) == list(range(1 << d))
     with pytest.raises(ValueError):
-        level_indices(3, 4)
+        level_element(3, 4, 1)
 
 
 def test_level_element_matches_materialized():
     for d in (2, 4, 6):
         for k in range(d + 1):
-            lvl = level_indices(d, k)
-            for j, idx in enumerate(lvl, start=1):
+            for j, idx in enumerate(_level_slice(d, k).tolist(), start=1):
                 assert level_element(d, k, j) == idx
                 assert level_rank(idx) == j
     with pytest.raises(ValueError):
@@ -87,16 +86,12 @@ def test_level_element_large_dimension():
     assert index_to_vector(last, 40) == tuple([0] * 20 + [1] * 20)
 
 
-def test_indexer_object():
-    bx = BinaryIndexer(3)
-    assert bx.size == 8
-    assert bx.to_index((1, 1, 0)) == 3
-    assert bx.level(2) == (3, 5, 6)
-    assert list(bx.popcounts()) == [level_weight(i) for i in range(8)]
-    with pytest.raises(ValueError):
-        BinaryIndexer(0)
-    with pytest.raises(ValueError):
-        BinaryIndexer(21)
+def test_index_helpers():
+    assert vector_to_index((1, 1, 0)) == 3
+    assert _popcounts(3).tolist() == [level_weight(i) for i in range(8)]
+    for d in (0, 21):
+        with pytest.raises(ValueError):
+            _check_dimension(d)
 
 
 @given(st.integers(min_value=1, max_value=16), st.data())
@@ -114,7 +109,6 @@ def test_cached_level_slices_match_brute_force():
         want = level_slices(d)
         for k in range(d + 1):
             assert _level_slice(d, k).tolist() == want[k]
-            assert list(level_indices(d, k)) == want[k]
 
 
 def test_successor_walks_each_level_in_unranking_order():
@@ -130,10 +124,10 @@ def test_cached_index_arrays_are_read_only():
     f = JointPmf(3, [0.125] * 8)
     before = sum_map(f).values
     with pytest.raises(ValueError, match="read-only"):
-        BinaryIndexer(3).popcounts()[7] = 0
+        _popcounts(3)[7] = 0
     with pytest.raises(ValueError, match="read-only"):
         _level_slice(3, 1)[0] = 7
     with pytest.raises(ValueError, match="read-only"):
         _level_order(3)[0][:] = 0
     assert sum_map(f).values == before == (0.125, 0.375, 0.375, 0.125)
-    assert level_indices(3, 1) == (1, 2, 4)
+    assert _level_slice(3, 1).tolist() == [1, 2, 4]

@@ -16,6 +16,7 @@ from bernsum.measure import (
     polytope_measure,
     simplex_hausdorff,
 )
+from bernsum.binomial import binomial_pmf
 from bernsum.pmf import SumPmf
 
 from oracles import quad_simplex
@@ -245,6 +246,19 @@ class TestDistances:
         pm = maximal_pmf(3)
         assert math.isclose(dist_tv(B_HALF_3, pm), 0.25, rel_tol=1e-14)
         assert math.isclose(dist_sup(B_HALF_3, pm), 0.125, rel_tol=1e-14)
+
+    def test_exact_inputs_rounded_once(self):
+        # b(1/2) against the mode p^M: b_k - p^M_k = ((d+1) C(d,k) - 2^d) / (2^d (2^d - d - 1)).
+        for d in range(2, 201):
+            den = (1 << d) * ((1 << d) - d - 1)
+            gaps = [Fraction(abs((d + 1) * math.comb(d, k) - (1 << d)), den) for k in range(d + 1)]
+            b, pm = binomial_pmf(Fraction(1, 2), d), maximal_pmf(d)
+            assert dist_sup(b, pm) == float(max(gaps)), d
+            assert dist_tv(b, pm) == float(sum(gaps) / 2), d
+        # Float zeros beside exact masses keep the exact path.
+        third = SumPmf(["1/3", "1/3", "1/3"])
+        assert dist_tv(SumPmf([0.0, "1/2", "1/2"]), third) == float(Fraction(1, 3))
+        assert dist_sup(SumPmf([0.0, "1/2", "1/2"]), third) == float(Fraction(1, 3))
 
     def test_sup_below_tv(self):
         rng = np.random.default_rng(73)

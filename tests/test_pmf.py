@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy, sum_map
+from bernsum.polytope import exchangeable_pmf
 
 from oracles import naive_cross_moment, naive_entropy, naive_sum_map
 
@@ -79,6 +80,16 @@ class TestValidation:
     def test_float_zero_leaves_the_mean_exact(self):
         mean = SumPmf([0.0, "1/2", "1/2"]).mean()
         assert isinstance(mean, Fraction) and mean == Fraction(3, 2)
+
+    def test_float_zero_leaves_the_pmf_exact(self):
+        # .exact reads the nonzero masses only, as _total does, so such a p
+        # takes the exact path everywhere.
+        p = SumPmf([0.0, "1/2", "1/2"])
+        assert p.exact
+        f = exchangeable_pmf(p)
+        assert f.exact
+        assert f.values == (0, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+        assert not SumPmf([0.0, "1/2", 0.5]).exact
 
     @settings(max_examples=300, deadline=None)
     @given(masses=st.data())
