@@ -1,29 +1,71 @@
 """The binomial slice: sum laws of iid and independent non-iid Bernoulli trials.
 
-The fiber measure restricted to the binomial curve theta -> b(theta) is
-log-concave with its maximum at theta = 1/2, and b(1/2) approaches the
-measure-maximizing sum pmf as the dimension grows.  The numeric argmax
-routine exists to validate the measure implementation, not to discover the
-optimum.
+Along the binomial curve theta -> b(theta) the ambient fiber measure has the
+closed form
+
+    log l_amb(b(theta)) = A(d) + B(d) log(theta (1 - theta)),
+    A(d) = sum_{0<k<d} [n_k log C(d,k) + 1/2 log(n_k + 1) - log n_k!],
+    B(d) = sum_{0<k<d} k n_k,
+
+with n_k = C(d,k) - 1: the level terms k log theta + (d - k) log(1 - theta)
+pair up because n_k = n_{d-k}.  As B(d) > 0 and log(theta (1 - theta)) is
+concave and symmetric about 1/2, the curve measure is log-concave with its
+maximum at theta = 1/2, and b(1/2) approaches the measure-maximizing sum pmf
+as the dimension grows.  The numeric argmax routine exists to validate the
+measure implementation, not to discover the optimum.
 """
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .measure import LogMeasure, dist_sup, maximal_pmf, polytope_measure
+from .measure import LogMeasure, polytope_measure
 from .pmf import Number, SumPmf, _is_exact, _total
+
+_TINY = sys.float_info.min  # the smallest normal float
+_BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
 
 
 def binomial_pmf(theta: Number, d: int) -> SumPmf:
-    """Sum law of d iid Bernoulli(theta) trials."""
+    """Sum law of d iid Bernoulli(theta) trials.
+
+    For 0 < theta < 1 every mass is positive, but a float mass, or a factor
+    theta^k or (1 - theta)^(d - k) of it, can fall below the normal floats and
+    lose its bits or become 0.  Such a level keeps that float mass; its log,
+    which polytope_measure reads, is taken in log space instead.
+    """
     if not 0 <= theta <= 1:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     t = Fraction(theta) if _is_exact(theta) else float(theta)
-    values = [math.comb(d, k) * t**k * (1 - t) ** (d - k) for k in range(d + 1)]
+    try:
+        values = [math.comb(d, k) * t**k * (1 - t) ** (d - k) for k in range(d + 1)]
+    except OverflowError:
+        raise ValueError(
+            f"a float theta needs every C(d, k) to be a finite float; at d = {d} one overflows"
+        ) from None
     total = _total(values)
-    return SumPmf([v / total for v in values])
+    p = SumPmf([v / total for v in values])
+    if 0 < t < 1 and min(t**d, (1 - t) ** d, *p.values) < _TINY:
+        object.__setattr__(p, "_log_masses", _level_logs(t, d, p.values, total))
+    return p
+
+
+def _level_logs(t: Number, d: int, masses: Sequence[Number], total: Number) -> tuple[float, ...]:
+    """log p_k of binomial_pmf(t, d), 0 < t < 1.  A level whose float mass,
+    t^k or (1 - t)^(d - k) is below the normal floats is taken in log space:
+    log of the exact mass, or log C(d,k) + k log t + (d - k) log1p(-t) -
+    log total for a float t.  Every other level is log(p_k), as SumPmf takes it."""
+    if isinstance(t, Fraction):
+        return tuple(math.log(v) if v >= _TINY else math.log(v.numerator) - math.log(v.denominator)
+                     for v in masses)
+    log_t, log_u, log_total = math.log(t), math.log1p(-t), math.log(total)
+    return tuple(
+        math.log(v) if min(v, t**k, (1 - t) ** (d - k)) >= _TINY
+        else math.log(math.comb(d, k)) + k * log_t + (d - k) * log_u - log_total
+        for k, v in enumerate(masses)
+    )
 
 
 def poisson_binomial_pmf(theta: Sequence[Number]) -> SumPmf:
@@ -85,6 +127,10 @@ def curve_argmax(d: int, grid: int = 1001, tol: float = 1e-10) -> float:
 def bin_vs_mode(d: int) -> dict[str, float]:
     """How far b(1/2) sits from the measure-maximizing pmf at dimension d.
 
+    With b_k = C(d,k) / 2^d and p^M_k = (C(d,k) - 1) / (2^d - d - 1), each gap
+    over the common denominator 2^d (2^d - d - 1) has numerator
+    |2^d - (d + 1) C(d,k)|, so d_sup is one integer max, rounded once.
+
     The log gap log l(p^M) - log l(b(1/2)) is evaluated termwise so the huge
     factorial parts cancel exactly; differencing the two log densities loses
     the gap to rounding once d is large.  The gap stays nonnegative and
@@ -92,12 +138,18 @@ def bin_vs_mode(d: int) -> dict[str, float]:
     """
     if d < 2:
         raise ValueError("bin_vs_mode needs d >= 2")
-    b = binomial_pmf(Fraction(1, 2), d)
-    pm = maximal_pmf(d)
+    if d > _BIN_VS_MODE_DMAX:
+        raise ValueError(f"bin_vs_mode needs d <= {_BIN_VS_MODE_DMAX}, where 2^d and so the log gap "
+                         f"are finite floats; got d = {d}")
+    two_d = 1 << d
+    row = [1]  # C(d, k) for k <= d/2; levels k and d - k have equal terms
+    for k in range(d // 2):
+        row.append(row[-1] * (d - k) // (k + 1))
+    top = max(abs(two_d - (d + 1) * c) for c in row)
     # per level: n_k * (ln p^M_k - ln b_k) = (C-1) * [ln(1 - 1/C) - ln(1 - (d+1)/2^d)]
     shrink = math.log1p(-(d + 1) / 2.0**d)
-    gap = math.fsum(
-        (math.comb(d, k) - 1) * (math.log1p(-1.0 / math.comb(d, k)) - shrink)
-        for k in range(1, d)
-    )
-    return {"d_sup": dist_sup(b, pm), "log_measure_gap": gap}
+    terms = [(c - 1) * (math.log1p(-1.0 / c) - shrink) for c in row[1:]]
+    # Level d - k repeats level k's term.  fsum rounds the exact sum once,
+    # so the order the terms are listed in changes no bit.
+    gap = math.fsum(terms + terms[:(d - 1) // 2])
+    return {"d_sup": top / (two_d * (two_d - d - 1)), "log_measure_gap": gap}

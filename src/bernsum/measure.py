@@ -84,19 +84,45 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
     return LogMeasure(lv)
 
 
+@functools.cache
+def _blocks(d: int) -> tuple[tuple[float, float, float], ...]:
+    """Per level 0 < k < d: n_k = C(d, k) - 1, 0.5 log(n_k + 1) and log n_k!,
+    each rounded as simplex_hausdorff rounds it.  Levels 0 and d are points.
+    Where log n_k! is past the float range it is inf, so only a supported
+    level that needs it overflows the sum."""
+    rows = []
+    for k in range(1, d):
+        n = math.comb(d, k) - 1
+        try:
+            rows.append((float(n), 0.5 * math.log(n + 1), math.lgamma(n + 1)))
+        except OverflowError:
+            rows.append((0.0, 0.0, math.inf))
+    return tuple(rows)
+
+
 def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
     """Ambient and intrinsic Hausdorff measures of the fiber over p.
 
-    Intrinsic multiplies the block measures over the support.  Ambient
-    multiplies over every level, so, as levels 0 and d are points, it is
-    intrinsic when every level 0 < k < d is supported and zero otherwise.
+    Intrinsic multiplies the block measures simplex_hausdorff(n_k, p_k) over
+    the support; the log terms are added in level order, from 0.0, so the
+    sum is that product's log to the bit.  Ambient multiplies over every
+    level, so, as levels 0 and d are points, it is intrinsic when every level
+    0 < k < d is supported and zero otherwise.
     """
     d = p.d
-    intrinsic = LogMeasure.one()
-    for k in p.support:
-        intrinsic = intrinsic * simplex_hausdorff(math.comb(d, k) - 1, float(p.values[k]))
-    ambient = intrinsic if all(v > 0 for v in p.values[1:d]) else LogMeasure.zero()
-    return {"ambient": ambient, "intrinsic": intrinsic}
+    logs = p._log_masses or [math.log(f) if (f := float(v)) > 0 else -math.inf for v in p.values]
+    total, zero, full = 0.0, False, True
+    for (n, half_log, log_fact), lv, v in zip(_blocks(d), logs[1:d], p.values[1:d]):
+        if lv > -math.inf:
+            total += n * lv + half_log - log_fact
+        elif v:
+            zero = True  # a positive mass whose float is 0: its block measure underflows
+        else:
+            full = False
+    if not (zero or total > -math.inf):
+        raise ValueError(f"a log fiber measure must be a finite float; at d = {d} it overflows")
+    intrinsic = LogMeasure.zero() if zero else LogMeasure(total)
+    return {"ambient": intrinsic if full else LogMeasure.zero(), "intrinsic": intrinsic}
 
 
 @functools.cache

@@ -14,11 +14,12 @@ serialize as "num/den" strings.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -34,14 +35,18 @@ def _is_exact(v) -> bool:
 
 
 def as_number(v) -> Number:
-    """Coerce a JSON-ish scalar ("num/den" strings allowed) to int/float/Fraction."""
+    """Coerce a JSON-ish scalar ("num/den" strings allowed) to int/float/Fraction.
+
+    Every integer type (numpy's included) becomes an int; bools are refused."""
     if isinstance(v, str):
         try:
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"not a probability value: {v!r} has a zero denominator") from None
-    if isinstance(v, (int, float, Fraction)) and not isinstance(v, bool):
+    if isinstance(v, (float, Fraction)):
         return v
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
     raise ValueError(f"not a probability value: {v!r}")
 
 
@@ -112,6 +117,10 @@ class SumPmf:
     """Pmf p = (p_0, ..., p_d) of a sum of d Bernoulli coordinates."""
 
     values: tuple[Number, ...]
+    # log p_k for each level, set by a builder that knows masses its floats
+    # cannot hold (binomial_pmf); polytope_measure then reads it in place of
+    # log(float(p_k)).
+    _log_masses: ClassVar[tuple[float, ...] | None] = None
 
     def __init__(self, values: Iterable[Number]):
         vals = _validate_masses(values, "SumPmf")

@@ -371,6 +371,24 @@ def naive_entropy(values) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the fiber measure along the binomial curve, in closed form
+# ---------------------------------------------------------------------------
+
+def binomial_curve_log_measure(theta: float, d: int) -> float:
+    """log l_amb(b(theta)) = A(d) + B(d) log(theta (1 - theta)) for 0 < theta < 1,
+    with n_k = C(d,k) - 1,
+    A(d) = sum_{0<k<d} [n_k log C(d,k) + 1/2 log(n_k + 1) - log n_k!] and
+    B(d) = sum_{0<k<d} k n_k (an exact integer).  No mass of b(theta) is
+    formed, so none can underflow."""
+    parts = []
+    for k in range(1, d):
+        c = math.comb(d, k)
+        parts += [(c - 1) * math.log(c), 0.5 * math.log(c), -math.lgamma(c)]
+    b = sum(k * (math.comb(d, k) - 1) for k in range(1, d))
+    return math.fsum(parts) + b * (math.log(theta) + math.log1p(-theta))
+
+
+# ---------------------------------------------------------------------------
 # Gauss-Legendre quadrature over the corner simplex and window regions
 # ---------------------------------------------------------------------------
 

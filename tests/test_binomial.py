@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bernsum.binomial import (
     bin_vs_mode,
@@ -11,8 +13,11 @@ from bernsum.binomial import (
     curve_log_measure,
     poisson_binomial_pmf,
 )
+from bernsum.cli import main
 from bernsum.measure import dist_sup, maximal_pmf, polytope_measure
 from bernsum.polytope import describe
+
+from oracles import binomial_curve_log_measure
 
 
 class TestBinomialPmf:
@@ -107,6 +112,33 @@ class TestCurveMeasure:
                 b = curve_log_measure(float(1 - theta), d).log
                 assert math.isclose(a, b, rel_tol=0, abs_tol=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(1, 300),
+           theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # b(theta)'s float masses underflow to 0 (d = 200 at theta = 0.01) or to
+    # subnormals (d = 3 near 1e-158, d = 30 near 1e-21 through theta^15).
+    @example(d=200, theta=0.01)
+    @example(d=200, theta=0.02)
+    @example(d=3, theta=1e-158)
+    @example(d=30, theta=5e-22)
+    @example(d=12, theta=1 - 2**-53)
+    def test_matches_closed_form(self, d, theta):
+        got = curve_log_measure(theta, d)
+        assert not got.is_zero
+        assert math.isclose(got.log, binomial_curve_log_measure(theta, d), rel_tol=1e-12)
+
+    def test_underflowed_levels_keep_the_float_masses(self):
+        p = binomial_pmf(0.01, 200)
+        assert p.values[-1] == 0.0
+        values = [math.comb(200, k) * 0.01**k * (1 - 0.01) ** (200 - k) for k in range(201)]
+        assert p.values == tuple(v / math.fsum(values) for v in values)
+
+    def test_exact_theta_below_the_float_range(self):
+        theta = Fraction(1, 100)
+        got = curve_log_measure(theta, 200)
+        assert binomial_pmf(theta, 200).values[199] < 1e-320
+        assert math.isclose(got.log, binomial_curve_log_measure(0.01, 200), rel_tol=1e-12)
+
     def test_log_concavity_on_grid(self):
         # Second differences of the log measure stay nonpositive: the curve
         # log-measure is a nonnegative combination of log(theta), log(1-theta).
@@ -180,3 +212,38 @@ class TestBinVsMode:
     def test_guard(self):
         with pytest.raises(ValueError):
             bin_vs_mode(1)
+
+
+class TestFloatRangeGuards:
+    """The first d at which a printed value stops being a finite float is
+    refused with the invariant named, never a traceback or a wrong null."""
+
+    def test_float_binomial_pmf(self):
+        binomial_pmf(0.5, 1029)
+        with pytest.raises(ValueError, match="C\\(d, k\\) to be a finite float"):
+            binomial_pmf(0.5, 1100)
+        assert binomial_pmf(Fraction(1, 2), 1100).values[550] > 0
+
+    def test_curve_measure_at_the_limit(self):
+        assert math.isfinite(curve_log_measure(0.5, 1014).log)
+        for d in (1015, 1020, 1029):
+            with pytest.raises(ValueError, match="log fiber measure must be a finite float"):
+                curve_log_measure(0.5, d)
+        # Below the limit, the tails of the curve overflow first.
+        with pytest.raises(ValueError, match="log fiber measure must be a finite float"):
+            curve_log_measure(1e-300, 1010)
+
+    def test_bin_vs_mode_at_the_limit(self):
+        r = bin_vs_mode(1023)
+        assert all(math.isfinite(v) and abs(v) >= 2.2250738585072014e-308 for v in r.values())
+        with pytest.raises(ValueError, match="2\\^d and so the log gap"):
+            bin_vs_mode(1024)
+
+    @pytest.mark.parametrize("argv", [["binomial-scan", "--d", "1100"],
+                                      ["binomial-scan", "--d", "1015", "--points", "3"],
+                                      ["bin-vs-mode", "--dmax", "1100"]])
+    def test_cli_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "finite float" in err

@@ -258,3 +258,30 @@ def test_cli_constrained_vertices_readme(capsys):
                  "--theta", '["1/4","2/4","3/4"]']) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRAINED_PINS["cli_readme"]
+
+
+# The binomial slice and the measure command: stdout pinned on the code that
+# built a validated exact SumPmf for every bin-vs-mode row and multiplied one
+# LogMeasure per level in polytope_measure.
+GAPPED_EXACT_4 = '["1/10","2/10","0","3/10","4/10"]'
+MEASURE_CLI = {
+    "bin_vs_mode_json": (["bin-vs-mode", "--dmax", "60"],
+                         "ace7c137fb868eacad5e0ffec4f4d35582e1b1c45b30a1a5aeaa0978a27a4d14"),
+    "bin_vs_mode_csv": (["bin-vs-mode", "--dmax", "60", "--format", "csv"],
+                        "434a6739db0aab886cbd4a9ef040bb4481062afb06d8906c2c7701029b6e7bfb"),
+    "binomial_scan_d20": (["binomial-scan", "--d", "20", "--points", "251"],
+                          "74c4bd83166a0fee02b2ab4f58197ebb547eb54d9865ed2a72807bedb0865e31"),
+    "measure_exact_d8": (["measure", "--p", RATIONAL_8],
+                         "c4f0cf53c85cc4fbd06f87c2e5728d2c2374a7544d3b0dfe77f89f512ac08cc5"),
+    # Level 2 empty: the ambient measure is zero and the intrinsic one is not.
+    "measure_exact_gapped_d4": (["measure", "--p", GAPPED_EXACT_4],
+                                "802e548549bd0aa73f9ecc06546547cb73e1a70b10adfeb93622420464dbd536"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASURE_CLI))
+def test_cli_binomial_and_measure(name, capsys):
+    argv, pin = MEASURE_CLI[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pin

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bernsum.measure import (
     LogMeasure,
@@ -98,6 +100,40 @@ class TestPolytopeMeasure:
             halves = sum(0.5 * math.log(math.comb(d, k)) for k in range(d + 1))
             expected = density_l(p).log + halves
             assert math.isclose(ambient.log, expected, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def chained_measures(p: SumPmf) -> dict[str, LogMeasure]:
+    """The fiber measures as a product of simplex_hausdorff block measures,
+    one LogMeasure per supported level, multiplied in level order."""
+    intrinsic = LogMeasure.one()
+    for k in p.support:
+        intrinsic = intrinsic * simplex_hausdorff(math.comb(p.d, k) - 1, float(p.values[k]))
+    ambient = intrinsic if all(v > 0 for v in p.values[1:p.d]) else LogMeasure.zero()
+    return {"ambient": ambient, "intrinsic": intrinsic}
+
+
+@st.composite
+def sum_pmfs(draw):
+    """Exact or float sum pmfs, d <= 12, empty levels included."""
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 10**6), min_size=d + 1, max_size=d + 1))
+        total = sum(weights)
+        return SumPmf([Fraction(w, total) for w in weights]) if total else SumPmf([1] + [0] * d)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=d + 1, max_size=d + 1))
+    total = math.fsum(weights)
+    return SumPmf([w / total for w in weights]) if total else SumPmf([1.0] + [0.0] * d)
+
+
+class TestChainedReference:
+    @settings(max_examples=300, deadline=None)
+    @given(p=sum_pmfs())
+    # A positive exact mass whose float is 0 zeroes its block's measure,
+    # unless the block is a point (level d).
+    @example(p=SumPmf([1 - Fraction(1, 10**400), Fraction(1, 10**400), 0]))
+    @example(p=SumPmf([Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**400), Fraction(1, 10**400)]))
+    def test_equals_the_chained_product(self, p):
+        assert polytope_measure(p) == chained_measures(p)
 
 
 class TestDensity:

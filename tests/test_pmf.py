@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernsum.feasibility import MeanVector
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy, sum_map
 from bernsum.polytope import exchangeable_pmf
 
@@ -48,6 +49,21 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match="normalization"):
                 build()
+
+    def test_numpy_integers_are_ints(self):
+        for values in (np.array([0, 1]), [np.int64(0), np.uint8(1)], np.array([1, 0, 0], dtype=np.int32)):
+            p = SumPmf(values)
+            assert p.exact and all(type(v) is int for v in p.values)
+        assert SumPmf(np.array([0, 1])) == SumPmf([0, 1])
+        theta = MeanVector(np.array([0, 1, 1]))
+        assert theta.values == (Fraction(0), Fraction(1), Fraction(1))
+
+    def test_bools_are_refused(self):
+        for bad in (True, np.bool_(True), np.array([True, False])[0]):
+            with pytest.raises(ValueError, match="not a probability value"):
+                SumPmf([bad, 0])
+            with pytest.raises(ValueError, match="not a probability value"):
+                MeanVector([bad])
 
     def test_exact_sum_must_be_exact(self):
         with pytest.raises(ValueError):
