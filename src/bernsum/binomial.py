@@ -47,19 +47,17 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
         ) from None
     total = _total(values)
     p = SumPmf([v / total for v in values])
-    if 0 < t < 1 and min(t**d, (1 - t) ** d, *p.values) < _TINY:
+    if isinstance(t, float) and 0 < t < 1 and min(t**d, (1 - t) ** d, *p.values) < _TINY:
         object.__setattr__(p, "_log_masses", _level_logs(t, d, p.values, total))
     return p
 
 
-def _level_logs(t: Number, d: int, masses: Sequence[Number], total: Number) -> tuple[float, ...]:
-    """log p_k of binomial_pmf(t, d), 0 < t < 1.  A level whose float mass,
-    t^k or (1 - t)^(d - k) is below the normal floats is taken in log space:
-    log of the exact mass, or log C(d,k) + k log t + (d - k) log1p(-t) -
-    log total for a float t.  Every other level is log(p_k), as SumPmf takes it."""
-    if isinstance(t, Fraction):
-        return tuple(math.log(v) if v >= _TINY else math.log(v.numerator) - math.log(v.denominator)
-                     for v in masses)
+def _level_logs(t: float, d: int, masses: Sequence[float], total: float) -> tuple[float, ...]:
+    """log p_k of binomial_pmf(t, d) for a float 0 < t < 1.  A level whose
+    float mass, t^k or (1 - t)^(d - k) is below the normal floats is taken in
+    log space: log C(d,k) + k log t + (d - k) log1p(-t) - log total.  Every
+    other level is log(p_k), as SumPmf takes it.  polytope_measure takes an
+    exact mass below the normal floats in log space by itself."""
     log_t, log_u, log_total = math.log(t), math.log1p(-t), math.log(total)
     return tuple(
         math.log(v) if min(v, t**k, (1 - t) ** (d - k)) >= _TINY

@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", required=True)
     sp.add_argument("--subset", required=True, help="comma-separated coordinates, e.g. 1,2")
     sp.add_argument("--max-bases", type=_at_least_one, default=None,
-                    help="abort with an error if the basis walk exceeds this budget")
+                    help="abort with an error if the two LP solves together take more simplex "
+                         "pivots than this")
 
     sp = add("measure", _cmd_measure, help="Hausdorff measures and density at p")
     sp.add_argument("--p", required=True)

@@ -1,4 +1,4 @@
-"""Mean-constrained fibers: exact feasibility and vertex enumeration.
+"""Mean-constrained fibers: exact feasibility, vertex enumeration and moment bounds.
 
 The fiber over p intersected with the class of fixed coordinate means theta
 is the solution set of {sum-level rows, coordinate-mean rows, f >= 0}.  All
@@ -14,7 +14,9 @@ majorized by the tail vector q_s = P(S >= s), s = 1..d.  The witness applies
 the Hardy-Littlewood-Polya T-transforms that carry q to sorted theta
 (Marshall, Olkin & Arnold, Lemma 2.B.1) to the level indicators, which gives
 per-level marginals z_k in Delta(d, k); systematic sampling (Madow 1949)
-realizes each z_k with at most d atoms.
+realizes each z_k with at most d atoms.  Those atoms, at most d per
+supported level and never 2^d, are the witness; feasible_point spreads them
+into a dense pmf, and the moment bounds start from them.
 
 Vertex enumeration runs a phase-1 simplex with Bland's rule (no cycling) and
 walks the graph of feasible bases, where two bases are adjacent when they
@@ -34,9 +36,23 @@ one common D > 0, the absolute determinant of the current basis, and a
 pivot is Bareiss's fraction-free update (Bareiss 1968), whose divisions are
 exact.  Signs and ratio tests read the numerators directly, ratios compare
 by cross-multiplication, and a Fraction is built only for each new vertex.
+
+A cross moment E[prod_{i in S} X_i] is linear on the fiber, so each of its
+bounds is one LP optimum, found by column generation (Dantzig & Wolfe 1960;
+Gilmore & Gomory 1961) without the vertex list.  The master holds only the
+basis: phase 1 runs over the witness atoms, and each later entering atom is
+priced over all of {0,1}^d at once.  The reduced cost of atom x at level k
+is [S <= x] - y_k - sum_{i in x} mu_i, so its least value per level is one
+of |S| + 1 candidates read off mu sorted once.  The ratio test is
+lexicographic on (x_B, D * B^-1), which rules out cycling where Bland's
+rule would need the lowest index among columns not generated yet.  Phase 2
+minimizes (sum of artificials, moment) lexicographically, so an artificial
+left basic at 0 by a row that is redundant over the witness atoms is never
+dropped and never rises above 0.
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -45,7 +61,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .indexing import _check_dimension
-from .pmf import JointPmf, Number, SumPmf, _subset_mask, as_number, cross_moment
+from .pmf import JointPmf, Number, SumPmf, _subset_mask, as_number
 
 VERTEX_D_MAX = 5
 
@@ -58,7 +74,8 @@ class InfeasibleError(ValueError):
 
 
 class BasisLimitError(RuntimeError):
-    """Raised when vertex enumeration exceeds an explicit basis budget."""
+    """Raised when vertex enumeration or the moment-bound LPs exceed an
+    explicit basis or pivot budget."""
 
 
 @dataclass(frozen=True)
@@ -280,10 +297,12 @@ def _solve(p: SumPmf, theta: MeanVector):
 
 
 def _to_joint(d: int, columns, x) -> JointPmf:
+    """A basic feasible solution as a pmf: it is >= 0, and as _exact_p sums
+    to exactly 1, so do its level rows; nothing is left to validate."""
     values: list[Number] = [_ZERO] * (1 << d)
     for idx, v in zip(columns, x):
         values[idx] = v
-    return JointPmf(d, values)
+    return JointPmf._with_validated_masses(d, values)
 
 
 def _majorized(x: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
@@ -325,14 +344,33 @@ def _systematic_atoms(z: Sequence[Fraction], bits: Sequence[int]):
     A uniform start u in [0, 1) selects unit i when the grid u + Z meets
     [C_{i-1}, C_i), C the cumulative sums of z.  The selection only changes
     where u crosses a fractional part of some C_i, so it yields at most d
-    (index, probability) pairs; bits[i] is the index bit of unit i.
+    (index, probability) pairs; bits[i] is the index bit of unit i.  It
+    runs on integers: C and u scaled by the lcm L of z's denominators.
     """
-    cum = list(accumulate(z, initial=_ZERO))
-    cuts = sorted({c - math.floor(c) for c in cum} | {_ONE})
+    L = math.lcm(*(v.denominator for v in z))
+    cum = list(accumulate((v.numerator * (L // v.denominator) for v in z), initial=0))
+    cuts = sorted({c % L for c in cum} | {L})
     for a, b in zip(cuts, cuts[1:]):
-        hits = [math.ceil(c - a) for c in cum]
+        hits = [-((a - c) // L) for c in cum]  # ceil((c - a) / L)
         idx = sum(bit for bit, lo, hi in zip(bits, hits, hits[1:]) if hi > lo)
-        yield idx, b - a
+        yield idx, Fraction(b - a, L)
+
+
+def _witness_atoms(pvals: Sequence[Fraction], theta: MeanVector) -> Optional[dict[int, Fraction]]:
+    """The witness of the module docstring as {index: positive mass}, at most
+    d atoms per supported level, or None when theta is infeasible."""
+    d = theta.d
+    order = sorted(range(d), key=lambda i: theta.values[i], reverse=True)
+    x = [theta.values[i] for i in order]
+    q = list(accumulate(reversed(pvals[1:])))[::-1]  # q_s = P(S >= s), s = 1..d
+    if not _majorized(x, q):
+        return None
+    bits = [1 << i for i in order]
+    atoms: dict[int, Fraction] = {}
+    for k, zk in _level_marginals(pvals, x, q).items():
+        for idx, w in _systematic_atoms(zk, bits):
+            atoms[idx] = atoms.get(idx, _ZERO) + pvals[k] * w
+    return atoms
 
 
 def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
@@ -340,24 +378,22 @@ def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
 
     The verdict is the exact majorization test of the module docstring, whose
     s = 1, d - 1 and d cases are the mean box p_d <= theta_i <= 1 - p_0 and
-    sum(theta) = mean(p).  The witness carries at most d atoms per supported level of p.  It is a dense
-    carrier, so d is limited to the dense guard (d <= 20).
+    sum(theta) = mean(p).  The witness carries at most d atoms per supported
+    level of p.  It is a dense carrier, so d is limited to the dense guard
+    (d <= 20).
     """
     d = p.d
     theta = _coerce_theta(theta, d)
     _check_dimension(d)
-    pvals = _exact_p(p)
-    order = sorted(range(d), key=lambda i: theta.values[i], reverse=True)
-    x = [theta.values[i] for i in order]
-    q = list(accumulate(reversed(pvals[1:])))[::-1]  # q_s = P(S >= s), s = 1..d
-    if not _majorized(x, q):
+    atoms = _witness_atoms(_exact_p(p), theta)
+    if atoms is None:
         return None
-    bits = [1 << i for i in order]
     values: list[Number] = [_ZERO] * (1 << d)
-    for k, zk in _level_marginals(pvals, x, q).items():
-        for idx, w in _systematic_atoms(zk, bits):
-            values[idx] += pvals[k] * w
-    return JointPmf(d, values)
+    for idx, mass in atoms.items():
+        values[idx] = mass
+    # Each level's Madow weights telescope to exactly 1, so the masses are
+    # positive and sum to sum(p) = 1.
+    return JointPmf._with_validated_masses(d, values)
 
 
 def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list[JointPmf]:
@@ -383,17 +419,191 @@ def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list
     return [_to_joint(d, columns, x) for x in _enumerate_bases(T, D, basis, scale, max_bases)]
 
 
+def _lex_ratio_less(a: list[int], ua: int, b: list[int], ub: int) -> bool:
+    """Whether tableau row a / ua is lexicographically below b / ub (ua, ub >
+    0), read as (x_B, D * B^-1): the right-hand side last in the row, first
+    in the order."""
+    for c in range(-1, len(a) - 1):
+        left, right = a[c] * ub, b[c] * ua
+        if left != right:
+            return left < right
+    return False
+
+
+class _Master:
+    """The restricted master LP of constrained_moment_bounds, on the rows of
+    _reduced_system: one per supported level, then one per mean with
+    0 < theta_i < 1.  An atom's column has a 1 in its level's row and in the
+    row of each free coordinate it holds; a coordinate with theta_i = 0 or 1
+    is clear or set in every atom.
+
+    The tableau holds no structural column.  Row i of the m constraint rows
+    is [D * B^-1 | D * scale * x_B], the block starting as the identity of
+    the artificials; then come the phase-1 row and the moment row, each
+    [-D * duals | -D * scale * objective].  The phase-1 cost of an atom is
+    minus the number of its rows; summed over the fiber that is
+    sum(artificials) less the constant sum(rhs), so its reduced costs are
+    phase 1's and the artificials need no cost.  The moment row is carried
+    for the cost [S <= x] and negated for the upper bound.  A new column is
+    B^-1 times the atom's 0/1 column, read off the block, and is pivoted in
+    by _pivot; after the pivot it is D times a unit vector and is dropped.
+    """
+
+    def __init__(self, pvals: Sequence[Fraction], theta: MeanVector, mask: int, max_bases: int | None):
+        rhs: list[Fraction] = []
+        self.level_row: dict[int, int] = {}
+        self.mean_row: dict[int, int] = {}
+        for k, v in enumerate(pvals):
+            if v > 0:
+                self.level_row[k] = len(rhs)
+                rhs.append(v)
+        for i, t in enumerate(theta.values):
+            if 0 < t < 1:
+                self.mean_row[i] = len(rhs)
+                rhs.append(t)
+        self.ones = sum(1 << i for i, t in enumerate(theta.values) if t == 1)
+        self.mask = mask
+        self.m = m = len(rhs)
+        self.scale = math.lcm(*(b.denominator for b in rhs))
+        self.T = [[int(i == r) for r in range(m)] + [int(b * self.scale)] for i, b in enumerate(rhs)]
+        self.T += [[0] * (m + 1), [0] * (m + 1)]
+        self.D = 1
+        self.pivots, self.max_bases = 0, max_bases
+
+    def rows(self, idx: int) -> list[int]:
+        return [self.level_row[idx.bit_count()], *(r for i, r in self.mean_row.items() if idx >> i & 1)]
+
+    def column(self, idx: int, sigma: int) -> list[int]:
+        """The entering column of atom idx in every tableau row; the moment
+        cost is sigma * [S <= idx]."""
+        rows = self.rows(idx)
+        u = [sum(t[r] for r in rows) for t in self.T]
+        u[-2] -= self.D * len(rows)
+        if idx & self.mask == self.mask:
+            u[-1] += sigma * self.D
+        return u
+
+    def enter(self, idx: int, sigma: int) -> None:
+        """Pivot atom idx in, leaving by the lexicographic ratio test."""
+        if self.max_bases is not None and self.pivots >= self.max_bases:
+            raise BasisLimitError(
+                f"the moment bounds exceeded max_bases={self.max_bases} simplex pivots "
+                f"(phase 1 and the two column-generation solves together)"
+            )
+        u = self.column(idx, sigma)
+        row = None
+        for i in range(self.m):
+            if u[i] > 0 and (row is None or _lex_ratio_less(self.T[i], u[i], self.T[row], u[row])):
+                row = i
+        T = [t + [a] for t, a in zip(self.T, u)]
+        self.D = _pivot(T, self.D, row, self.m + 1)
+        self.T = [t[:-1] for t in T]
+        self.pivots += 1
+
+    def phase1(self, atoms: Sequence[int]) -> None:
+        """Drive the artificials to 0 over the witness atoms alone; they hold
+        a feasible point, so the optimum is 0.  An artificial whose row is
+        redundant over these atoms stays basic at 0: phase 2 keeps it there."""
+        cols = [(idx, self.rows(idx)) for idx in atoms]
+        while True:
+            D, w = self.D, self.T[-2]
+            red = [a - D for a in w[:-1]]
+            best, enter = 0, None
+            for idx, rows in cols:
+                c = sum(red[r] for r in rows)
+                if c < best:
+                    best, enter = c, idx
+            if enter is None:
+                return
+            self.enter(enter, 1)
+
+    def price(self, sigma: int) -> int | None:
+        """The atom whose reduced cost (phase 1's, then the moment's) is
+        lexicographically least, or None when none is below 0.
+
+        Both parts are sums over the atom's rows plus, for the moment,
+        sigma * D when S <= x; they fold into one integer M * w + z with M
+        above twice any |z|.  Per level, with k' free coordinates to choose,
+        the least cost either holds S (its free part, then the cheapest
+        others) or, for some j in S, leaves j out and takes the k' cheapest
+        others: one sort of the free coordinates serves every level.
+        """
+        D, w, z = self.D, self.T[-2], self.T[-1]
+        M = 2 * (D + sum(map(abs, z[:-1]))) + 1
+        weight = [M * (a - D) + b for a, b in zip(w[:-1], z)]
+        free = sorted(self.mean_row, key=lambda i: weight[self.mean_row[i]])
+        g = [weight[self.mean_row[i]] for i in free]
+        prefix = list(accumulate(g, initial=0))
+        prefix_bits = list(accumulate((1 << i for i in free), int.__or__, initial=0))
+        s_pos = [j for j, i in enumerate(free) if self.mask >> i & 1]
+        if s_pos:
+            rest = [j for j, i in enumerate(free) if not self.mask >> i & 1]
+            rest_prefix = list(accumulate((g[j] for j in rest), initial=0))
+            rest_bits = list(accumulate((1 << free[j] for j in rest), int.__or__, initial=0))
+            s_cost = sigma * D + sum(g[j] for j in s_pos)
+            s_bits = sum(1 << free[j] for j in s_pos)
+        n_ones = self.ones.bit_count()
+        best, atom = 0, None
+        for k, r in self.level_row.items():
+            kk, h = k - n_ones, weight[r]
+            cands = []
+            if not s_pos:  # S is forced into every atom
+                cands.append((h + sigma * D + prefix[kk], prefix_bits[kk]))
+            else:
+                if kk >= len(s_pos):
+                    t = kk - len(s_pos)
+                    cands.append((h + s_cost + rest_prefix[t], s_bits | rest_bits[t]))
+                if kk < len(free):
+                    for j in s_pos:
+                        if j < kk:
+                            cands.append((h + prefix[kk + 1] - g[j], prefix_bits[kk + 1] & ~(1 << free[j])))
+                        else:
+                            cands.append((h + prefix[kk], prefix_bits[kk]))
+            for c, bits in cands:
+                if c < best:
+                    best, atom = c, bits | self.ones
+        return atom
+
+    def negated(self) -> "_Master":
+        """A copy whose moment row is negated, for the upper bound.  _pivot
+        rebinds rows and never mutates them, so the two share rows safely."""
+        other = copy.copy(self)
+        other.T = self.T[:-1] + [[-a for a in self.T[-1]]]
+        return other
+
+    def solve(self, sigma: int) -> Fraction:
+        """min of sigma * moment over the fiber, by column generation."""
+        while (idx := self.price(sigma)) is not None:
+            self.enter(idx, sigma)
+        return Fraction(-self.T[-1][-1], self.D * self.scale)
+
+
 def constrained_moment_bounds(p: SumPmf, theta, subset, max_bases: int | None = None) -> tuple[Number, Number]:
     """Sharp cross-moment range over the mean-constrained fiber.
 
-    Moments are linear in f, so scanning the vertices is exact.  The subset
-    is checked before the walk.  Raises InfeasibleError when the fiber is
-    empty (there is nothing to bound).
+    The moment is linear on the fiber, a polytope, so each bound is one LP
+    optimum: column generation from the witness atoms, with no vertex list
+    and no 2^d columns, for any d.  The subset is checked first.  Raises
+    InfeasibleError when the fiber is empty (there is nothing to bound).  A
+    bound of 0 is cross_moment's float 0.0, any other an exact Fraction.
+    Pass max_bases >= 1 to cap the simplex pivots of the whole computation,
+    phase 1 and both solves together; past it BasisLimitError is raised.
     """
     subset = tuple(subset)
-    _subset_mask(p.d, subset)
-    vertices = constrained_vertices(p, theta, max_bases)
-    if not vertices:
+    mask = _subset_mask(p.d, subset)
+    if max_bases is not None and max_bases < 1:
+        raise ValueError("max_bases must be >= 1")
+    theta = _coerce_theta(theta, p.d)
+    pvals = _exact_p(p)
+    atoms = _witness_atoms(pvals, theta)
+    if atoms is None:
         raise InfeasibleError("the mean-constrained fiber is empty")
-    moments = [cross_moment(v, subset) for v in vertices]
-    return min(moments), max(moments)
+    if any(mask >> i & 1 for i, t in enumerate(theta.values) if t == 0):
+        return 0.0, 0.0  # no member puts mass on S
+    lower = _Master(pvals, theta, mask, max_bases)
+    lower.phase1(sorted(atoms))
+    upper = lower.negated()
+    lo = lower.solve(1)
+    upper.pivots = lower.pivots  # one budget for both solves
+    hi = -upper.solve(-1)
+    return (lo or 0.0), (hi or 0.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ import numpy as np
 from .pmf import SumPmf, _read_only, _total
 
 LN2 = math.log(2.0)
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -100,28 +102,44 @@ def _blocks(d: int) -> tuple[tuple[float, float, float], ...]:
     return tuple(rows)
 
 
+def _level_log(v) -> float:
+    """log p_k, -inf for an empty level.  An exact mass below the normal
+    floats, where log(float(p_k)) loses bits or fails, takes it from its
+    numerator and denominator."""
+    f = float(v)
+    if f > _TINY or not (isinstance(v, Fraction) and 0 < v < _TINY):
+        return math.log(f) if f > 0 else -math.inf
+    return math.log(v.numerator) - math.log(v.denominator)
+
+
+def _underflowed_logs(p: SumPmf) -> dict[int, float]:
+    """_level_log at each exact level below the normal floats: the logs that
+    density_l puts in place of its float ones."""
+    return {k: _level_log(v) for k, (v, f) in enumerate(zip(p.values, p.array.tolist()))
+            if f <= _TINY and isinstance(v, Fraction) and 0 < v < _TINY}
+
+
 def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
     """Ambient and intrinsic Hausdorff measures of the fiber over p.
 
     Intrinsic multiplies the block measures simplex_hausdorff(n_k, p_k) over
     the support; the log terms are added in level order, from 0.0, so the
-    sum is that product's log to the bit.  Ambient multiplies over every
-    level, so, as levels 0 and d are points, it is intrinsic when every level
+    sum is that product's log to the bit.  Each level's log is _level_log's,
+    unless a builder set _log_masses.  Ambient multiplies over every level,
+    so, as levels 0 and d are points, it is intrinsic when every level
     0 < k < d is supported and zero otherwise.
     """
     d = p.d
-    logs = p._log_masses or [math.log(f) if (f := float(v)) > 0 else -math.inf for v in p.values]
-    total, zero, full = 0.0, False, True
-    for (n, half_log, log_fact), lv, v in zip(_blocks(d), logs[1:d], p.values[1:d]):
+    logs = p._log_masses or [math.log(f) if (f := float(v)) > _TINY else _level_log(v) for v in p.values]
+    total, full = 0.0, True
+    for (n, half_log, log_fact), lv in zip(_blocks(d), logs[1:d]):
         if lv > -math.inf:
             total += n * lv + half_log - log_fact
-        elif v:
-            zero = True  # a positive mass whose float is 0: its block measure underflows
         else:
             full = False
-    if not (zero or total > -math.inf):
+    if not total > -math.inf:
         raise ValueError(f"a log fiber measure must be a finite float; at d = {d} it overflows")
-    intrinsic = LogMeasure.zero() if zero else LogMeasure(total)
+    intrinsic = LogMeasure(total)
     return {"ambient": intrinsic if full else LogMeasure.zero(), "intrinsic": intrinsic}
 
 
@@ -133,15 +151,20 @@ def _fiber_table(d: int) -> tuple[np.ndarray, np.ndarray, float]:
     return _read_only(np.arange(1, d)), _read_only(n), float(sum(math.lgamma(v + 1.0) for v in n))
 
 
-def _log_density_rows(X: np.ndarray, d: int) -> np.ndarray:
+def _log_density_rows(X: np.ndarray, d: int, tiny: dict[int, float] | None = None) -> np.ndarray:
     """log l(p) = sum_k n_k log p_k - log n_k! at each row of X (column k holds
     p_k; the d free coordinates will do), -inf where a level 0 < k < d is
     empty.  The terms are added level by level, as numpy reduces the
     column-major X[:, cols] of two or more rows, so no row's value depends on
-    the rows beside it (numpy would sum a lone row pairwise)."""
+    the rows beside it (numpy would sum a lone row pairwise).  tiny maps a
+    level to the log that replaces its column's, as _underflowed_logs gives it."""
     cols, n, const = _fiber_table(d)
     with np.errstate(divide="ignore"):
-        terms = np.log(X[:, cols]) * n
+        logs = np.log(X[:, cols])
+    for k, lv in (tiny or {}).items():
+        if 0 < k < d:
+            logs[:, k - 1] = lv
+    terms = logs * n
     total = np.zeros(len(X))
     for column in terms.T:
         total += column
@@ -150,7 +173,7 @@ def _log_density_rows(X: np.ndarray, d: int) -> np.ndarray:
 
 def density_l(p: SumPmf) -> LogMeasure:
     """Fiber-measure density prod_k p_k^{n_k} / n_k! with 0^0 = 1."""
-    lv = float(_log_density_rows(p.array[None, :], p.d)[0])
+    lv = float(_log_density_rows(p.array[None, :], p.d, _underflowed_logs(p))[0])
     return LogMeasure.zero() if lv == -math.inf else LogMeasure(lv)
 
 

@@ -180,6 +180,17 @@ class JointPmf:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _with_validated_masses(cls, d: int, values: list[Number]) -> "JointPmf":
+        """An exact pmf whose 2^d ints and Fractions the caller has proved
+        nonnegative and summing to exactly 1 (an LP basic solution, a
+        witness); stored as the tuple _dense_masses would keep."""
+        _check_dimension(d)
+        self = object.__new__(cls)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "values", tuple(values))
+        return self
+
     def __eq__(self, other):
         if not isinstance(other, JointPmf):
             return NotImplemented
@@ -324,8 +335,9 @@ def cross_moment(f: AnyJoint, subset: Iterable[int]) -> Number:
 
 
 def entropy(pmf: AnyPmf) -> float:
-    """Shannon entropy in nats; zero atoms are skipped (0 log 0 = 0)."""
+    """Shannon entropy in nats; zero atoms are skipped (0 log 0 = 0), and so
+    is an exact mass whose float is 0, as its term underflows."""
     if isinstance(pmf, JointPmf) and not pmf.exact:
         m = pmf.values[pmf.values > 0]
         return -_fsum(m * np.log(m))
-    return -math.fsum(float(m) * math.log(float(m)) for m in pmf.positive_masses())
+    return -math.fsum(f * math.log(f) for f in map(float, pmf.positive_masses()) if f)

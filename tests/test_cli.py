@@ -236,13 +236,17 @@ class TestFeasible:
         assert Fraction(rec["upper"]) == Fraction(1, 4)
 
     def test_constrained_bounds_max_bases(self, capsys):
-        # The symmetric d = 5 slice has 3,650 vertices; the walk stops at 50 bases.
+        # --max-bases caps the simplex pivots of both LP solves together.  The
+        # symmetric d = 5 slice needs more than one and fewer than 50.
         p = json.dumps([f"{math.comb(5, k)}/32" for k in range(6)])
-        code, out, err = run(capsys, "constrained-bounds", "--p", p, "--theta",
-                             json.dumps(["1/2"] * 5), "--subset", "1,2", "--max-bases", "50")
+        argv = ["constrained-bounds", "--p", p, "--theta", json.dumps(["1/2"] * 5), "--subset", "1,2"]
+        code, out, err = run(capsys, *argv, "--max-bases", "1")
         assert (code, out) == (2, "")
-        assert err == ("error: vertex enumeration exceeded max_bases=50 (13 vertices found so "
-                       "far); degenerate instances can have combinatorially many feasible bases\n")
+        assert err == ("error: the moment bounds exceeded max_bases=1 simplex pivots "
+                       "(phase 1 and the two column-generation solves together)\n")
+        code, out, _ = run(capsys, *argv, "--max-bases", "50")
+        assert code == 0
+        assert json.loads(out) == {"subset": "1|2", "lower": "1/32", "upper": "1/2"}
 
     def test_constrained_bounds_max_bases_below_one_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

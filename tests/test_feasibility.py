@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernsum.feasibility import (
@@ -420,12 +420,12 @@ class TestConstrainedVertices:
 
 
 @st.composite
-def sparse_joints_in_64ths(draw):
-    """(d, p, theta, budget): the laws of a random joint pmf in 64ths, d <= 4.
+def sparse_joints_in_64ths(draw, max_d=4):
+    """(d, p, theta, budget): the laws of a random joint pmf in 64ths, d <= max_d.
 
     Some coordinates are forced off or on and some atoms dropped before the
     64ths are dealt, so theta_i in {0, 1} and empty levels occur."""
-    d = 4 - draw(st.integers(min_value=0, max_value=3))  # d = 4 most often
+    d = max_d - draw(st.integers(min_value=0, max_value=max_d - 1))  # d = max_d most often
     drop_rate = draw(st.sampled_from([0, 0.25, 0.5]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     forced = rng.choice([-1, 0, 1], p=[0.8, 0.1, 0.1], size=d)
@@ -508,3 +508,97 @@ class TestConstrainedMomentBounds:
                 lo, hi = bounds[tuple(s)]
                 m = cross_moment(mix, s)
                 assert float(lo) - 1e-12 <= m <= float(hi) + 1e-12
+
+
+@given(sparse_joints_in_64ths(max_d=6))
+@settings(max_examples=100, deadline=None)
+def test_lp_outputs_equal_the_checked_constructor(instance):
+    # Vertices and witnesses skip JointPmf's validation; building them again
+    # through __init__ must succeed and keep the same tuple, types included.
+    d, p, theta, _ = instance
+    outputs = [feasible_point(SumPmf(p), theta)]
+    if d <= 4:
+        outputs += constrained_vertices(SumPmf(p), theta)
+    for f in outputs:
+        checked = JointPmf(d, f.values)
+        assert f.exact and checked.exact
+        assert repr(checked.values) == repr(f.values)
+        assert [type(v) for v in checked.values] == [type(v) for v in f.values]
+
+
+def vertex_scan_bounds(p: SumPmf, theta, subset):
+    """The bounds as min and max of cross_moment over every vertex."""
+    moments = [cross_moment(v, subset) for v in constrained_vertices(p, theta)]
+    if not moments:
+        raise InfeasibleError("the mean-constrained fiber is empty")
+    return min(moments), max(moments)
+
+
+@st.composite
+def bound_instances(draw):
+    """(p, theta, subset), d <= 4: a member's laws, or p pulled toward the
+    law on {0, d} with the same mean, which often leaves theta infeasible.
+    Forced coordinates make some subsets unreachable or always held."""
+    d, p, theta, _ = draw(sparse_joints_in_64ths())
+    pull = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1)]))
+    mu = sum(k * v for k, v in enumerate(p))
+    spread = [Fraction(0)] * (d + 1)
+    spread[0], spread[d] = 1 - mu / d, mu / d
+    p = [(1 - pull) * a + pull * b for a, b in zip(p, spread)]
+    subset = draw(st.lists(st.integers(1, d), min_size=1, max_size=d, unique=True))
+    return SumPmf(p), theta, subset
+
+
+@given(bound_instances())
+@settings(max_examples=150, deadline=None)
+# Phase 1 leaves an artificial basic at 0 on a row that is redundant over
+# the witness atoms but not over all atoms; were phase 2 to let it rise,
+# the lower bound would read 13/64.
+@example((SumPmf([Fraction(17, 64), 0, Fraction(35, 64), Fraction(3, 16)]),
+          [Fraction(15, 32), Fraction(47, 64), Fraction(29, 64)], [1, 2]))
+def test_bounds_equal_the_vertex_scan(instance):
+    got = _walk_or_limit(lambda: constrained_moment_bounds(*instance), InfeasibleError)
+    want = _walk_or_limit(lambda: vertex_scan_bounds(*instance), InfeasibleError)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("d", range(6, 11))
+def test_bounds_match_scipy_linprog(d):
+    # A float cross-check on the full 2^d-column LP, which the package
+    # never builds; scipy is a test dependency only.
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(700 + d)
+    kept = rng.choice(1 << d, size=4 * d, replace=False)
+    weights = rng.multinomial(1 << 10, np.ones(len(kept)) / len(kept))
+    f = {int(i): Fraction(int(w), 1 << 10) for i, w in zip(kept, weights)}
+    p = [sum((m for i, m in f.items() if i.bit_count() == k), Fraction(0)) for k in range(d + 1)]
+    theta = [sum((m for i, m in f.items() if i >> j & 1), Fraction(0)) for j in range(d)]
+    cols = range(1 << d)
+    A = [[int(i.bit_count() == k) for i in cols] for k in range(d + 1)]
+    A += [[i >> j & 1 for i in cols] for j in range(d)]
+    b = [float(v) for v in p + theta]
+    for subset in ([1, 2], sorted(int(j) + 1 for j in rng.choice(d, size=3, replace=False))):
+        mask = sum(1 << (j - 1) for j in subset)
+        c = np.array([float(i & mask == mask) for i in cols])
+        lo, hi = constrained_moment_bounds(SumPmf(p), theta, subset)
+        for sign, bound in ((1, lo), (-1, hi)):
+            res = linprog(sign * c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+            assert res.status == 0
+            assert abs(sign * res.fun - float(bound)) <= 1e-9
+
+
+def test_symmetric_d5_slice_bounds_pinned():
+    # Taken from one full vertex walk over the slice's 3,650 vertices.
+    p = SumPmf([Fraction(math.comb(5, k), 32) for k in range(6)])
+    got = constrained_moment_bounds(p, [Fraction(1, 2)] * 5, [1, 2])
+    assert repr(got) == repr((Fraction(1, 32), Fraction(1, 2)))
+
+
+def test_bounds_past_the_dense_guard():
+    # d = 24 at b(1/2), theta a zero-sum perturbation of 1/2: the all-ones
+    # atom is the only one at level d, and E[X1 X2] <= min(theta_1, theta_2).
+    d = 24
+    p = SumPmf([Fraction(math.comb(d, k), 1 << d) for k in range(d + 1)])
+    theta = [Fraction(1, 2) + Fraction((-1) ** i, 64) for i in range(d)]
+    assert constrained_moment_bounds(p, theta, [1, 2]) == (Fraction(1, 1 << d), Fraction(31, 64))

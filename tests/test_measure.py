@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,8 @@ from bernsum.measure import (
     simplex_hausdorff,
 )
 from bernsum.binomial import binomial_pmf
-from bernsum.pmf import SumPmf
+from bernsum.cli import main
+from bernsum.pmf import SumPmf, entropy
 
 from oracles import quad_simplex
 
@@ -104,10 +107,18 @@ class TestPolytopeMeasure:
 
 def chained_measures(p: SumPmf) -> dict[str, LogMeasure]:
     """The fiber measures as a product of simplex_hausdorff block measures,
-    one LogMeasure per supported level, multiplied in level order."""
+    one LogMeasure per supported level, multiplied in level order.  A block
+    whose exact mass is below the normal floats takes simplex_hausdorff's
+    formula with log p = log(numerator) - log(denominator)."""
     intrinsic = LogMeasure.one()
     for k in p.support:
-        intrinsic = intrinsic * simplex_hausdorff(math.comb(p.d, k) - 1, float(p.values[k]))
+        n, v = math.comb(p.d, k) - 1, p.values[k]
+        if n and isinstance(v, Fraction) and v < sys.float_info.min:
+            log_v = math.log(v.numerator) - math.log(v.denominator)
+            block = LogMeasure(n * log_v + 0.5 * math.log(n + 1) - math.lgamma(n + 1))
+        else:
+            block = simplex_hausdorff(n, float(v))
+        intrinsic = intrinsic * block
     ambient = intrinsic if all(v > 0 for v in p.values[1:p.d]) else LogMeasure.zero()
     return {"ambient": ambient, "intrinsic": intrinsic}
 
@@ -128,12 +139,50 @@ def sum_pmfs(draw):
 class TestChainedReference:
     @settings(max_examples=300, deadline=None)
     @given(p=sum_pmfs())
-    # A positive exact mass whose float is 0 zeroes its block's measure,
-    # unless the block is a point (level d).
+    # Positive exact masses whose float is 0: the first block's measure is
+    # finite, and the second's block is a point (level d).
     @example(p=SumPmf([1 - Fraction(1, 10**400), Fraction(1, 10**400), 0]))
     @example(p=SumPmf([Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**400), Fraction(1, 10**400)]))
     def test_equals_the_chained_product(self, p):
         assert polytope_measure(p) == chained_measures(p)
+
+
+class TestBelowTheFloatRange:
+    """An exact positive mass whose float is 0: every measure stays finite."""
+
+    TINY = Fraction(1, 10**400)
+    P = [Fraction(1, 2), TINY, Fraction(1, 2) - TINY]
+    LOG_TINY = -400 * math.log(10)
+
+    def test_api(self):
+        p = SumPmf(self.P)
+        m = polytope_measure(p)
+        assert m["ambient"] == m["intrinsic"]
+        assert math.isclose(m["intrinsic"].log, self.LOG_TINY + 0.5 * math.log(2), rel_tol=1e-15)
+        assert round(m["intrinsic"].log, 2) == -920.69
+        # l(p) = p_1^1 / 1!, and the entropy term of the tiny mass underflows.
+        assert math.isclose(density_l(p).log, self.LOG_TINY, rel_tol=1e-15)
+        assert entropy(p) == entropy(SumPmf([Fraction(1, 2), 0, Fraction(1, 2)]))
+
+    def test_cli(self, capsys):
+        arg = json.dumps([f"{v.numerator}/{v.denominator}" for v in self.P])
+        assert main(["measure", "--p", arg]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["log_ambient"] == rec["log_intrinsic"] == polytope_measure(SumPmf(self.P))["ambient"].log
+        assert rec["log_density"] == density_l(SumPmf(self.P)).log
+        assert main(["density", "--p", arg]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["log_density"] == density_l(SumPmf(self.P)).log
+        assert rec["entropy_nats"] == math.log(2)
+
+    def test_density_reads_the_measure_logs(self):
+        # d = 3, tiny mass at level 2, n_1 = n_2 = 2: ambient = l(p) * 3.
+        p = SumPmf([Fraction(1, 4), Fraction(3, 4) - 2 * self.TINY, 2 * self.TINY, 0])
+        log_p2 = math.log(2) + self.LOG_TINY
+        ambient = polytope_measure(p)["ambient"].log
+        assert math.isclose(ambient, 2 * math.log(0.75) + 2 * log_p2 + math.log(3) - 2 * math.log(2),
+                            rel_tol=1e-14)
+        assert math.isclose(density_l(p).log, ambient - math.log(3), rel_tol=1e-14)
 
 
 class TestDensity:
