@@ -17,14 +17,12 @@ measure implementation, not to discover the optimum.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .measure import LogMeasure, polytope_measure
+from .measure import _TINY, LogMeasure, polytope_measure
 from .pmf import Number, SumPmf, _is_exact, _total
 
-_TINY = sys.float_info.min  # the smallest normal float
 _BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
 
 
@@ -34,7 +32,9 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
     For 0 < theta < 1 every mass is positive, but a float mass, or a factor
     theta^k or (1 - theta)^(d - k) of it, can fall below the normal floats and
     lose its bits or become 0.  Such a level keeps that float mass; its log,
-    which polytope_measure reads, is taken in log space instead.
+    which polytope_measure and density_l read, is taken in log space instead:
+    log C(d,k) + k log theta + (d - k) log1p(-theta) - log total.  An exact
+    mass below the normal floats needs no such help.
     """
     if not 0 <= theta <= 1:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
@@ -48,22 +48,12 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
     total = _total(values)
     p = SumPmf([v / total for v in values])
     if isinstance(t, float) and 0 < t < 1 and min(t**d, (1 - t) ** d, *p.values) < _TINY:
-        object.__setattr__(p, "_log_masses", _level_logs(t, d, p.values, total))
+        log_t, log_u, log_total = math.log(t), math.log1p(-t), math.log(total)
+        object.__setattr__(p, "_log_masses", {
+            k: math.log(math.comb(d, k)) + k * log_t + (d - k) * log_u - log_total
+            for k, v in enumerate(p.values) if min(v, t**k, (1 - t) ** (d - k)) < _TINY
+        })
     return p
-
-
-def _level_logs(t: float, d: int, masses: Sequence[float], total: float) -> tuple[float, ...]:
-    """log p_k of binomial_pmf(t, d) for a float 0 < t < 1.  A level whose
-    float mass, t^k or (1 - t)^(d - k) is below the normal floats is taken in
-    log space: log C(d,k) + k log t + (d - k) log1p(-t) - log total.  Every
-    other level is log(p_k), as SumPmf takes it.  polytope_measure takes an
-    exact mass below the normal floats in log space by itself."""
-    log_t, log_u, log_total = math.log(t), math.log1p(-t), math.log(total)
-    return tuple(
-        math.log(v) if min(v, t**k, (1 - t) ** (d - k)) >= _TINY
-        else math.log(math.comb(d, k)) + k * log_t + (d - k) * log_u - log_total
-        for k, v in enumerate(masses)
-    )
 
 
 def poisson_binomial_pmf(theta: Sequence[Number]) -> SumPmf:
@@ -97,8 +87,7 @@ def curve_argmax(d: int, grid: int = 1001, tol: float = 1e-10) -> float:
         raise ValueError("grid needs at least 3 points")
 
     def score(t: float) -> float:
-        m = curve_log_measure(t, d)
-        return float("-inf") if m.is_zero else m.log
+        return curve_log_measure(t, d).log
 
     ts = [j / (grid - 1) for j in range(grid)]
     best = max(range(grid), key=lambda j: score(ts[j]))

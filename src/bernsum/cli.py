@@ -263,8 +263,7 @@ def _cmd_binomial_scan(args) -> int:
     rows = []
     for j in range(args.points):
         theta = j / (args.points - 1)
-        m = curve_log_measure(theta, args.d)
-        rows.append({"theta": theta, "log_measure": None if m.is_zero else m.log})
+        rows.append({"theta": theta, "log_measure": _log_or_none(curve_log_measure(theta, args.d))})
     _emit_rows(rows, args.format)
     return 0
 
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=101)
 
     sp = add("bin-vs-mode", _cmd_bin_vs_mode, help="distance of b(1/2) from the maximal pmf by dimension")
-    sp.add_argument("--dmax", type=int, required=True)
+    sp.add_argument("--dmax", type=_at_least(2), required=True)
 
     return parser
 

@@ -16,7 +16,7 @@ the Hardy-Littlewood-Polya T-transforms that carry q to sorted theta
 per-level marginals z_k in Delta(d, k); systematic sampling (Madow 1949)
 realizes each z_k with at most d atoms.  Those atoms, at most d per
 supported level and never 2^d, are the witness; feasible_point spreads them
-into a dense pmf, and the moment bounds start from them.
+into a dense pmf.
 
 Vertex enumeration runs a phase-1 simplex with Bland's rule (no cycling) and
 walks the graph of feasible bases, where two bases are adjacent when they
@@ -40,15 +40,17 @@ by cross-multiplication, and a Fraction is built only for each new vertex.
 A cross moment E[prod_{i in S} X_i] is linear on the fiber, so each of its
 bounds is one LP optimum, found by column generation (Dantzig & Wolfe 1960;
 Gilmore & Gomory 1961) without the vertex list.  The master holds only the
-basis: phase 1 runs over the witness atoms, and each later entering atom is
-priced over all of {0,1}^d at once.  The reduced cost of atom x at level k
-is [S <= x] - y_k - sum_{i in x} mu_i, so its least value per level is one
-of |S| + 1 candidates read off mu sorted once.  The ratio test is
-lexicographic on (x_B, D * B^-1), which rules out cycling where Bland's
-rule would need the lowest index among columns not generated yet.  Phase 2
-minimizes (sum of artificials, moment) lexicographically, so an artificial
-left basic at 0 by a row that is redundant over the witness atoms is never
-dropped and never rises above 0.
+basis, starting from the artificial one, and each entering atom is priced
+over all of {0,1}^d at once.  The reduced cost of atom x at level k is
+[S <= x] - y_k - sum_{i in x} mu_i, so its least value per level is one of
+|S| + 1 candidates read off mu sorted once.  Each solve minimizes
+(sum of artificials, moment) lexicographically, so the pricing that drives
+the artificials out is the moment's own, and an artificial left basic at 0
+by a redundant row is never dropped and never rises above 0.  The ratio
+test is lexicographic on (x_B, D * B^-1); the identity start is
+lexicographically positive and the test keeps it so, which rules out
+cycling where Bland's rule would need the lowest index among columns not
+generated yet.  The upper bound's solve starts from the lower optimum.
 """
 from __future__ import annotations
 
@@ -305,10 +307,17 @@ def _to_joint(d: int, columns, x) -> JointPmf:
     return JointPmf._with_validated_masses(d, values)
 
 
-def _majorized(x: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
-    """Whether x (decreasing) is majorized by q: dominated prefix sums, equal totals."""
+def _majorization(pvals: Sequence[Fraction], theta: MeanVector):
+    """The coordinates in decreasing order of mean, those means x and the
+    tails q_s = P(S >= s), s = 1..d; or None when theta is infeasible, that
+    is when x is not majorized by q (dominated prefix sums, equal totals)."""
+    order = sorted(range(theta.d), key=lambda i: theta.values[i], reverse=True)
+    x = [theta.values[i] for i in order]
+    q = list(accumulate(reversed(pvals[1:])))[::-1]
     px, pq = list(accumulate(x)), list(accumulate(q))
-    return px[-1] == pq[-1] and all(a <= b for a, b in zip(px, pq))
+    if px[-1] == pq[-1] and all(a <= b for a, b in zip(px, pq)):
+        return order, x, q
+    return None
 
 
 def _level_marginals(pvals: Sequence[Fraction], x: Sequence[Fraction], q: Sequence[Fraction]) -> dict:
@@ -356,23 +365,6 @@ def _systematic_atoms(z: Sequence[Fraction], bits: Sequence[int]):
         yield idx, Fraction(b - a, L)
 
 
-def _witness_atoms(pvals: Sequence[Fraction], theta: MeanVector) -> Optional[dict[int, Fraction]]:
-    """The witness of the module docstring as {index: positive mass}, at most
-    d atoms per supported level, or None when theta is infeasible."""
-    d = theta.d
-    order = sorted(range(d), key=lambda i: theta.values[i], reverse=True)
-    x = [theta.values[i] for i in order]
-    q = list(accumulate(reversed(pvals[1:])))[::-1]  # q_s = P(S >= s), s = 1..d
-    if not _majorized(x, q):
-        return None
-    bits = [1 << i for i in order]
-    atoms: dict[int, Fraction] = {}
-    for k, zk in _level_marginals(pvals, x, q).items():
-        for idx, w in _systematic_atoms(zk, bits):
-            atoms[idx] = atoms.get(idx, _ZERO) + pvals[k] * w
-    return atoms
-
-
 def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
     """An exact element of the mean-constrained fiber, or None if empty.
 
@@ -385,12 +377,15 @@ def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
     d = p.d
     theta = _coerce_theta(theta, d)
     _check_dimension(d)
-    atoms = _witness_atoms(_exact_p(p), theta)
-    if atoms is None:
+    pvals = _exact_p(p)
+    if (verdict := _majorization(pvals, theta)) is None:
         return None
+    order, x, q = verdict
+    bits = [1 << i for i in order]
     values: list[Number] = [_ZERO] * (1 << d)
-    for idx, mass in atoms.items():
-        values[idx] = mass
+    for k, zk in _level_marginals(pvals, x, q).items():
+        for idx, w in _systematic_atoms(zk, bits):
+            values[idx] += pvals[k] * w
     # Each level's Madow weights telescope to exactly 1, so the masses are
     # positive and sum to sum(p) = 1.
     return JointPmf._with_validated_masses(d, values)
@@ -439,12 +434,12 @@ class _Master:
 
     The tableau holds no structural column.  Row i of the m constraint rows
     is [D * B^-1 | D * scale * x_B], the block starting as the identity of
-    the artificials; then come the phase-1 row and the moment row, each
-    [-D * duals | -D * scale * objective].  The phase-1 cost of an atom is
-    minus the number of its rows; summed over the fiber that is
+    the artificials; then come the artificials' row and the moment row,
+    each [-D * duals | -D * scale * objective].  The artificials' cost of an
+    atom is minus the number of its rows; summed over the fiber that is
     sum(artificials) less the constant sum(rhs), so its reduced costs are
-    phase 1's and the artificials need no cost.  The moment row is carried
-    for the cost [S <= x] and negated for the upper bound.  A new column is
+    those of sum(artificials) and the artificials need no cost.  The moment
+    row is carried for the cost [S <= x] and negated for the upper bound.  A new column is
     B^-1 times the atom's 0/1 column, read off the block, and is pivoted in
     by _pivot; after the pivot it is D times a unit vector and is dropped.
     """
@@ -488,7 +483,7 @@ class _Master:
         if self.max_bases is not None and self.pivots >= self.max_bases:
             raise BasisLimitError(
                 f"the moment bounds exceeded max_bases={self.max_bases} simplex pivots "
-                f"(phase 1 and the two column-generation solves together)"
+                f"(the two column-generation solves together)"
             )
         u = self.column(idx, sigma)
         row = None
@@ -500,25 +495,8 @@ class _Master:
         self.T = [t[:-1] for t in T]
         self.pivots += 1
 
-    def phase1(self, atoms: Sequence[int]) -> None:
-        """Drive the artificials to 0 over the witness atoms alone; they hold
-        a feasible point, so the optimum is 0.  An artificial whose row is
-        redundant over these atoms stays basic at 0: phase 2 keeps it there."""
-        cols = [(idx, self.rows(idx)) for idx in atoms]
-        while True:
-            D, w = self.D, self.T[-2]
-            red = [a - D for a in w[:-1]]
-            best, enter = 0, None
-            for idx, rows in cols:
-                c = sum(red[r] for r in rows)
-                if c < best:
-                    best, enter = c, idx
-            if enter is None:
-                return
-            self.enter(enter, 1)
-
     def price(self, sigma: int) -> int | None:
-        """The atom whose reduced cost (phase 1's, then the moment's) is
+        """The atom whose reduced cost (the artificials', then the moment's) is
         lexicographically least, or None when none is below 0.
 
         Both parts are sums over the atom's rows plus, for the moment,
@@ -582,12 +560,12 @@ def constrained_moment_bounds(p: SumPmf, theta, subset, max_bases: int | None = 
     """Sharp cross-moment range over the mean-constrained fiber.
 
     The moment is linear on the fiber, a polytope, so each bound is one LP
-    optimum: column generation from the witness atoms, with no vertex list
-    and no 2^d columns, for any d.  The subset is checked first.  Raises
-    InfeasibleError when the fiber is empty (there is nothing to bound).  A
-    bound of 0 is cross_moment's float 0.0, any other an exact Fraction.
-    Pass max_bases >= 1 to cap the simplex pivots of the whole computation,
-    phase 1 and both solves together; past it BasisLimitError is raised.
+    optimum: column generation from the artificial basis, with no vertex
+    list and no 2^d columns, for any d.  The subset is checked first.
+    Raises InfeasibleError when the fiber is empty (there is nothing to
+    bound).  A bound of 0 is cross_moment's float 0.0, any other an exact
+    Fraction.  Pass max_bases >= 1 to cap the simplex pivots of both solves
+    together; past it BasisLimitError is raised.
     """
     subset = tuple(subset)
     mask = _subset_mask(p.d, subset)
@@ -595,15 +573,11 @@ def constrained_moment_bounds(p: SumPmf, theta, subset, max_bases: int | None = 
         raise ValueError("max_bases must be >= 1")
     theta = _coerce_theta(theta, p.d)
     pvals = _exact_p(p)
-    atoms = _witness_atoms(pvals, theta)
-    if atoms is None:
+    if _majorization(pvals, theta) is None:
         raise InfeasibleError("the mean-constrained fiber is empty")
     if any(mask >> i & 1 for i, t in enumerate(theta.values) if t == 0):
         return 0.0, 0.0  # no member puts mass on S
     lower = _Master(pvals, theta, mask, max_bases)
-    lower.phase1(sorted(atoms))
-    upper = lower.negated()
     lo = lower.solve(1)
-    upper.pivots = lower.pivots  # one budget for both solves
-    hi = -upper.solve(-1)
+    hi = -lower.negated().solve(-1)  # from the lower optimum, on one pivot budget
     return (lo or 0.0), (hi or 0.0)

@@ -1,6 +1,6 @@
 """Hausdorff measures of the fibers and the induced law on the sum simplex.
 
-Everything is carried in log space with an explicit zero flag: the ambient
+Everything is carried in log space, zero as the log -inf: the ambient
 fiber dimension is 2^d - d - 1 and the factorials involved overflow any
 fixed-width float long before d reaches the dense guard.
 
@@ -27,10 +27,9 @@ _TINY = sys.float_info.min
 
 @dataclass(frozen=True)
 class LogMeasure:
-    """A nonnegative real stored as its natural log, with exact zero."""
+    """A nonnegative real stored as its natural log; zero is the log -inf."""
 
     log_value: float
-    is_zero: bool = False
 
     @classmethod
     def from_value(cls, v: float) -> "LogMeasure":
@@ -42,30 +41,30 @@ class LogMeasure:
 
     @classmethod
     def zero(cls) -> "LogMeasure":
-        return cls(float("-inf"), True)
+        return cls(-math.inf)
 
     @classmethod
     def one(cls) -> "LogMeasure":
         return cls(0.0)
 
     @property
+    def is_zero(self) -> bool:
+        return self.log_value == -math.inf
+
+    @property
     def log(self) -> float:
-        return float("-inf") if self.is_zero else self.log_value
+        return self.log_value
 
     @property
     def value(self) -> float:
-        return 0.0 if self.is_zero else math.exp(self.log_value)
+        return math.exp(self.log_value)
 
     def __mul__(self, other: "LogMeasure") -> "LogMeasure":
-        if self.is_zero or other.is_zero:
-            return LogMeasure.zero()
         return LogMeasure(self.log_value + other.log_value)
 
     def __truediv__(self, other: "LogMeasure") -> "LogMeasure":
         if other.is_zero:
             raise ZeroDivisionError("division by a zero measure")
-        if self.is_zero:
-            return LogMeasure.zero()
         return LogMeasure(self.log_value - other.log_value)
 
 
@@ -91,7 +90,8 @@ def _blocks(d: int) -> tuple[tuple[float, float, float], ...]:
     """Per level 0 < k < d: n_k = C(d, k) - 1, 0.5 log(n_k + 1) and log n_k!,
     each rounded as simplex_hausdorff rounds it.  Levels 0 and d are points.
     Where log n_k! is past the float range it is inf, so only a supported
-    level that needs it overflows the sum."""
+    level that needs it overflows the sum.  This is the only per-d table:
+    the density kernel reads it through _kernel_table."""
     rows = []
     for k in range(1, d):
         n = math.comb(d, k) - 1
@@ -102,21 +102,20 @@ def _blocks(d: int) -> tuple[tuple[float, float, float], ...]:
     return tuple(rows)
 
 
-def _level_log(v) -> float:
-    """log p_k, -inf for an empty level.  An exact mass below the normal
-    floats, where log(float(p_k)) loses bits or fails, takes it from its
-    numerator and denominator."""
-    f = float(v)
-    if f > _TINY or not (isinstance(v, Fraction) and 0 < v < _TINY):
-        return math.log(f) if f > 0 else -math.inf
-    return math.log(v.numerator) - math.log(v.denominator)
+def _overflow(what: str, d: int) -> ValueError:
+    return ValueError(f"{what} must be a finite float; at d = {d} it overflows")
 
 
-def _underflowed_logs(p: SumPmf) -> dict[int, float]:
-    """_level_log at each exact level below the normal floats: the logs that
-    density_l puts in place of its float ones."""
-    return {k: _level_log(v) for k, (v, f) in enumerate(zip(p.values, p.array.tolist()))
-            if f <= _TINY and isinstance(v, Fraction) and 0 < v < _TINY}
+def _level_logs(p: SumPmf) -> dict[int, float]:
+    """log p_k at each level whose float mass cannot give it: a builder's
+    _log_masses, and an exact mass below the normal floats, where
+    log(float(p_k)) loses bits or fails, from its numerator and denominator.
+    Every other level's log is its float's, -inf for an empty level."""
+    logs = dict(p._log_masses or {})
+    for k, v in enumerate(p.values):
+        if float(v) <= _TINY and isinstance(v, Fraction) and 0 < v < _TINY:
+            logs[k] = math.log(v.numerator) - math.log(v.denominator)
+    return logs
 
 
 def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
@@ -124,13 +123,15 @@ def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
 
     Intrinsic multiplies the block measures simplex_hausdorff(n_k, p_k) over
     the support; the log terms are added in level order, from 0.0, so the
-    sum is that product's log to the bit.  Each level's log is _level_log's,
-    unless a builder set _log_masses.  Ambient multiplies over every level,
-    so, as levels 0 and d are points, it is intrinsic when every level
-    0 < k < d is supported and zero otherwise.
+    sum is that product's log to the bit.  Each level's log is _level_logs'
+    or its float's.  Ambient multiplies over every level, so, as levels 0
+    and d are points, it is intrinsic when every level 0 < k < d is
+    supported and zero otherwise.
     """
     d = p.d
-    logs = p._log_masses or [math.log(f) if (f := float(v)) > _TINY else _level_log(v) for v in p.values]
+    logs = [math.log(f) if (f := float(v)) > 0 else -math.inf for v in p.values]
+    for k, lv in _level_logs(p).items():
+        logs[k] = lv
     total, full = 0.0, True
     for (n, half_log, log_fact), lv in zip(_blocks(d), logs[1:d]):
         if lv > -math.inf:
@@ -138,30 +139,32 @@ def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
         else:
             full = False
     if not total > -math.inf:
-        raise ValueError(f"a log fiber measure must be a finite float; at d = {d} it overflows")
+        raise _overflow("a log fiber measure", d)
     intrinsic = LogMeasure(total)
     return {"ambient": intrinsic if full else LogMeasure.zero(), "intrinsic": intrinsic}
 
 
 @functools.cache
-def _fiber_table(d: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The levels 0 < k < d, the ones whose block dimension n_k = C(d, k) - 1
-    is positive; their n_k; and the sum of their log n_k!."""
-    n = np.array([math.comb(d, k) - 1 for k in range(1, d)], dtype=float)
-    return _read_only(np.arange(1, d)), _read_only(n), float(sum(math.lgamma(v + 1.0) for v in n))
+def _kernel_table(d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """_blocks(d) as _log_density_rows reads it: the columns of the levels
+    0 < k < d, their n_k, and the sum of their log n_k! in level order."""
+    rows = _blocks(d)
+    n = np.array([row[0] for row in rows], dtype=float)
+    return _read_only(np.arange(1, d)), _read_only(n), float(sum(row[2] for row in rows))
 
 
-def _log_density_rows(X: np.ndarray, d: int, tiny: dict[int, float] | None = None) -> np.ndarray:
+def _log_density_rows(X: np.ndarray, d: int, level_logs: dict[int, float] | None = None) -> np.ndarray:
     """log l(p) = sum_k n_k log p_k - log n_k! at each row of X (column k holds
     p_k; the d free coordinates will do), -inf where a level 0 < k < d is
     empty.  The terms are added level by level, as numpy reduces the
     column-major X[:, cols] of two or more rows, so no row's value depends on
-    the rows beside it (numpy would sum a lone row pairwise).  tiny maps a
-    level to the log that replaces its column's, as _underflowed_logs gives it."""
-    cols, n, const = _fiber_table(d)
+    the rows beside it (numpy would sum a lone row pairwise).  level_logs
+    maps a level to the log that replaces its column's, as _level_logs gives
+    it."""
+    cols, n, const = _kernel_table(d)
     with np.errstate(divide="ignore"):
         logs = np.log(X[:, cols])
-    for k, lv in (tiny or {}).items():
+    for k, lv in (level_logs or {}).items():
         if 0 < k < d:
             logs[:, k - 1] = lv
     terms = logs * n
@@ -172,16 +175,30 @@ def _log_density_rows(X: np.ndarray, d: int, tiny: dict[int, float] | None = Non
 
 
 def density_l(p: SumPmf) -> LogMeasure:
-    """Fiber-measure density prod_k p_k^{n_k} / n_k! with 0^0 = 1."""
-    lv = float(_log_density_rows(p.array[None, :], p.d, _underflowed_logs(p))[0])
-    return LogMeasure.zero() if lv == -math.inf else LogMeasure(lv)
+    """Fiber-measure density prod_k p_k^{n_k} / n_k! with 0^0 = 1: zero when
+    a level 0 < k < d is empty."""
+    d, logs = p.d, _level_logs(p)
+    if any(not p.values[k] and k not in logs for k in range(1, d)):
+        return LogMeasure.zero()
+    lv = float(_log_density_rows(p.array[None, :], d, logs)[0])
+    if not lv > -math.inf:
+        raise _overflow("a log fiber density", d)
+    return LogMeasure(lv)
+
+
+def _log_total_factorial(d: int) -> float:
+    """log (2^d - 1)! = lgamma(2^d), the Dirichlet normalizer's factorial."""
+    try:
+        return math.lgamma(1 << d)
+    except OverflowError:
+        raise _overflow("log (2^d - 1)!", d) from None
 
 
 def normalizing_constant(d: int) -> LogMeasure:
     """Total mass sqrt(2^d) / (2^d - 1)! of the induced measure."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return LogMeasure(0.5 * d * LN2 - math.lgamma(1 << d))
+    return LogMeasure(0.5 * d * LN2 - _log_total_factorial(d))
 
 
 def dirichlet_pdf(p: SumPmf) -> float:
@@ -191,7 +208,7 @@ def dirichlet_pdf(p: SumPmf) -> float:
     2^d: with respect to Lebesgue measure on the d free coordinates, and 0
     wherever a vanishing p_k carries alpha_k > 1.
     """
-    return (density_l(p) * LogMeasure(math.lgamma(1 << p.d))).value
+    return (density_l(p) * LogMeasure(_log_total_factorial(p.d))).value
 
 
 def maximal_pmf(d: int) -> SumPmf:

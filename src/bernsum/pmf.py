@@ -117,10 +117,10 @@ class SumPmf:
     """Pmf p = (p_0, ..., p_d) of a sum of d Bernoulli coordinates."""
 
     values: tuple[Number, ...]
-    # log p_k for each level, set by a builder that knows masses its floats
-    # cannot hold (binomial_pmf); polytope_measure then reads it in place of
-    # log(float(p_k)).
-    _log_masses: ClassVar[tuple[float, ...] | None] = None
+    # log p_k at the levels whose floats cannot give it, set by a builder
+    # that knows those masses (binomial_pmf); polytope_measure and density_l
+    # read it in place of log(float(p_k)).
+    _log_masses: ClassVar[dict[int, float] | None] = None
 
     def __init__(self, values: Iterable[Number]):
         vals = _validate_masses(values, "SumPmf")

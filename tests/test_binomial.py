@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from bernsum.binomial import (
     poisson_binomial_pmf,
 )
 from bernsum.cli import main
-from bernsum.measure import dist_sup, maximal_pmf, polytope_measure
+from bernsum.measure import density_l, dist_sup, maximal_pmf, polytope_measure
 from bernsum.polytope import describe
 
 from oracles import binomial_curve_log_measure
@@ -125,7 +126,11 @@ class TestCurveMeasure:
     def test_matches_closed_form(self, d, theta):
         got = curve_log_measure(theta, d)
         assert not got.is_zero
-        assert math.isclose(got.log, binomial_curve_log_measure(theta, d), rel_tol=1e-12)
+        closed = binomial_curve_log_measure(theta, d)
+        assert math.isclose(got.log, closed, rel_tol=1e-12)
+        # ambient = l(p) prod_k sqrt(n_k + 1): the density reads the same level logs.
+        halves = math.fsum(0.5 * math.log(math.comb(d, k)) for k in range(1, d))
+        assert math.isclose(density_l(binomial_pmf(theta, d)).log, closed - halves, rel_tol=1e-12)
 
     def test_underflowed_levels_keep_the_float_masses(self):
         p = binomial_pmf(0.01, 200)
@@ -226,9 +231,12 @@ class TestFloatRangeGuards:
 
     def test_curve_measure_at_the_limit(self):
         assert math.isfinite(curve_log_measure(0.5, 1014).log)
+        assert math.isfinite(density_l(binomial_pmf(0.5, 1014)).log)
         for d in (1015, 1020, 1029):
             with pytest.raises(ValueError, match="log fiber measure must be a finite float"):
                 curve_log_measure(0.5, d)
+            with pytest.raises(ValueError, match="log fiber density must be a finite float"):
+                density_l(binomial_pmf(0.5, d))
         # Below the limit, the tails of the curve overflow first.
         with pytest.raises(ValueError, match="log fiber measure must be a finite float"):
             curve_log_measure(1e-300, 1010)
@@ -241,7 +249,10 @@ class TestFloatRangeGuards:
 
     @pytest.mark.parametrize("argv", [["binomial-scan", "--d", "1100"],
                                       ["binomial-scan", "--d", "1015", "--points", "3"],
-                                      ["bin-vs-mode", "--dmax", "1100"]])
+                                      ["bin-vs-mode", "--dmax", "1100"],
+                                      ["density", "--p", json.dumps([1 / 1021] * 1021)],
+                                      ["measure", "--p", json.dumps([0.5] + [0] * 1099 + [0.5])],
+                                      ["density", "--p", json.dumps([0.5] + [0] * 1099 + [0.5])]])
     def test_cli_exits_2(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()

@@ -243,7 +243,7 @@ class TestFeasible:
         code, out, err = run(capsys, *argv, "--max-bases", "1")
         assert (code, out) == (2, "")
         assert err == ("error: the moment bounds exceeded max_bases=1 simplex pivots "
-                       "(phase 1 and the two column-generation solves together)\n")
+                       "(the two column-generation solves together)\n")
         code, out, _ = run(capsys, *argv, "--max-bases", "50")
         assert code == 0
         assert json.loads(out) == {"subset": "1|2", "lower": "1/32", "upper": "1/2"}
@@ -433,6 +433,14 @@ class TestScanCommands:
         assert len(lines) == 6
         sups = [float(line.split(",")[1]) for line in lines[1:]]
         assert sups == sorted(sups, reverse=True)
+        # Below d = 2 there is no table: refused as bin_vs_mode refuses d < 2.
+        for dmax in ("1", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bin-vs-mode", "--dmax", dmax])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --dmax: must be >= 2, got {dmax}" in captured.err
 
 
 class TestErrors:

@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency: importing bernsum and its
 CLI in a fresh interpreter loads no scipy, no test tool and no test oracle.
-The names `import bernsum` exposes are pinned, so adding or removing one is a
-visible change here."""
+The names `import bernsum` exposes are pinned, and so are the fields of each
+public dataclass, so adding or removing one is a visible change here."""
+import dataclasses
 import inspect
 import json
 import os
@@ -27,6 +28,20 @@ PUBLIC = [
     "region_volume", "sample_Fd_uniform", "sample_dirichlet", "sample_polytope_uniform",
     "sample_uniform_simplex", "simplex_hausdorff", "sum_map", "vector_to_index",
 ]
+FIELDS = {
+    "EstimateReport": ["point_estimate", "std_error", "n_samples", "acceptance_rate",
+                       "se_volume", "se_density"],
+    "ExtremalIndex": ["sigma"],
+    "JointPmf": ["d", "values"],
+    "LabelMap": ["d", "labels"],
+    "LogMeasure": ["log_value"],
+    "MeanVector": ["values"],
+    "NeighborhoodSpec": ["center", "epsilon", "metric", "paper_region"],
+    "PolytopeDescriptor": ["p", "block_dims", "support", "intrinsic_dim", "vertex_count"],
+    "RngStream": ["seed", "stream_id"],
+    "SparseJointPmf": ["d", "atoms"],
+    "SumPmf": ["values"],
+}
 
 
 def test_import_loads_no_test_or_scipy_module():
@@ -45,3 +60,6 @@ def test_public_surface_is_pinned():
     names = sorted(n for n, v in vars(bernsum).items()
                    if not n.startswith("_") and not inspect.ismodule(v))
     assert names == PUBLIC
+    fields = {n: [f.name for f in dataclasses.fields(getattr(bernsum, n))]
+              for n in PUBLIC if dataclasses.is_dataclass(getattr(bernsum, n))}
+    assert fields == FIELDS

@@ -44,6 +44,8 @@ class TestLogMeasure:
         m = LogMeasure.from_value(0.5)
         assert math.isclose(m.value, 0.5)
         assert LogMeasure.from_value(0.0).is_zero
+        # Zero is the log -inf alone.
+        assert LogMeasure(-math.inf) == LogMeasure.zero() and LogMeasure(-math.inf).is_zero
         assert LogMeasure.zero().value == 0.0
         assert LogMeasure.one().log == 0.0
         with pytest.raises(ValueError):
