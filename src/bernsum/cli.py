@@ -28,8 +28,8 @@ from .feasibility import (
 from .measure import (
     LN2,
     LogMeasure,
+    _dirichlet_pdf,
     density_l,
-    dirichlet_pdf,
     maximal_pmf,
     normalizing_constant,
     polytope_measure,
@@ -184,12 +184,13 @@ def _cmd_constrained_bounds(args) -> int:
 def _cmd_measure(args) -> int:
     p = _load_sum_pmf(args.p)
     measures = polytope_measure(p)
+    density = density_l(p)
     _emit(
         {
             "log_ambient": _log_or_none(measures["ambient"]),
             "log_intrinsic": _log_or_none(measures["intrinsic"]),
-            "log_density": _log_or_none(density_l(p)),
-            "dirichlet_pdf": dirichlet_pdf(p),
+            "log_density": _log_or_none(density),
+            "dirichlet_pdf": _dirichlet_pdf(density, p.d),
             "log_normalizing_constant": normalizing_constant(p.d).log,
         },
         args.format,
@@ -208,9 +209,10 @@ def _cmd_mode(args) -> int:
 
 def _cmd_density(args) -> int:
     p = _load_sum_pmf(args.p)
+    density = density_l(p)
     _emit(
-        {"log_density": _log_or_none(density_l(p)),
-         "dirichlet_pdf": dirichlet_pdf(p),
+        {"log_density": _log_or_none(density),
+         "dirichlet_pdf": _dirichlet_pdf(density, p.d),
          "entropy_nats": entropy(p)},
         args.format,
     )

@@ -18,16 +18,18 @@ realizes each z_k with at most d atoms.  Those atoms, at most d per
 supported level and never 2^d, are the witness; feasible_point spreads them
 into a dense pmf.
 
-Vertex enumeration runs a phase-1 simplex with Bland's rule (no cycling) and
-walks the graph of feasible bases, where two bases are adjacent when they
-differ by one column swap that preserves feasibility.  For bounded polytopes
-that graph is connected, so a breadth-first walk from any feasible basis
-reaches every basic feasible solution; distinct solution vectors are the
-vertices.  Each edge costs one pivot on the parent's tableau, and _pivot is
-the only routine that changes a tableau.  Column j may enter on row i when
-x_i / a_ij is the minimum ratio over the rows with a_ij > 0, or when x_i = 0
-and a_ij != 0 of either sign: such a degenerate swap changes the basis but
-not the vertex.
+The LP has one row per supported level and one per mean with
+0 < theta_i < 1, and _Master alone builds them.  Vertex enumeration runs
+phase 1 on the master's revised tableau with Bland's rule (no cycling),
+reads the explicit tableau of the live atoms off it, and walks the graph of
+feasible bases, where two bases are adjacent when they differ by one column
+swap that preserves feasibility.  For bounded polytopes that graph is
+connected, so a breadth-first walk from any feasible basis reaches every
+basic feasible solution; distinct solution vectors are the vertices.  Each
+edge costs one pivot on the parent's tableau, and _pivot is the only routine
+that changes a tableau.  Column j may enter on row i when x_i / a_ij is the
+minimum ratio over the rows with a_ij > 0, or when x_i = 0 and a_ij != 0 of
+either sign: such a degenerate swap changes the basis but not the vertex.
 
 The LP runs on integers.  The rows are 0/1 and the right-hand side is
 scaled by the lcm of its denominators, so the starting tableau is integral
@@ -115,92 +117,6 @@ def _exact_p(p: SumPmf) -> tuple[Fraction, ...]:
         total = sum(vals)
         vals = tuple(v / total for v in vals)
     return vals
-
-
-def _reduced_system(p: SumPmf, theta: MeanVector):
-    """Columns and rows of the constrained system after structural elimination.
-
-    A column is an atom not forced to zero: its level is supported, it has no
-    bit where theta_i = 0 and every bit where theta_i = 1.  The rows are the
-    0/1 level equations in ascending k, then the mean equations for
-    0 < theta_i < 1; the right-hand sides are positive Fractions.  A row left
-    with no live atom keeps its right-hand side, so _phase1 proves the system
-    infeasible.
-    """
-    pvals = _exact_p(p)
-    zeros = sum(1 << i for i, t in enumerate(theta.values) if t == 0)
-    ones = sum(1 << i for i, t in enumerate(theta.values) if t == 1)
-    columns = [idx for idx in range(1 << p.d)
-               if pvals[idx.bit_count()] > 0 and not idx & zeros and idx & ones == ones]
-    levels = [([int(idx.bit_count() == k) for idx in columns], v)
-              for k, v in enumerate(pvals) if v > 0]
-    means = [([idx >> i & 1 for idx in columns], t)
-             for i, t in enumerate(theta.values) if 0 < t < 1]
-    rows, rhs = zip(*levels, *means)
-    return columns, list(rows), list(rhs)
-
-
-def _phase1(rows: list[list[int]], rhs: list[Fraction]):
-    """Exact phase-1 simplex on the integer tableau [rows | I | scale * rhs],
-    for 0/1 rows and a nonnegative right-hand side.
-
-    Returns (T, D, basis, scale), where T holds the structural columns and
-    the right-hand side of a full-row-rank system in canonical form for the
-    feasible basis, over the common denominator D, and the basic values are
-    T[i][-1] / (D * scale); or None when infeasible.
-    """
-    m = len(rows)
-    n = len(rows[0])
-    scale = math.lcm(*(b.denominator for b in rhs))
-    T = [list(rows[i]) + [int(i == k) for k in range(m)] + [int(rhs[i] * scale)]
-         for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # Reduced-cost row for min(sum of artificials), kept as the last row of T
-    # so that _pivot updates it: z_j = c_j - sum_i T[i][j], zero on the
-    # artificials.
-    T.append([-sum(T[i][j] for i in range(m)) if not n <= j < n + m else 0
-              for j in range(n + m + 1)])
-    D = 1
-
-    while True:
-        enter = next((j for j in range(n) if T[m][j] < 0), None)  # Bland: lowest index,
-        if enter is None:                                         # artificials barred
-            break
-        leave_row = None
-        for i in range(m):
-            t = T[i][enter]
-            if t > 0:
-                # Least ratio T[i][-1] / t by cross-multiplication, ties to
-                # the lowest basic index.
-                if leave_row is None:
-                    leave_row = i
-                    continue
-                a, b = T[i][-1] * T[leave_row][enter], T[leave_row][-1] * t
-                if a < b or (a == b and basis[i] < basis[leave_row]):
-                    leave_row = i
-        if leave_row is None:
-            raise RuntimeError("unbounded phase-1 ray in a bounded system")
-        D = _pivot(T, D, leave_row, enter)
-        basis[leave_row] = enter
-
-    if T[m][-1] != 0:  # optimum of sum of artificials
-        return None
-
-    # Drive out (or drop) leftover artificial rows; their value is zero here.
-    # A dropped row's basic artificial has a unit column, so the rows kept
-    # stay over the determinant D of the basis they keep.
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        enter = next((j for j in range(n) if T[i][j] != 0), None)
-        if enter is None:
-            continue  # redundant original row
-        D = _pivot(T, D, i, enter)
-        basis[i] = enter
-        keep.append(i)
-    return [T[i][:n] + T[i][-1:] for i in keep], D, [basis[i] for i in keep], scale
 
 
 def _pivot(T, D, row, col):
@@ -293,9 +209,55 @@ def _enumerate_bases(T0, D0, basis0, scale, max_bases=None):
 
 
 def _solve(p: SumPmf, theta: MeanVector):
-    columns, rows, rhs = _reduced_system(p, theta)
-    got = _phase1(rows, rhs)
-    return None if got is None else (columns, got)
+    """The vertex walk's start: Bland's phase 1 on _Master's rows.
+
+    The columns are the live atoms in increasing order: a supported level,
+    no bit where theta_i = 0 and every bit where theta_i = 1.  The lowest
+    column of negative artificial reduced cost enters and the least ratio
+    leaves, ties to the lowest basic index; row i's artificial ranks n + i,
+    above every column.  An artificial left basic at 0 is pivoted out on the
+    lowest column with a nonzero entry in its row; with none, its row is
+    redundant and dropped, and the rows kept stay over the D of their basis.
+    Returns (columns, (T, D, basis, scale)), T the tableau [B^-1 R | x_B]
+    over D for _enumerate_bases; None when an artificial stays above 0.
+    """
+    master = _Master(_exact_p(p), theta, 0, None)
+    zeros = sum(1 << i for i, t in enumerate(theta.values) if t == 0)
+    columns = [idx for idx in range(1 << p.d) if idx.bit_count() in master.level_row
+               and not idx & zeros and idx & master.ones == master.ones]
+    col_rows = [master.rows(idx) for idx in columns]
+    n, m = len(columns), master.m
+    basis = [n + i for i in range(m)]
+
+    def entries(t):  # row t of B^-1 times each column, over D
+        return [sum(map(t.__getitem__, rows)) for rows in col_rows]
+
+    while True:
+        T, w = master.T, master.T[-2]  # w: the artificials' row, as column() reads it
+        enter = next((j for j, rows in enumerate(col_rows)
+                      if sum(map(w.__getitem__, rows)) < master.D * len(rows)), None)
+        if enter is None:
+            break
+        u = master.column(columns[enter], 0)
+        row = None
+        for i in range(m):
+            if u[i] > 0 and (row is None or (T[i][-1] * u[row], basis[i]) < (T[row][-1] * u[i], basis[row])):
+                row = i
+        master.pivot(row, u)
+        basis[row] = enter
+    if any(b >= n and t[-1] for b, t in zip(basis, master.T)):
+        return None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j, a in enumerate(entries(master.T[i])) if a), None)
+            if enter is None:
+                continue
+            master.pivot(i, master.column(columns[enter], 0))
+            basis[i] = enter
+        keep.append(i)
+    T = [entries(master.T[i]) + master.T[i][-1:] for i in keep]
+    return columns, (T, master.D, [basis[i] for i in keep], master.scale)
 
 
 def _to_joint(d: int, columns, x) -> JointPmf:
@@ -382,7 +344,7 @@ def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
         return None
     order, x, q = verdict
     bits = [1 << i for i in order]
-    values: list[Number] = [_ZERO] * (1 << d)
+    values: list[Number] = [0] * (1 << d)  # an atom never hit stays int 0
     for k, zk in _level_marginals(pvals, x, q).items():
         for idx, w in _systematic_atoms(zk, bits):
             values[idx] += pvals[k] * w
@@ -426,11 +388,12 @@ def _lex_ratio_less(a: list[int], ua: int, b: list[int], ub: int) -> bool:
 
 
 class _Master:
-    """The restricted master LP of constrained_moment_bounds, on the rows of
-    _reduced_system: one per supported level, then one per mean with
-    0 < theta_i < 1.  An atom's column has a 1 in its level's row and in the
-    row of each free coordinate it holds; a coordinate with theta_i = 0 or 1
-    is clear or set in every atom.
+    """The restricted master LP of constrained_moment_bounds and of the vertex
+    walk's phase 1 (_solve), and the only place its rows are built: one per
+    supported level, then one per mean with 0 < theta_i < 1.  An atom's
+    column has a 1 in its level's row and in the row of each free coordinate
+    it holds; a coordinate with theta_i = 0 or 1 is clear or set in every
+    atom.
 
     The tableau holds no structural column.  Row i of the m constraint rows
     is [D * B^-1 | D * scale * x_B], the block starting as the identity of
@@ -439,9 +402,11 @@ class _Master:
     atom is minus the number of its rows; summed over the fiber that is
     sum(artificials) less the constant sum(rhs), so its reduced costs are
     those of sum(artificials) and the artificials need no cost.  The moment
-    row is carried for the cost [S <= x] and negated for the upper bound.  A new column is
-    B^-1 times the atom's 0/1 column, read off the block, and is pivoted in
-    by _pivot; after the pivot it is D times a unit vector and is dropped.
+    row is carried for the cost [S <= x] and negated for the upper bound.
+    A new column is B^-1 times the atom's 0/1 column, read off the block,
+    and is pivoted in by pivot(), which enter's lexicographic rule and
+    _solve's Bland rule share; after the pivot it is D times a unit vector
+    and is dropped.
     """
 
     def __init__(self, pvals: Sequence[Fraction], theta: MeanVector, mask: int, max_bases: int | None):
@@ -472,7 +437,7 @@ class _Master:
         """The entering column of atom idx in every tableau row; the moment
         cost is sigma * [S <= idx]."""
         rows = self.rows(idx)
-        u = [sum(t[r] for r in rows) for t in self.T]
+        u = [sum(map(t.__getitem__, rows)) for t in self.T]
         u[-2] -= self.D * len(rows)
         if idx & self.mask == self.mask:
             u[-1] += sigma * self.D
@@ -490,6 +455,11 @@ class _Master:
         for i in range(self.m):
             if u[i] > 0 and (row is None or _lex_ratio_less(self.T[i], u[i], self.T[row], u[row])):
                 row = i
+        self.pivot(row, u)
+
+    def pivot(self, row: int, u: list[int]) -> None:
+        """Pivot the entering column u in on row; afterwards it is D times a
+        unit vector, so it is dropped."""
         T = [t + [a] for t, a in zip(self.T, u)]
         self.D = _pivot(T, self.D, row, self.m + 1)
         self.T = [t[:-1] for t in T]

@@ -208,7 +208,12 @@ def dirichlet_pdf(p: SumPmf) -> float:
     2^d: with respect to Lebesgue measure on the d free coordinates, and 0
     wherever a vanishing p_k carries alpha_k > 1.
     """
-    return (density_l(p) * LogMeasure(_log_total_factorial(p.d))).value
+    return _dirichlet_pdf(density_l(p), p.d)
+
+
+def _dirichlet_pdf(density: LogMeasure, d: int) -> float:
+    """dirichlet_pdf from the fiber density l(p) already evaluated."""
+    return (density * LogMeasure(_log_total_factorial(d))).value
 
 
 def maximal_pmf(d: int) -> SumPmf:

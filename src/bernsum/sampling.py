@@ -26,8 +26,6 @@ from .pmf import JointPmf, SumPmf
 
 CHUNK = 1 << 14
 
-_TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -317,7 +315,7 @@ def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> E
     mean_w = float(w.mean())
     sd_w = float(w.std(ddof=1)) if m > 1 else 0.0
     se_l_rel = sd_w / (mean_w * math.sqrt(m)) if mean_w > 0 else 0.0
-    est_lin = math.exp(log_est) if log_est > math.log(_TINY) else 0.0
+    est_lin = math.exp(log_est)  # underflows to 0.0 only below about -745
     se = est_lin * math.hypot(se_v_rel, se_l_rel)
     return EstimateReport(
         LogMeasure(log_est), se, n, acc,

@@ -253,15 +253,14 @@ def _fraction_phase1(rows, rhs):
     return [T[i][:n] for i in keep], [T[i][-1] for i in keep], [basis[i] for i in keep]
 
 
-def reference_constrained_walk(d: int, p_values, theta, max_bases=None):
-    """Breadth-first walk over the feasible bases of the mean-constrained
-    system, one Fraction pivot per edge from the parent's tableau.
+def reference_phase1(d: int, p_values, theta):
+    """Bland's-rule phase 1 of the mean-constrained system on a Fraction
+    tableau: (columns, R, s, basis), the live atoms and the canonical form
+    [R | s] for the basis of column positions; None when the slice is empty.
 
     The system keeps the atoms of supported levels whose bits agree with
     theta_i in {0, 1}, one row per supported level and one per fractional
-    theta_i.  Returns the distinct vertices as dense tuples over the 2^d
-    atoms, sorted by their column vectors; [] when the slice is empty.
-    Raises ReferenceBasisLimit when more than max_bases bases are visited.
+    theta_i.
     """
     pvals = [Fraction(v) for v in p_values]
     thetas = [Fraction(t) for t in theta]
@@ -273,9 +272,22 @@ def reference_constrained_walk(d: int, p_values, theta, max_bases=None):
     rows += [[Fraction(idx >> i & 1) for idx in columns] for i, t in enumerate(thetas) if 0 < t < 1]
     rhs = [v for v in pvals if v > 0] + [t for t in thetas if 0 < t < 1]
     got = _fraction_phase1(rows, rhs)
+    return None if got is None else (columns, *got)
+
+
+def reference_constrained_walk(d: int, p_values, theta, max_bases=None):
+    """Breadth-first walk over the feasible bases of the mean-constrained
+    system from reference_phase1's basis, one Fraction pivot per edge from
+    the parent's tableau.
+
+    Returns the distinct vertices as dense tuples over the 2^d atoms, sorted
+    by their column vectors; [] when the slice is empty.  Raises
+    ReferenceBasisLimit when more than max_bases bases are visited.
+    """
+    got = reference_phase1(d, p_values, theta)
     if got is None:
         return []
-    R, s, basis0 = got
+    columns, R, s, basis0 = got
     r, n = len(R), len(columns)
     seen = {tuple(sorted(basis0))}
     queue = deque([(list(basis0), [R[i] + [s[i]] for i in range(r)], None)])

@@ -199,6 +199,12 @@ class TestFeasible:
         assert witness.d == d and witness.exact
         assert exact_levels_and_means(d, witness.atoms()) == (p, theta)
 
+    def test_witness_prints_exact_zeros_as_0(self, capsys):
+        code, out, _ = run(capsys, "feasible", "--p", "[0.25, 0.5, 0.25]",
+                           "--theta", '["1/4", "3/4"]')
+        assert code == 0
+        assert json.loads(out)["witness"]["values"] == ["1/4", 0, "1/2", "1/4"]
+
     def test_infeasible(self, capsys):
         code, out, _ = run(capsys, "feasible", "--p", "[0.8, 0, 0, 0.2]",
                            "--theta", "[0, 0.3, 0.3]")

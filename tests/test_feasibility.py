@@ -24,6 +24,7 @@ from oracles import (
     constraint_system,
     exact_levels_and_means,
     reference_constrained_walk,
+    reference_phase1,
     satisfies_homogeneous_system,
 )
 
@@ -454,6 +455,13 @@ def test_walk_matches_fraction_reference(instance):
     # in the same order with the same types, and the same budget error.  A
     # floor division that is not exact shows up as a mismatch.
     d, p, theta, budget = instance
+    # The start basis and its tableau, read off the master, are the Fraction
+    # phase 1's: the integer tableau is D times [R | scale * s].
+    columns, (T, D, basis, scale) = _solve(SumPmf(p), MeanVector(theta))
+    ref_columns, R, s, ref_basis = reference_phase1(d, p, theta)
+    assert (columns, basis) == (ref_columns, ref_basis)
+    assert [[Fraction(a, D) for a in t[:-1]] + [Fraction(t[-1], D * scale)] for t in T] == \
+        [row + [v] for row, v in zip(R, s)]
     got = constrained_vertices(SumPmf(p), theta)
     assert {v.d for v in got} <= {d}
     assert repr([v.values for v in got]) == repr(reference_constrained_walk(d, p, theta))

@@ -321,6 +321,14 @@ class TestNeighborhoodMeasure:
         mean_ratio = float(np.mean(ratios))
         assert math.sqrt(2) * 0.8 <= mean_ratio <= math.sqrt(2) * 1.2
 
+    def test_std_error_below_log_1e300_is_positive(self):
+        # A log estimate in (-745, -690.8) has a positive float value; its
+        # standard error must not be cut to 0 at 1e-300.
+        p = SumPmf([0.4, 0.03, 0.03, 0.04, 0.04, 0.03, 0.03, 0.4])
+        rep = estimate_neighborhood_measure(NeighborhoodSpec(p, 0.01), 20_000, RngStream(1))
+        assert -745 < rep.point_estimate.log < math.log(1e-300)
+        assert rep.std_error > 0
+
     def test_guards(self):
         with pytest.raises(ValueError):
             estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.1, "tv"), 2000, RngStream(1))
