@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 import os
-import secrets
 import sys
 from typing import Iterator
 
@@ -96,7 +95,7 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
 def _require_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return secrets.randbits(63)
+    return int.from_bytes(os.urandom(8), "big") >> 1  # 63 random bits, without importing secrets
 
 
 def _extremal_lines(p: SumPmf, offset: int) -> Iterator[str]:

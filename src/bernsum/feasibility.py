@@ -20,14 +20,13 @@ into a dense pmf.
 
 The LP has one row per supported level and one per mean with
 0 < theta_i < 1, and _Master alone builds them.  Vertex enumeration runs
-phase 1 on the master's revised tableau with Bland's rule (no cycling),
-reads the explicit tableau of the live atoms off it, and walks the graph of
-feasible bases, where two bases are adjacent when they differ by one column
-swap that preserves feasibility.  For bounded polytopes that graph is
-connected, so a breadth-first walk from any feasible basis reaches every
-basic feasible solution; distinct solution vectors are the vertices.  Each
-edge costs one pivot on the parent's tableau, and _pivot is the only routine
-that changes a tableau.  Column j may enter on row i when x_i / a_ij is the
+phase 1 with Bland's rule (no cycling) on the explicit tableau of the live
+atoms, then walks the graph of feasible bases, where two bases are adjacent
+when they differ by one column swap that preserves feasibility.  For
+bounded polytopes that graph is connected, so a breadth-first walk from any
+feasible basis reaches every basic feasible solution; distinct solution
+vectors are the vertices.  Each edge costs one pivot on the parent's
+tableau, and _pivot is the only routine that changes a tableau.  Column j may enter on row i when x_i / a_ij is the
 minimum ratio over the rows with a_ij > 0, or when x_i = 0 and a_ij != 0 of
 either sign: such a degenerate swap changes the basis but not the vertex.
 
@@ -56,7 +55,6 @@ generated yet.  The upper bound's solve starts from the lower optimum.
 """
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -209,55 +207,53 @@ def _enumerate_bases(T0, D0, basis0, scale, max_bases=None):
 
 
 def _solve(p: SumPmf, theta: MeanVector):
-    """The vertex walk's start: Bland's phase 1 on _Master's rows.
+    """The vertex walk's start: Bland's phase 1 on the tableau the walk reads.
 
-    The columns are the live atoms in increasing order: a supported level,
-    no bit where theta_i = 0 and every bit where theta_i = 1.  The lowest
-    column of negative artificial reduced cost enters and the least ratio
-    leaves, ties to the lowest basic index; row i's artificial ranks n + i,
-    above every column.  An artificial left basic at 0 is pivoted out on the
-    lowest column with a nonzero entry in its row; with none, its row is
-    redundant and dropped, and the rows kept stay over the D of their basis.
-    Returns (columns, (T, D, basis, scale)), T the tableau [B^-1 R | x_B]
-    over D for _enumerate_bases; None when an artificial stays above 0.
+    The rows, right-hand side and scale are _Master's; the columns are the
+    live atoms in increasing order: a supported level, no bit where
+    theta_i = 0 and every bit where theta_i = 1.  [R | scale * rhs] gets one
+    more row, the artificials' reduced costs; an artificial never re-enters,
+    so its column is not kept.  The lowest column of negative reduced cost
+    enters and the least ratio leaves, ties to the lowest basic index; row
+    i's artificial ranks n + i, above every column.  An artificial left
+    basic at 0 is pivoted out on the lowest column with a nonzero entry in
+    its row; with none, its row is redundant and dropped, and the rows kept
+    stay over the D of their basis.  Returns (columns, (T, D, basis, scale)),
+    T the tableau [B^-1 R | x_B] over D for _enumerate_bases; None when the
+    artificials' sum stays above 0.
     """
     master = _Master(_exact_p(p), theta, 0, None)
     zeros = sum(1 << i for i, t in enumerate(theta.values) if t == 0)
     columns = [idx for idx in range(1 << p.d) if idx.bit_count() in master.level_row
                and not idx & zeros and idx & master.ones == master.ones]
-    col_rows = [master.rows(idx) for idx in columns]
     n, m = len(columns), master.m
+    T = [[0] * n + t[-1:] for t in master.T[:m]]
+    for j, idx in enumerate(columns):
+        for r in master.rows(idx):
+            T[r][j] = 1
+    T.append([-sum(a) for a in zip(*T)])
     basis = [n + i for i in range(m)]
-
-    def entries(t):  # row t of B^-1 times each column, over D
-        return [sum(map(t.__getitem__, rows)) for rows in col_rows]
-
-    while True:
-        T, w = master.T, master.T[-2]  # w: the artificials' row, as column() reads it
-        enter = next((j for j, rows in enumerate(col_rows)
-                      if sum(map(w.__getitem__, rows)) < master.D * len(rows)), None)
-        if enter is None:
-            break
-        u = master.column(columns[enter], 0)
+    D = 1
+    while (enter := next((j for j in range(n) if T[m][j] < 0), None)) is not None:
         row = None
         for i in range(m):
-            if u[i] > 0 and (row is None or (T[i][-1] * u[row], basis[i]) < (T[row][-1] * u[i], basis[row])):
+            t = T[i][enter]
+            if t > 0 and (row is None or (T[i][-1] * T[row][enter], basis[i]) < (T[row][-1] * t, basis[row])):
                 row = i
-        master.pivot(row, u)
+        D = _pivot(T, D, row, enter)
         basis[row] = enter
-    if any(b >= n and t[-1] for b, t in zip(basis, master.T)):
+    if T[m][-1]:
         return None
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            enter = next((j for j, a in enumerate(entries(master.T[i])) if a), None)
+            enter = next((j for j in range(n) if T[i][j]), None)
             if enter is None:
                 continue
-            master.pivot(i, master.column(columns[enter], 0))
+            D = _pivot(T, D, i, enter)
             basis[i] = enter
         keep.append(i)
-    T = [entries(master.T[i]) + master.T[i][-1:] for i in keep]
-    return columns, (T, master.D, [basis[i] for i in keep], master.scale)
+    return columns, ([T[i] for i in keep], D, [basis[i] for i in keep], master.scale)
 
 
 def _to_joint(d: int, columns, x) -> JointPmf:
@@ -388,12 +384,11 @@ def _lex_ratio_less(a: list[int], ua: int, b: list[int], ub: int) -> bool:
 
 
 class _Master:
-    """The restricted master LP of constrained_moment_bounds and of the vertex
-    walk's phase 1 (_solve), and the only place its rows are built: one per
-    supported level, then one per mean with 0 < theta_i < 1.  An atom's
-    column has a 1 in its level's row and in the row of each free coordinate
-    it holds; a coordinate with theta_i = 0 or 1 is clear or set in every
-    atom.
+    """The restricted master LP of constrained_moment_bounds, and the only
+    place the LP's rows are built: one per supported level, then one per
+    mean with 0 < theta_i < 1.  An atom's column has a 1 in its level's row
+    and in the row of each free coordinate it holds; a coordinate with
+    theta_i = 0 or 1 is clear or set in every atom.
 
     The tableau holds no structural column.  Row i of the m constraint rows
     is [D * B^-1 | D * scale * x_B], the block starting as the identity of
@@ -403,10 +398,7 @@ class _Master:
     sum(artificials) less the constant sum(rhs), so its reduced costs are
     those of sum(artificials) and the artificials need no cost.  The moment
     row is carried for the cost [S <= x] and negated for the upper bound.
-    A new column is B^-1 times the atom's 0/1 column, read off the block,
-    and is pivoted in by pivot(), which enter's lexicographic rule and
-    _solve's Bland rule share; after the pivot it is D times a unit vector
-    and is dropped.
+    A new column is B^-1 times the atom's 0/1 column, read off the block.
     """
 
     def __init__(self, pvals: Sequence[Fraction], theta: MeanVector, mask: int, max_bases: int | None):
@@ -455,11 +447,7 @@ class _Master:
         for i in range(self.m):
             if u[i] > 0 and (row is None or _lex_ratio_less(self.T[i], u[i], self.T[row], u[row])):
                 row = i
-        self.pivot(row, u)
-
-    def pivot(self, row: int, u: list[int]) -> None:
-        """Pivot the entering column u in on row; afterwards it is D times a
-        unit vector, so it is dropped."""
+        # After the pivot the entering column is D times a unit vector, so it is dropped.
         T = [t + [a] for t, a in zip(self.T, u)]
         self.D = _pivot(T, self.D, row, self.m + 1)
         self.T = [t[:-1] for t in T]
@@ -512,13 +500,6 @@ class _Master:
                     best, atom = c, bits | self.ones
         return atom
 
-    def negated(self) -> "_Master":
-        """A copy whose moment row is negated, for the upper bound.  _pivot
-        rebinds rows and never mutates them, so the two share rows safely."""
-        other = copy.copy(self)
-        other.T = self.T[:-1] + [[-a for a in self.T[-1]]]
-        return other
-
     def solve(self, sigma: int) -> Fraction:
         """min of sigma * moment over the fiber, by column generation."""
         while (idx := self.price(sigma)) is not None:
@@ -547,7 +528,9 @@ def constrained_moment_bounds(p: SumPmf, theta, subset, max_bases: int | None = 
         raise InfeasibleError("the mean-constrained fiber is empty")
     if any(mask >> i & 1 for i, t in enumerate(theta.values) if t == 0):
         return 0.0, 0.0  # no member puts mass on S
-    lower = _Master(pvals, theta, mask, max_bases)
-    lo = lower.solve(1)
-    hi = -lower.negated().solve(-1)  # from the lower optimum, on one pivot budget
+    master = _Master(pvals, theta, mask, max_bases)
+    lo = master.solve(1)
+    # The upper bound starts from the lower optimum, on one pivot budget.
+    master.T[-1] = [-a for a in master.T[-1]]
+    hi = -master.solve(-1)
     return (lo or 0.0), (hi or 0.0)

@@ -25,6 +25,12 @@ def _check_dimension(d: int, *, dense: bool = True) -> None:
         raise ValueError(f"dense operations are limited to d <= {DENSE_D_MAX}, got {d}")
 
 
+def _check_index(i: int) -> int:
+    if not isinstance(i, (int, np.integer)) or i < 0:
+        raise ValueError(f"index must be a nonnegative integer, got {i!r}")
+    return int(i)
+
+
 def index_to_vector(i: int, d: int) -> tuple[int, ...]:
     """Binary vector at position i of the reverse-lexicographic order."""
     _check_dimension(d, dense=False)
@@ -45,7 +51,7 @@ def vector_to_index(x) -> int:
 
 def level_weight(i: int) -> int:
     """Number of ones in the vector at index i."""
-    return int(i).bit_count()
+    return _check_index(i).bit_count()
 
 
 def level_element(d: int, k: int, j: int) -> int:
@@ -84,9 +90,10 @@ def _next_in_level(x: int) -> int:
 
 def level_rank(i: int) -> int:
     """1-based position of index i within its own level slice."""
+    i = _check_index(i)
     r = 0
     slot = 0
-    for c in range(int(i).bit_length()):
+    for c in range(i.bit_length()):
         if (i >> c) & 1:
             slot += 1
             r += math.comb(c, slot)

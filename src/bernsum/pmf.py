@@ -23,7 +23,7 @@ from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
 
-from .indexing import _check_dimension, _popcounts, level_weight
+from .indexing import _check_dimension, _popcounts
 
 PROB_TOL = 1e-12
 
@@ -308,7 +308,7 @@ def sum_map(f: AnyJoint) -> SumPmf:
         return SumPmf(np.bincount(_popcounts(d), weights=f.values, minlength=d + 1).tolist())
     levels: list[Number] = [0] * (d + 1)
     for idx, mass in f.atoms() if isinstance(f, JointPmf) else f.atoms:
-        levels[level_weight(idx)] += mass
+        levels[idx.bit_count()] += mass  # carriers hold validated int indices
     if not f.exact:
         levels = [float(v) for v in levels]
     return SumPmf(levels)

@@ -259,14 +259,11 @@ def _region_mc(
         last = 1.0 - X.sum(axis=1)
         acc = (last >= lo_d) & (last <= hi_d)
         X = X[acc]
-        logl = None
-        if density:
-            logl = _log_density_rows(X, d)
-        if spec.metric == "sup":
-            return len(X), logl
-        P = np.column_stack([X, last[acc]])
-        keep = 0.5 * np.abs(P - p_full).sum(axis=1) <= spec.epsilon
-        return int(keep.sum()), None if logl is None else logl[keep]
+        if spec.metric == "tv":
+            P = np.column_stack([X, last[acc]])
+            X = X[0.5 * np.abs(P - p_full).sum(axis=1) <= spec.epsilon]
+        # The kernel is row-independent, so it runs on the rows kept alone.
+        return len(X), _log_density_rows(X, d) if density else None
 
     jobs = [(i, min(CHUNK, n - start)) for i, start in enumerate(range(0, n, CHUNK))]
     if threads > 1:

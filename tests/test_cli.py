@@ -317,6 +317,7 @@ class TestSample:
         code, out, _ = run(capsys, "sample", "--p", B_HALF, "-n", "1")
         header = json_lines(out)[0]
         assert code == 0 and isinstance(header["seed"], int)
+        assert 0 <= header["seed"] < 2**63
 
 
 class TestNeighborhood:
@@ -341,6 +342,7 @@ class TestNeighborhood:
                            "--eps", "0.5", "-n", "1000")
         rec = json.loads(out)
         assert code == 0 and isinstance(rec["seed"], int)
+        assert 0 <= rec["seed"] < 2**63
 
     def test_csv_and_json_carry_identical_numbers(self, capsys):
         base = ["neighborhood", "--p", "[0.25,0.5,0.25]", "--eps", "0.1",

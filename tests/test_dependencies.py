@@ -53,6 +53,9 @@ def test_import_loads_no_test_or_scipy_module():
     loaded = json.loads(proc.stdout)
     assert "numpy" in loaded and "bernsum.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in FORBIDDEN] == []
+    # The CLI draws an unseeded run's seed from os.urandom: secrets would
+    # pull in hmac and _hashlib at every start.
+    assert [m for m in loaded if m in ("secrets", "hmac")] == []
 
 
 def test_public_surface_is_pinned():

@@ -449,6 +449,10 @@ def _walk_or_limit(walk, limit_error):
 
 
 @given(sparse_joints_in_64ths())
+# Phase 1's two ends: the level-1 row is the sum of the mean rows, so one
+# row is dropped; and an artificial left basic at 0 is pivoted out.
+@example((2, [Fraction(3, 7), Fraction(4, 7), Fraction(0)], [Fraction(2, 7), Fraction(2, 7)], 40))
+@example((2, [Fraction(1, 3)] * 3, [Fraction(2, 3), Fraction(1, 3)], 40))
 @settings(max_examples=100, deadline=None)
 def test_walk_matches_fraction_reference(instance):
     # The integer tableau must reproduce the Fraction walk: the same vertices

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,19 @@ def test_index_helpers():
     for d in (0, 21):
         with pytest.raises(ValueError):
             _check_dimension(d)
+
+
+@pytest.mark.parametrize("bad", [-1, -6, 2.5, 2.0, "3", None])
+def test_level_helpers_refuse_invalid_indices(bad):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        level_rank(bad)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        level_weight(bad)
+
+
+def test_level_helpers_take_numpy_integers():
+    assert (level_weight(np.int64(6)), level_rank(np.int64(6))) == (2, 3)
+    assert (level_weight(0), level_rank(0)) == (0, 1)
 
 
 @given(st.integers(min_value=1, max_value=16), st.data())
