@@ -87,7 +87,7 @@ def curve_argmax(d: int, grid: int = 1001, tol: float = 1e-10) -> float:
         raise ValueError("grid needs at least 3 points")
 
     def score(t: float) -> float:
-        return curve_log_measure(t, d).log
+        return curve_log_measure(t, d).log_value
 
     ts = [j / (grid - 1) for j in range(grid)]
     best = max(range(grid), key=lambda j: score(ts[j]))

@@ -70,7 +70,7 @@ def _jsonable(v):
 
 
 def _log_or_none(m: LogMeasure):
-    return None if m.is_zero else m.log
+    return None if m.is_zero else m.log_value
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -190,7 +190,7 @@ def _cmd_measure(args) -> int:
             "log_intrinsic": _log_or_none(measures["intrinsic"]),
             "log_density": _log_or_none(density),
             "dirichlet_pdf": _dirichlet_pdf(density, p.d),
-            "log_normalizing_constant": normalizing_constant(p.d).log,
+            "log_normalizing_constant": normalizing_constant(p.d).log_value,
         },
         args.format,
     )
@@ -250,8 +250,6 @@ def _cmd_neighborhood(args) -> int:
             "estimate": report.point_estimate.value,
             "std_error": report.std_error,
             "acceptance_rate": report.acceptance_rate,
-            "se_volume": report.se_volume,
-            "se_density": report.se_density,
         },
         args.format,
     )

@@ -471,30 +471,27 @@ class _Master:
         g = [weight[self.mean_row[i]] for i in free]
         prefix = list(accumulate(g, initial=0))
         prefix_bits = list(accumulate((1 << i for i in free), int.__or__, initial=0))
+        # s_pos is empty when S lies in the theta_i = 1 coordinates: every atom holds S.
         s_pos = [j for j, i in enumerate(free) if self.mask >> i & 1]
-        if s_pos:
-            rest = [j for j, i in enumerate(free) if not self.mask >> i & 1]
-            rest_prefix = list(accumulate((g[j] for j in rest), initial=0))
-            rest_bits = list(accumulate((1 << free[j] for j in rest), int.__or__, initial=0))
-            s_cost = sigma * D + sum(g[j] for j in s_pos)
-            s_bits = sum(1 << free[j] for j in s_pos)
+        rest = [j for j, i in enumerate(free) if not self.mask >> i & 1]
+        rest_prefix = list(accumulate((g[j] for j in rest), initial=0))
+        rest_bits = list(accumulate((1 << free[j] for j in rest), int.__or__, initial=0))
+        s_cost = sigma * D + sum(g[j] for j in s_pos)
+        s_bits = sum(1 << free[j] for j in s_pos)
         n_ones = self.ones.bit_count()
         best, atom = 0, None
         for k, r in self.level_row.items():
             kk, h = k - n_ones, weight[r]
             cands = []
-            if not s_pos:  # S is forced into every atom
-                cands.append((h + sigma * D + prefix[kk], prefix_bits[kk]))
-            else:
-                if kk >= len(s_pos):
-                    t = kk - len(s_pos)
-                    cands.append((h + s_cost + rest_prefix[t], s_bits | rest_bits[t]))
-                if kk < len(free):
-                    for j in s_pos:
-                        if j < kk:
-                            cands.append((h + prefix[kk + 1] - g[j], prefix_bits[kk + 1] & ~(1 << free[j])))
-                        else:
-                            cands.append((h + prefix[kk], prefix_bits[kk]))
+            if kk >= len(s_pos):
+                t = kk - len(s_pos)
+                cands.append((h + s_cost + rest_prefix[t], s_bits | rest_bits[t]))
+            if kk < len(free):
+                for j in s_pos:
+                    if j < kk:
+                        cands.append((h + prefix[kk + 1] - g[j], prefix_bits[kk + 1] & ~(1 << free[j])))
+                    else:
+                        cands.append((h + prefix[kk], prefix_bits[kk]))
             for c, bits in cands:
                 if c < best:
                     best, atom = c, bits | self.ones

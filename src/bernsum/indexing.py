@@ -19,22 +19,30 @@ DENSE_D_MAX = 20
 
 
 def _check_dimension(d: int, *, dense: bool = True) -> None:
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if dense and d > DENSE_D_MAX:
         raise ValueError(f"dense operations are limited to d <= {DENSE_D_MAX}, got {d}")
 
 
+def _as_int(v, what: str) -> int:
+    """v, an int or numpy integer, as an int; bools, floats (2.0 too) and the rest are refused."""
+    if type(v) is int or isinstance(v, np.integer):
+        return int(v)
+    raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
 def _check_index(i: int) -> int:
-    if not isinstance(i, (int, np.integer)) or i < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {i!r}")
-    return int(i)
+    if (type(i) is int or isinstance(i, np.integer)) and i >= 0:
+        return int(i)
+    raise ValueError(f"index must be a nonnegative integer, got {i!r}")
 
 
 def index_to_vector(i: int, d: int) -> tuple[int, ...]:
     """Binary vector at position i of the reverse-lexicographic order."""
     _check_dimension(d, dense=False)
-    if not 0 <= i < (1 << d):
+    i = _check_index(i)
+    if i >= 1 << d:
         raise ValueError(f"index {i} out of range for d={d}")
     return tuple((i >> j) & 1 for j in range(d))
 
@@ -43,7 +51,7 @@ def vector_to_index(x) -> int:
     """Inverse of index_to_vector."""
     i = 0
     for j, bit in enumerate(x):
-        if bit not in (0, 1):
+        if _check_index(bit) > 1:
             raise ValueError(f"binary vector entries must be 0 or 1, got {bit!r}")
         i |= int(bit) << j
     return i
@@ -62,7 +70,8 @@ def level_element(d: int, k: int, j: int) -> int:
     combinadic digits of j-1 are exactly the bit positions.
     """
     _check_dimension(d, dense=False)
-    if not 0 <= k <= d:
+    k, j = _check_index(k), _check_index(j)
+    if k > d:
         raise ValueError(f"level k={k} out of range for d={d}")
     size = math.comb(d, k)
     if not 1 <= j <= size:

@@ -32,14 +32,6 @@ class LogMeasure:
     log_value: float
 
     @classmethod
-    def from_value(cls, v: float) -> "LogMeasure":
-        if v < 0:
-            raise ValueError(f"measures are nonnegative, got {v}")
-        if v == 0:
-            return cls.zero()
-        return cls(math.log(v))
-
-    @classmethod
     def zero(cls) -> "LogMeasure":
         return cls(-math.inf)
 
@@ -52,7 +44,7 @@ class LogMeasure:
         return self.log_value == -math.inf
 
     @property
-    def log(self) -> float:
+    def log(self) -> float:  # alias of log_value, kept while perfbench/worker.py reads it
         return self.log_value
 
     @property
@@ -61,11 +53,6 @@ class LogMeasure:
 
     def __mul__(self, other: "LogMeasure") -> "LogMeasure":
         return LogMeasure(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogMeasure") -> "LogMeasure":
-        if other.is_zero:
-            raise ZeroDivisionError("division by a zero measure")
-        return LogMeasure(self.log_value - other.log_value)
 
 
 def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:

@@ -23,7 +23,7 @@ from typing import ClassVar, Iterable, Iterator, Union
 
 import numpy as np
 
-from .indexing import _check_dimension, _popcounts
+from .indexing import _as_int, _check_dimension, _popcounts
 
 PROB_TOL = 1e-12
 
@@ -229,7 +229,7 @@ class JointPmf:
     def from_json_obj(cls, obj) -> "JointPmf":
         if not isinstance(obj, dict) or "d" not in obj or "values" not in obj:
             raise ValueError('JointPmf JSON form is {"d": ..., "values": [...]}')
-        return cls(int(obj["d"]), obj["values"])
+        return cls(obj["d"], obj["values"])
 
 
 def _sorted_atoms(d: int, atoms: list[tuple[int, Number]]) -> tuple[tuple[int, Number], ...]:
@@ -254,7 +254,7 @@ class SparseJointPmf:
 
     def __init__(self, d: int, atoms: Iterable[tuple[int, Number]]):
         _check_dimension(d, dense=False)
-        pairs = _sorted_atoms(d, [(int(idx), as_number(mass)) for idx, mass in atoms])
+        pairs = _sorted_atoms(d, [(_as_int(idx, "atom index"), as_number(mass)) for idx, mass in atoms])
         for _, mass in pairs:
             if mass <= 0:
                 raise ValueError(f"atom masses must be positive, got {mass}")
@@ -294,7 +294,7 @@ class SparseJointPmf:
     def from_json_obj(cls, obj) -> "SparseJointPmf":
         if not isinstance(obj, dict) or "d" not in obj or "atoms" not in obj:
             raise ValueError('SparseJointPmf JSON form is {"d": ..., "atoms": [[i, m], ...]}')
-        return cls(int(obj["d"]), [(i, m) for i, m in obj["atoms"]])
+        return cls(obj["d"], [(i, m) for i, m in obj["atoms"]])
 
 
 AnyJoint = Union[JointPmf, SparseJointPmf]
@@ -316,7 +316,7 @@ def sum_map(f: AnyJoint) -> SumPmf:
 
 def _subset_mask(d: int, subset: Iterable[int]) -> int:
     """The index mask of a nonempty coordinate subset of {1, ..., d}."""
-    coords = sorted(set(int(j) for j in subset))
+    coords = sorted(set(_as_int(j, "coordinate") for j in subset))
     if not coords:
         raise ValueError("cross_moment needs a nonempty coordinate subset")
     if coords[0] < 1 or coords[-1] > d:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .indexing import _check_dimension, _level_slice, _next_in_level, _popcounts, level_element
+from .indexing import _as_int, _check_dimension, _level_slice, _next_in_level, _popcounts, level_element
 from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _is_exact, _total, entropy, sum_map
 
 FLAT_WEIGHTS_MAX = 10_000
@@ -55,7 +55,7 @@ class ExtremalIndex:
     sigma: tuple[int, ...]
 
     def __init__(self, sigma: Iterable[int]):
-        object.__setattr__(self, "sigma", tuple(map(int, sigma)))
+        object.__setattr__(self, "sigma", tuple(_as_int(s, "sigma entry") for s in sigma))
 
     def validate(self, p: SumPmf) -> None:
         d = p.d
@@ -94,6 +94,7 @@ def _sigma_stream(p: SumPmf, offset: int = 0) -> Iterator[tuple[tuple[int, ...],
     one level to its next element (_next_in_level) and resets the levels
     below it to their first, 2^k - 1, so a vertex costs amortized O(1).
     """
+    offset = _as_int(offset, "offset")
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
     d = p.d
@@ -229,7 +230,7 @@ class LabelMap:
 
     def __init__(self, d: int, labels: Iterable[int]):
         _check_dimension(d)
-        labs = tuple(int(y) for y in labels)
+        labs = tuple(_as_int(y, "label") for y in labels)
         if len(labs) != 1 << d:
             raise ValueError(f"label map for d={d} needs 2^d = {1 << d} entries")
         if any(not 0 <= y <= d for y in labs):

@@ -89,19 +89,13 @@ class NeighborhoodSpec:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo estimate with its first-order error breakdown.
-
-    std_error combines the region-volume stage and the mean-density stage by
-    error propagation on the product; the two components are also reported
-    in the same units as the point estimate.
-    """
+    """A Monte Carlo estimate with its first-order standard error, in the
+    units of point_estimate.value."""
 
     point_estimate: LogMeasure
     std_error: float
     n_samples: int
     acceptance_rate: float
-    se_volume: float = 0.0
-    se_density: float = 0.0
 
     def __post_init__(self):
         if self.std_error < 0:
@@ -244,7 +238,9 @@ def _region_mc(
     lo, hi, lo_d, hi_d = spec.box()
     widths = hi - lo
     if np.any(widths <= 0):
-        raise ValueError("degenerate bounding box; epsilon must be positive")
+        j = int(np.argmin(widths))
+        raise ValueError(f"the window p_{j} ± epsilon = {float(spec.center.array[j])!r} ± {spec.epsilon!r} "
+                         f"rounds to zero width: epsilon is below the float spacing of p_{j}")
     log_box = float(np.log(widths).sum())
     p_full = spec.center.array
 
@@ -285,10 +281,8 @@ def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int =
     acc = m / n
     scale = math.sqrt(d + 1) * float(np.exp(log_box))
     se = scale * math.sqrt(max(acc * (1.0 - acc), 0.0) / n)
-    if m == 0:
-        return EstimateReport(LogMeasure.zero(), se, n, 0.0, se_volume=se)
-    est = LogMeasure(0.5 * math.log(d + 1) + log_box + math.log(acc))
-    return EstimateReport(est, se, n, acc, se_volume=se)
+    est = LogMeasure(0.5 * math.log(d + 1) + log_box + math.log(acc)) if m else LogMeasure.zero()
+    return EstimateReport(est, se, n, acc)
 
 
 def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> EstimateReport:
@@ -314,10 +308,7 @@ def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> E
     se_l_rel = sd_w / (mean_w * math.sqrt(m)) if mean_w > 0 else 0.0
     est_lin = math.exp(log_est)  # underflows to 0.0 only below about -745
     se = est_lin * math.hypot(se_v_rel, se_l_rel)
-    return EstimateReport(
-        LogMeasure(log_est), se, n, acc,
-        se_volume=est_lin * se_v_rel, se_density=est_lin * se_l_rel,
-    )
+    return EstimateReport(LogMeasure(log_est), se, n, acc)
 
 
 def estimate_neighborhood_measure(

@@ -451,6 +451,39 @@ class TestScanCommands:
             assert f"argument --dmax: must be >= 2, got {dmax}" in captured.err
 
 
+# The exact keys of each flat command's record, in order, in its JSON output
+# (every row of a table) and its CSV header; mode's CSV spreads "p" over p0..pd.
+FLAT_KEYS = {
+    "bounds": (["--p", B_HALF, "--order", "2"], ["order", "lower", "upper"]),
+    "entropy-bounds": (["--p", B_HALF], ["min", "max", "unit"]),
+    "constrained-bounds": (["--p", B_HALF, "--theta", THETA, "--subset", "1,2"],
+                           ["subset", "lower", "upper"]),
+    "measure": (["--p", B_HALF], ["log_ambient", "log_intrinsic", "log_density", "dirichlet_pdf",
+                                  "log_normalizing_constant"]),
+    "mode": (["--d", "3"], ["p"]),
+    "density": (["--p", B_HALF], ["log_density", "dirichlet_pdf", "entropy_nats"]),
+    "neighborhood": (["--p", B_HALF, "--eps", "0.1", "-n", "2000", "--seed", "1", "--threads", "1"],
+                     ["metric", "epsilon", "seed", "n", "log_estimate", "estimate", "std_error",
+                      "acceptance_rate"]),
+    "binomial-scan": (["--d", "3", "--points", "3"], ["theta", "log_measure"]),
+    "bin-vs-mode": (["--dmax", "3"], ["d", "d_sup", "log_measure_gap"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAT_KEYS))
+def test_flat_record_keys_are_pinned(command, capsys):
+    argv, keys = FLAT_KEYS[command]
+    code, out, _ = run(capsys, command, *argv)
+    assert code == 0
+    record = json.loads(out)
+    for row in record if isinstance(record, list) else [record]:
+        assert list(row) == keys
+    code, out, _ = run(capsys, command, *argv, "--format", "csv")
+    assert code == 0
+    csv_keys = ["p0", "p1", "p2", "p3"] if command == "mode" else keys
+    assert out.splitlines()[0].split(",") == csv_keys
+
+
 class TestErrors:
     def test_malformed_pmf_names_invariant(self, capsys):
         code, _, err = run(capsys, "bounds", "--p", "[0.5, 0.6]", "--order", "1")

@@ -1,7 +1,8 @@
 """numpy is the package's only runtime dependency: importing bernsum and its
 CLI in a fresh interpreter loads no scipy, no test tool and no test oracle.
 The names `import bernsum` exposes are pinned, and so are the fields of each
-public dataclass, so adding or removing one is a visible change here."""
+public dataclass and the public methods and properties of each public class,
+so adding or removing one is a visible change here."""
 import dataclasses
 import inspect
 import json
@@ -29,8 +30,7 @@ PUBLIC = [
     "sample_uniform_simplex", "simplex_hausdorff", "sum_map", "vector_to_index",
 ]
 FIELDS = {
-    "EstimateReport": ["point_estimate", "std_error", "n_samples", "acceptance_rate",
-                       "se_volume", "se_density"],
+    "EstimateReport": ["point_estimate", "std_error", "n_samples", "acceptance_rate"],
     "ExtremalIndex": ["sigma"],
     "JointPmf": ["d", "values"],
     "LabelMap": ["d", "labels"],
@@ -41,6 +41,24 @@ FIELDS = {
     "RngStream": ["seed", "stream_id"],
     "SparseJointPmf": ["d", "atoms"],
     "SumPmf": ["values"],
+}
+# Each public class's own non-underscore attributes other than its fields.
+ATTRIBUTES = {
+    "BasisLimitError": [],
+    "EstimateReport": [],
+    "ExtremalIndex": ["validate"],
+    "InfeasibleError": [],
+    "JointPmf": ["array", "atoms", "exact", "from_json_obj", "positive_masses", "to_json_obj",
+                 "to_sparse"],
+    "LabelMap": ["popcount", "preimages"],
+    "LogMeasure": ["is_zero", "log", "one", "value", "zero"],
+    "MeanVector": ["d"],
+    "NeighborhoodSpec": ["bounds", "box", "d"],
+    "PolytopeDescriptor": [],
+    "RngStream": ["chunk_generator", "generator"],
+    "SparseJointPmf": ["exact", "from_json_obj", "positive_masses", "to_dense", "to_json_obj"],
+    "SumPmf": ["array", "d", "exact", "from_json_obj", "mean", "positive_masses", "support",
+               "to_json_obj"],
 }
 
 
@@ -66,3 +84,7 @@ def test_public_surface_is_pinned():
     fields = {n: [f.name for f in dataclasses.fields(getattr(bernsum, n))]
               for n in PUBLIC if dataclasses.is_dataclass(getattr(bernsum, n))}
     assert fields == FIELDS
+    classes = {n: getattr(bernsum, n) for n in PUBLIC if inspect.isclass(getattr(bernsum, n))}
+    attributes = {n: sorted(a for a in vars(c) if not a.startswith("_") and a not in FIELDS.get(n, []))
+                  for n, c in classes.items()}
+    assert attributes == ATTRIBUTES

@@ -491,7 +491,10 @@ class TestConstrainedMomentBounds:
     def test_reference_moment_bounds(self, subset, want):
         assert constrained_moment_bounds(B_HALF_3, THETA_REF, subset) == want
 
-    @pytest.mark.parametrize("subset,message", [([0], "out of range"), ([], "nonempty")])
+    @pytest.mark.parametrize(
+        "subset,message",
+        [([0], "out of range"), ([], "nonempty"), ([1.5], "coordinate must be an integer")],
+    )
     def test_subset_checked_before_the_walk(self, subset, message):
         # The walk would stop at its second basis, so only a check made
         # before the walk can name the subset.

@@ -90,7 +90,7 @@ def test_level_element_large_dimension():
 def test_index_helpers():
     assert vector_to_index((1, 1, 0)) == 3
     assert _popcounts(3).tolist() == [level_weight(i) for i in range(8)]
-    for d in (0, 21):
+    for d in (0, 21, True):
         with pytest.raises(ValueError):
             _check_dimension(d)
 
@@ -106,6 +106,28 @@ def test_level_helpers_refuse_invalid_indices(bad):
 def test_level_helpers_take_numpy_integers():
     assert (level_weight(np.int64(6)), level_rank(np.int64(6))) == (2, 3)
     assert (level_weight(0), level_rank(0)) == (0, 1)
+    assert index_to_vector(np.int64(6), 3) == (0, 1, 1)
+    assert level_element(3, np.int64(2), np.int64(3)) == 6
+    assert vector_to_index(np.array([1, 0, 1])) == 5
+
+
+BOOL_OR_FLOAT_CALLS = {
+    "level_element(3, 1, 1.5)": lambda: level_element(3, 1, 1.5),
+    "level_element(3, 1.0, 1)": lambda: level_element(3, 1.0, 1),
+    "level_element(3, True, 1)": lambda: level_element(3, True, 1),
+    "index_to_vector(2.5, 3)": lambda: index_to_vector(2.5, 3),
+    "index_to_vector(True, 3)": lambda: index_to_vector(True, 3),
+    "vector_to_index([True, 1.0])": lambda: vector_to_index([True, 1.0]),
+    "vector_to_index([1, 1.0])": lambda: vector_to_index([1, 1.0]),
+    "level_rank(True)": lambda: level_rank(True),
+    "level_weight(False)": lambda: level_weight(False),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BOOL_OR_FLOAT_CALLS))
+def test_index_helpers_refuse_bools_and_floats(call):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        BOOL_OR_FLOAT_CALLS[call]()
 
 
 @given(st.integers(min_value=1, max_value=16), st.data())

@@ -65,6 +65,20 @@ class TestValidation:
             with pytest.raises(ValueError, match="not a probability value"):
                 MeanVector([bad])
 
+    def test_integer_arguments_are_not_truncated(self):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="atom index must be an integer"):
+                SparseJointPmf(2, [(bad, 1.0)])
+            with pytest.raises(ValueError, match="coordinate must be an integer"):
+                cross_moment(SparseJointPmf(2, [(1, 1.0)]), [bad])
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                JointPmf.from_json_obj({"d": bad, "values": [0.5, 0.5]})
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                SparseJointPmf.from_json_obj({"d": bad, "atoms": [[0, 1]]})
+        f = SparseJointPmf(2, [(np.int64(3), 1.0)])
+        assert f.atoms == ((3, 1.0),) and type(f.atoms[0][0]) is int
+        assert cross_moment(f, [np.int64(2)]) == 1.0
+
     def test_exact_sum_must_be_exact(self):
         with pytest.raises(ValueError):
             SumPmf([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15)])

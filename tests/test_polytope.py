@@ -97,6 +97,13 @@ class TestExtremalByIndex:
             extremal_by_index(SumPmf([0, 0.8, 0.2, 0]), ExtremalIndex((2, 1, 1, 1)))
 
 
+    def test_sigma_entries_must_be_integers(self):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="sigma entry must be an integer"):
+                extremal_by_index(B_HALF_3, [1, bad, 1, 1])
+        assert ExtremalIndex(np.array([1, 2, 3, 1])).sigma == (1, 2, 3, 1)
+
+
 class TestEnumerate:
     def test_colex_order_d3(self):
         sigmas = [ix.sigma for ix in extremal_indices(B_HALF_3)]
@@ -141,6 +148,13 @@ class TestEnumerate:
         for stream in (extremal_enumerate, extremal_indices):
             with pytest.raises(ValueError, match="offset must be >= 0"):
                 next(iter(stream(p, -1)))
+
+    def test_offset_must_be_an_integer(self):
+        for stream in (extremal_enumerate, extremal_indices):
+            for bad in (1.5, True):
+                with pytest.raises(ValueError, match="offset must be an integer"):
+                    next(iter(stream(B_HALF_3, bad)))
+        assert list(extremal_indices(B_HALF_3, np.int64(8))) == [ExtremalIndex((1, 3, 3, 1))]
 
     def test_point_mass_single_vertex(self):
         p = SumPmf([0, 0, 0, 1])
@@ -366,6 +380,11 @@ class TestGeneralizedExtremals:
         ]
         labeled = brute_vertices_labeled((0, 1, 2, 1), (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)))
         assert len(labeled) == 2
+
+    def test_labels_must_be_integers(self):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="label must be an integer"):
+                LabelMap(1, [0, bad])
 
     def test_non_surjective_rejected(self):
         with pytest.raises(ValueError, match="surjective"):

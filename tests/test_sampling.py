@@ -343,6 +343,13 @@ class TestNeighborhoodMeasure:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             fn(NeighborhoodSpec(P_D2, 0.1), 2000, RngStream(1), threads=threads)
 
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    def test_window_below_float_spacing_is_named(self, fn):
+        # epsilon > 0, but 0.5 ± 1e-20 rounds to 0.5: the box has a zero side.
+        spec = NeighborhoodSpec(SumPmf([0.5, 0.5]), 1e-20)
+        with pytest.raises(ValueError, match=r"window p_0 ± epsilon = 0\.5 ± 1e-20 rounds to zero width"):
+            fn(spec, 2000, RngStream(1))
+
     def test_paper_region_flag_loosens_the_set(self):
         p = SumPmf([0.2, 0.2, 0.6])
         tight = estimate_neighborhood_measure(NeighborhoodSpec(p, 0.3), 50_000, RngStream(107))
