@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .indexing import _as_int, _check_dimension
 from .measure import _TINY, LogMeasure, polytope_measure
 from .pmf import Number, SumPmf, _is_exact, _total
 
@@ -36,6 +37,7 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
     log C(d,k) + k log theta + (d - k) log1p(-theta) - log total.  An exact
     mass below the normal floats needs no such help.
     """
+    d = _check_dimension(d, dense=False)
     if not 0 <= theta <= 1:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     t = Fraction(theta) if _is_exact(theta) else float(theta)
@@ -123,6 +125,7 @@ def bin_vs_mode(d: int) -> dict[str, float]:
     the gap to rounding once d is large.  The gap stays nonnegative and
     tends to 2 from above after its maximum near d = 12.
     """
+    d = _as_int(d, "dimension")
     if d < 2:
         raise ValueError("bin_vs_mode needs d >= 2")
     if d > _BIN_VS_MODE_DMAX:

@@ -3,6 +3,8 @@
 Every subcommand prints JSON on stdout (or CSV via --format csv, which only
 the subcommands with flat output accept) and diagnostics on stderr, exits 0
 on success and 2 on validation problems with the violated invariant named.
+--p and --theta take inline JSON or the path of a readable JSON file; a path
+that cannot be read, or that holds malformed JSON, exits 2 naming the path.
 Stochastic subcommands take --seed; when it is omitted a fresh seed is drawn
 and recorded in the output so any run can be replayed.
 """
@@ -48,14 +50,15 @@ def _parse_json_or_file(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        if os.path.exists(text):
-            with open(text) as fh:
-                return json.load(fh)
-        raise ValueError(f"not valid inline JSON and not a readable file: {text!r}")
-
-
-def _load_sum_pmf(text: str) -> SumPmf:
-    return SumPmf.from_json_obj(_parse_json_or_file(text))
+        if not os.path.exists(text):
+            raise ValueError(f"not valid inline JSON and not a readable file: {text!r}") from None
+    try:
+        with open(text) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {text!r}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise ValueError(f"{text!r} is not valid JSON: {exc}") from None
 
 
 def _load_theta(text: str) -> list:
@@ -73,23 +76,15 @@ def _log_or_none(m: LogMeasure):
     return None if m.is_zero else m.log_value
 
 
-def _emit(record: dict, fmt: str) -> None:
+def _emit(out: dict | list[dict], fmt: str) -> None:
+    """JSON as one value; CSV as a header and one line per row."""
     if fmt == "json":
-        print(json.dumps(record))
-    else:
-        _emit_rows([record], fmt)
-
-
-def _emit_rows(rows: list[dict], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(rows))
+        print(json.dumps(out))
         return
-    if not rows:
-        return
-    keys = list(rows[0])
-    print(",".join(keys))
+    rows = out if isinstance(out, list) else [out]
+    print(",".join(rows[0]))
     for row in rows:
-        print(",".join("" if row[k] is None else str(row[k]) for k in keys))
+        print(",".join("" if v is None else str(v) for v in row.values()))
 
 
 def _require_seed(args) -> int:
@@ -122,158 +117,110 @@ def _extremal_lines(p: SumPmf, offset: int) -> Iterator[str]:
         yield head + ", ".join(digits) + mid + ", ".join([a for _, a in sorted(atoms)]) + tail
 
 
-def _cmd_extremals(args) -> int:
+def _cmd_extremals(args) -> None:
     if args.offset < 0:
         raise ValueError("--offset must be >= 0")
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must be >= 0")
-    p = _load_sum_pmf(args.p)
-    lines = itertools.islice(_extremal_lines(p, args.offset), args.limit)
+    lines = itertools.islice(_extremal_lines(args.p, args.offset), args.limit)
     while batch := list(itertools.islice(lines, 1024)):
         sys.stdout.write("\n".join(batch) + "\n")
-    return 0
 
 
-def _cmd_bounds(args) -> int:
-    p = _load_sum_pmf(args.p)
-    lower, upper = moment_bounds(p, args.order)
-    _emit({"order": args.order, "lower": _jsonable(lower), "upper": _jsonable(upper)}, args.format)
-    return 0
+def _cmd_bounds(args) -> dict:
+    lower, upper = moment_bounds(args.p, args.order)
+    return {"order": args.order, "lower": _jsonable(lower), "upper": _jsonable(upper)}
 
 
-def _cmd_entropy_bounds(args) -> int:
-    p = _load_sum_pmf(args.p)
-    lo, hi = entropy_bounds(p)
-    unit = "bits" if args.bits else "nats"
+def _cmd_entropy_bounds(args) -> dict:
+    lo, hi = entropy_bounds(args.p)
     if args.bits:
-        lo, hi = lo / LN2, hi / LN2
-    _emit({"min": lo, "max": hi, "unit": unit}, args.format)
-    return 0
+        return {"min": lo / LN2, "max": hi / LN2, "unit": "bits"}
+    return {"min": lo, "max": hi, "unit": "nats"}
 
 
-def _cmd_feasible(args) -> int:
-    p = _load_sum_pmf(args.p)
-    witness = feasible_point(p, _load_theta(args.theta))
-    record: dict = {"feasible": witness is not None}
-    if witness is not None:
-        record["witness"] = witness.to_json_obj()
-    print(json.dumps(record))
-    return 0
+def _cmd_feasible(args) -> dict:
+    witness = feasible_point(args.p, _load_theta(args.theta))
+    if witness is None:
+        return {"feasible": False}
+    return {"feasible": True, "witness": witness.to_json_obj()}
 
 
-def _cmd_constrained_vertices(args) -> int:
-    p = _load_sum_pmf(args.p)
-    for vertex in constrained_vertices(p, _load_theta(args.theta), max_bases=args.max_bases):
+def _cmd_constrained_vertices(args) -> None:
+    for vertex in constrained_vertices(args.p, _load_theta(args.theta), max_bases=args.max_bases):
         print(json.dumps(vertex.to_json_obj()))
-    return 0
 
 
-def _cmd_constrained_bounds(args) -> int:
-    p = _load_sum_pmf(args.p)
-    subset = [int(tok) for tok in args.subset.split(",") if tok]
-    lower, upper = constrained_moment_bounds(p, _load_theta(args.theta), subset, args.max_bases)
-    _emit(
-        {"subset": "|".join(str(j) for j in subset),
-         "lower": _jsonable(lower), "upper": _jsonable(upper)},
-        args.format,
-    )
-    return 0
+def _cmd_constrained_bounds(args) -> dict:
+    theta = _load_theta(args.theta)
+    lower, upper = constrained_moment_bounds(args.p, theta, args.subset, args.max_bases)
+    return {"subset": "|".join(map(str, args.subset)),
+            "lower": _jsonable(lower), "upper": _jsonable(upper)}
 
 
-def _cmd_measure(args) -> int:
-    p = _load_sum_pmf(args.p)
-    measures = polytope_measure(p)
-    density = density_l(p)
-    _emit(
-        {
-            "log_ambient": _log_or_none(measures["ambient"]),
-            "log_intrinsic": _log_or_none(measures["intrinsic"]),
-            "log_density": _log_or_none(density),
-            "dirichlet_pdf": _dirichlet_pdf(density, p.d),
-            "log_normalizing_constant": normalizing_constant(p.d).log_value,
-        },
-        args.format,
-    )
-    return 0
+def _cmd_measure(args) -> dict:
+    measures = polytope_measure(args.p)
+    density = density_l(args.p)
+    return {
+        "log_ambient": _log_or_none(measures["ambient"]),
+        "log_intrinsic": _log_or_none(measures["intrinsic"]),
+        "log_density": _log_or_none(density),
+        "dirichlet_pdf": _dirichlet_pdf(density, args.p.d),
+        "log_normalizing_constant": normalizing_constant(args.p.d).log_value,
+    }
 
 
-def _cmd_mode(args) -> int:
-    p = maximal_pmf(args.d)
+def _cmd_mode(args) -> dict:
+    # The JSON record holds one list; the CSV row spreads it over p0..pd.
+    values = [float(v) for v in maximal_pmf(args.d).values]
     if args.format == "json":
-        print(json.dumps({"p": [_jsonable(float(v)) for v in p.values]}))
-    else:
-        _emit({f"p{k}": float(v) for k, v in enumerate(p.values)}, args.format)
-    return 0
+        return {"p": [_jsonable(v) for v in values]}
+    return {f"p{k}": v for k, v in enumerate(values)}
 
 
-def _cmd_density(args) -> int:
-    p = _load_sum_pmf(args.p)
-    density = density_l(p)
-    _emit(
-        {"log_density": _log_or_none(density),
-         "dirichlet_pdf": _dirichlet_pdf(density, p.d),
-         "entropy_nats": entropy(p)},
-        args.format,
-    )
-    return 0
+def _cmd_density(args) -> dict:
+    density = density_l(args.p)
+    return {"log_density": _log_or_none(density),
+            "dirichlet_pdf": _dirichlet_pdf(density, args.p.d),
+            "entropy_nats": entropy(args.p)}
 
 
-def _cmd_sample(args) -> int:
-    p = _load_sum_pmf(args.p)
+def _cmd_sample(args) -> None:
     seed = _require_seed(args)
     gen = RngStream(seed, 0).generator()
-    print(json.dumps({"seed": seed, "n": args.n, "d": p.d}))
+    print(json.dumps({"seed": seed, "n": args.n, "d": args.p.d}))
     for _ in range(args.n):
-        f = sample_polytope_uniform(p, gen)
-        print(json.dumps(f.to_json_obj()))
-    return 0
+        print(json.dumps(sample_polytope_uniform(args.p, gen).to_json_obj()))
 
 
-def _cmd_neighborhood(args) -> int:
-    p = _load_sum_pmf(args.p)
+def _cmd_neighborhood(args) -> dict:
     seed = _require_seed(args)
     spec = NeighborhoodSpec(
-        center=p, epsilon=args.eps, metric=args.metric, paper_region=args.paper_sigma_s
+        center=args.p, epsilon=args.eps, metric=args.metric, paper_region=args.paper_sigma_s
     )
-    rng = RngStream(seed, 0)
-    if args.metric == "sup":
-        report = estimate_neighborhood_measure(spec, args.n, rng, threads=args.threads)
-    else:
-        report = estimate_tv_neighborhood_bound(spec, args.n, rng, threads=args.threads)
-    _emit(
-        {
-            "metric": args.metric,
-            "epsilon": args.eps,
-            "seed": seed,
-            "n": report.n_samples,
-            "log_estimate": _log_or_none(report.point_estimate),
-            "estimate": report.point_estimate.value,
-            "std_error": report.std_error,
-            "acceptance_rate": report.acceptance_rate,
-        },
-        args.format,
-    )
-    return 0
+    estimate = estimate_neighborhood_measure if args.metric == "sup" else estimate_tv_neighborhood_bound
+    report = estimate(spec, args.n, RngStream(seed, 0), threads=args.threads)
+    return {
+        "metric": args.metric,
+        "epsilon": args.eps,
+        "seed": seed,
+        "n": report.n_samples,
+        "log_estimate": _log_or_none(report.point_estimate),
+        "estimate": report.point_estimate.value,
+        "std_error": report.std_error,
+        "acceptance_rate": report.acceptance_rate,
+    }
 
 
-def _cmd_binomial_scan(args) -> int:
+def _cmd_binomial_scan(args) -> list[dict]:
     if args.points < 2:
         raise ValueError("need at least 2 scan points")
-    rows = []
-    for j in range(args.points):
-        theta = j / (args.points - 1)
-        rows.append({"theta": theta, "log_measure": _log_or_none(curve_log_measure(theta, args.d))})
-    _emit_rows(rows, args.format)
-    return 0
+    thetas = [j / (args.points - 1) for j in range(args.points)]
+    return [{"theta": t, "log_measure": _log_or_none(curve_log_measure(t, args.d))} for t in thetas]
 
 
-def _cmd_bin_vs_mode(args) -> int:
-    rows = []
-    for d in range(2, args.dmax + 1):
-        r = bin_vs_mode(d)
-        rows.append({"d": d, "d_sup": r["d_sup"], "log_measure_gap": r["log_measure_gap"]})
-    _emit_rows(rows, args.format)
-    return 0
+def _cmd_bin_vs_mode(args) -> list[dict]:
+    return [{"d": d, **bin_vs_mode(d)} for d in range(2, args.dmax + 1)]
 
 
 def _usable_cpus() -> int:
@@ -302,6 +249,17 @@ def _thread_count(text: str) -> int:
     return _usable_cpus() if text == "auto" else _at_least_one(text)
 
 
+def _coordinates(text: str) -> list[int]:
+    """--subset: comma-separated integer coordinates; empty tokens are skipped."""
+    subset = []
+    for tok in filter(None, text.split(",")):
+        try:
+            subset.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer coordinate: {tok!r}") from None
+    return subset
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernsum",
@@ -311,63 +269,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     # JSON lines or nested records: these have no CSV form.
     nested = {"extremals", "feasible", "constrained-vertices", "sample"}
+    # These take a dimension instead of a sum pmf.
+    no_p = {"mode", "binomial-scan", "bin-vs-mode"}
 
     def add(name, fn, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.set_defaults(fn=fn)
         if name not in nested:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if name not in no_p:
+            sp.add_argument("--p", required=True, help="sum pmf: inline JSON array or file path")
         return sp
 
     sp = add("extremals", _cmd_extremals, help="stream the vertices of the fiber over p")
-    sp.add_argument("--p", required=True, help="sum pmf: inline JSON array or file path")
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--offset", type=int, default=0)
 
     sp = add("bounds", _cmd_bounds, help="sharp cross-moment bounds of a given order")
-    sp.add_argument("--p", required=True)
     sp.add_argument("--order", type=int, required=True)
 
     sp = add("entropy-bounds", _cmd_entropy_bounds, help="entropy range over the fiber")
-    sp.add_argument("--p", required=True)
     sp.add_argument("--bits", action="store_true", help="report in bits instead of nats")
 
     sp = add("feasible", _cmd_feasible, help="decide whether the mean-constrained fiber is nonempty")
-    sp.add_argument("--p", required=True)
     sp.add_argument("--theta", required=True, help="mean vector: inline JSON array or file path")
 
     sp = add("constrained-vertices", _cmd_constrained_vertices,
              help="exact vertices of the mean-constrained fiber")
-    sp.add_argument("--p", required=True)
     sp.add_argument("--theta", required=True)
     sp.add_argument("--max-bases", type=_at_least_one, default=None,
                     help="abort with an error if the basis walk exceeds this budget")
 
     sp = add("constrained-bounds", _cmd_constrained_bounds,
              help="cross-moment bounds over the mean-constrained fiber")
-    sp.add_argument("--p", required=True)
     sp.add_argument("--theta", required=True)
-    sp.add_argument("--subset", required=True, help="comma-separated coordinates, e.g. 1,2")
+    sp.add_argument("--subset", type=_coordinates, required=True,
+                    help="comma-separated coordinates, e.g. 1,2")
     sp.add_argument("--max-bases", type=_at_least_one, default=None,
                     help="abort with an error if the two LP solves together take more simplex "
                          "pivots than this")
 
-    sp = add("measure", _cmd_measure, help="Hausdorff measures and density at p")
-    sp.add_argument("--p", required=True)
+    add("measure", _cmd_measure, help="Hausdorff measures and density at p")
 
     sp = add("mode", _cmd_mode, help="the sum pmf with the largest fiber measure")
     sp.add_argument("--d", type=int, required=True)
 
-    sp = add("density", _cmd_density, help="fiber density and Dirichlet pdf at p")
-    sp.add_argument("--p", required=True)
+    add("density", _cmd_density, help="fiber density and Dirichlet pdf at p")
 
     sp = add("sample", _cmd_sample, help="uniform draws from the fiber over p (JSON lines)")
-    sp.add_argument("--p", required=True)
     sp.add_argument("-n", type=_at_least_zero, default=10)
     sp.add_argument("--seed", type=int, default=None)
 
     sp = add("neighborhood", _cmd_neighborhood, help="Monte Carlo measure of a metric ball")
-    sp.add_argument("--p", required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--metric", choices=("sup", "tv"), default="sup")
     sp.add_argument("-n", type=int, default=100_000)
@@ -391,11 +344,17 @@ _shared_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Load --p, run the command and print what it returns: a record (a dict)
+    or a table (a list of dicts).  A JSON-lines command writes its own lines
+    and returns None."""
     args = _shared_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        if "p" in args:
+            args.p = SumPmf.from_json_obj(_parse_json_or_file(args.p))
+        if (out := args.fn(args)) is not None:
+            _emit(out, getattr(args, "format", "json"))
         sys.stdout.flush()
-        return code
+        return 0
     except (ValueError, InfeasibleError, BasisLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,13 @@ import numpy as np
 DENSE_D_MAX = 20
 
 
-def _check_dimension(d: int, *, dense: bool = True) -> None:
-    if type(d) is not int or d < 1:
+def _check_dimension(d: int, *, dense: bool = True) -> int:
+    """d as an int: an int or numpy integer >= 1, as _as_int takes them."""
+    if not (type(d) is int or isinstance(d, np.integer)) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if dense and d > DENSE_D_MAX:
         raise ValueError(f"dense operations are limited to d <= {DENSE_D_MAX}, got {d}")
+    return int(d)
 
 
 def _as_int(v, what: str) -> int:
@@ -40,7 +42,7 @@ def _check_index(i: int) -> int:
 
 def index_to_vector(i: int, d: int) -> tuple[int, ...]:
     """Binary vector at position i of the reverse-lexicographic order."""
-    _check_dimension(d, dense=False)
+    d = _check_dimension(d, dense=False)
     i = _check_index(i)
     if i >= 1 << d:
         raise ValueError(f"index {i} out of range for d={d}")
@@ -69,7 +71,7 @@ def level_element(d: int, k: int, j: int) -> int:
     correspond to k-subsets of bit positions in colexicographic order, so the
     combinadic digits of j-1 are exactly the bit positions.
     """
-    _check_dimension(d, dense=False)
+    d = _check_dimension(d, dense=False)
     k, j = _check_index(k), _check_index(j)
     if k > d:
         raise ValueError(f"level k={k} out of range for d={d}")

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .indexing import _as_int, _check_dimension
 from .pmf import SumPmf, _read_only, _total
 
 LN2 = math.log(2.0)
@@ -60,6 +61,7 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
 
     A zero-dimensional simplex is a point and has measure 1 whatever p is.
     """
+    n = _as_int(n, "simplex dimension")
     if n < 0:
         raise ValueError(f"simplex dimension must be >= 0, got {n}")
     if side_param < 0:
@@ -183,8 +185,7 @@ def _log_total_factorial(d: int) -> float:
 
 def normalizing_constant(d: int) -> LogMeasure:
     """Total mass sqrt(2^d) / (2^d - 1)! of the induced measure."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _check_dimension(d, dense=False)
     return LogMeasure(0.5 * d * LN2 - _log_total_factorial(d))
 
 
@@ -209,6 +210,7 @@ def maximal_pmf(d: int) -> SumPmf:
     Entries (C(d,k) - 1) / (2^d - d - 1), exact rationals.  Undefined for
     d < 2, where every fiber is a point set of measure 1.
     """
+    d = _as_int(d, "dimension")
     if d < 2:
         raise ValueError("the maximal pmf needs d >= 2; below that all fibers have equal measure")
     denom = (1 << d) - d - 1

@@ -173,7 +173,7 @@ class JointPmf:
     values: tuple[Number, ...] | np.ndarray
 
     def __init__(self, d: int, values: Iterable[Number]):
-        _check_dimension(d)
+        d = _check_dimension(d)
         vals = _dense_masses(values)
         if len(vals) != 1 << d:
             raise ValueError(f"JointPmf for d={d} needs 2^d = {1 << d} entries, got {len(vals)}")
@@ -185,7 +185,7 @@ class JointPmf:
         """An exact pmf whose 2^d ints and Fractions the caller has proved
         nonnegative and summing to exactly 1 (an LP basic solution, a
         witness); stored as the tuple _dense_masses would keep."""
-        _check_dimension(d)
+        d = _check_dimension(d)
         self = object.__new__(cls)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "values", tuple(values))
@@ -253,7 +253,7 @@ class SparseJointPmf:
     atoms: tuple[tuple[int, Number], ...]
 
     def __init__(self, d: int, atoms: Iterable[tuple[int, Number]]):
-        _check_dimension(d, dense=False)
+        d = _check_dimension(d, dense=False)
         pairs = _sorted_atoms(d, [(_as_int(idx, "atom index"), as_number(mass)) for idx, mass in atoms])
         for _, mass in pairs:
             if mass <= 0:

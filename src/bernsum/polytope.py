@@ -204,6 +204,7 @@ def exchangeable_pmf(p: SumPmf) -> JointPmf:
 def moment_bounds(p: SumPmf, order: int) -> tuple[Number, Number]:
     """Sharp range of E[X_{j1}...X_{jk}] over the fiber, any k coordinates."""
     d = p.d
+    order = _as_int(order, "moment order")
     if not 1 <= order <= d:
         raise ValueError(f"moment order must be in 1..{d}, got {order}")
     return p.values[d], _total(p.values[order:])
@@ -229,7 +230,7 @@ class LabelMap:
     labels: tuple[int, ...]
 
     def __init__(self, d: int, labels: Iterable[int]):
-        _check_dimension(d)
+        d = _check_dimension(d)
         labs = tuple(_as_int(y, "label") for y in labels)
         if len(labs) != 1 << d:
             raise ValueError(f"label map for d={d} needs 2^d = {1 << d} entries")
@@ -270,7 +271,7 @@ def convex_min_pmf(d: int, mu: Number) -> SumPmf:
     An integral mean degenerates to a point mass (the two-point construction
     collapses by continuity).
     """
-    _check_dimension(d, dense=False)
+    d = _check_dimension(d, dense=False)
     if not 0 <= mu <= d:
         raise ValueError(f"mean must lie in [0, {d}], got {mu}")
     mu = Fraction(mu) if _is_exact(mu) else float(mu)

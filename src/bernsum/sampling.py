@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .indexing import _level_slice
+from .indexing import _as_int, _check_dimension, _level_slice
 from .measure import LN2, LogMeasure, _log_density_rows
 from .pmf import JointPmf, SumPmf
 
@@ -106,6 +106,7 @@ class EstimateReport:
 
 def sample_uniform_simplex(n: int, rng) -> np.ndarray:
     """Uniform draw from the standard n-simplex (n+1 coordinates summing to 1)."""
+    n = _as_int(n, "simplex dimension")
     if n < 0:
         raise ValueError(f"simplex dimension must be >= 0, got {n}")
     g = _as_generator(rng)
@@ -146,6 +147,7 @@ def sample_polytope_uniform(p: SumPmf, rng) -> JointPmf:
 
 def sample_Fd_uniform(d: int, rng) -> JointPmf:
     """Uniform draw from the full simplex of joint Bernoulli pmfs."""
+    d = _check_dimension(d)
     return JointPmf(d, sample_uniform_simplex((1 << d) - 1, _as_generator(rng)))
 
 

@@ -46,6 +46,16 @@ class TestBinomialPmf:
         with pytest.raises(ValueError):
             binomial_pmf(1.5, 3)
 
+    def test_dimension_meets_the_integer_rule(self):
+        p = binomial_pmf(0.5, np.int64(3))
+        assert p == binomial_pmf(0.5, 3)
+        assert all(type(v) is float for v in p.values)
+        for bad in (True, 2.0, -1, 0):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                binomial_pmf(0.5, bad)
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                curve_log_measure(0.5, bad)
+
 
 class TestPoissonBinomial:
     def test_iid_reduces_to_binomial(self):
@@ -217,6 +227,15 @@ class TestBinVsMode:
     def test_guard(self):
         with pytest.raises(ValueError):
             bin_vs_mode(1)
+
+    def test_dimension_meets_the_integer_rule(self):
+        r = bin_vs_mode(np.int64(5))
+        assert r == bin_vs_mode(5) and type(r["d_sup"]) is float
+        for bad in (5.0, True):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                bin_vs_mode(bad)
+        with pytest.raises(ValueError, match="bin_vs_mode needs d >= 2"):
+            bin_vs_mode(0)
 
 
 class TestFloatRangeGuards:

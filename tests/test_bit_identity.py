@@ -11,6 +11,7 @@ slice, alters a draw or moves a float in the last bit fails here, so
 speed-ups and refactors must keep every seeded result bit-identical.
 """
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -287,3 +288,122 @@ def test_cli_binomial_and_measure(name, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+# Every subcommand the pins above leave out, and the CSV form of every flat
+# one, pinned on the command bodies that each loaded --p and wrote their own
+# records.
+B_HALF_3 = "[0.125, 0.375, 0.375, 0.125]"
+GAPPED_FLOAT_6 = repr(list(gapped_pmf(6).values))
+README_P, README_THETA = '["1/8","3/8","3/8","1/8"]', '["1/4","2/4","3/4"]'
+CLI_PINS = {
+    "bounds_exact_d8": (["bounds", "--p", RATIONAL_8, "--order", "3"],
+                        "27cbf64af765e157f6c5dd90caf60f9009487e4e4093cff0006ef02182901682"),
+    "bounds_csv": (["bounds", "--p", B_HALF_3, "--order", "2", "--format", "csv"],
+                   "d3447bda5f314361db9f9094490661d889a4c19cf35618fee816e606f4561a6f"),
+    "entropy_bounds_nats": (["entropy-bounds", "--p", GAPPED_FLOAT_6],
+                            "e039bf01ce803ef14fc0a4d937de5f07de3da3348190450bd2f7ff1c85a9fbe0"),
+    "entropy_bounds_bits": (["entropy-bounds", "--p", GAPPED_FLOAT_6, "--bits"],
+                            "8591feab98809d1937fdd7f69f49859ad5f856e1beeae7860197687e8bffa432"),
+    "entropy_bounds_csv": (["entropy-bounds", "--p", RATIONAL_8, "--bits", "--format", "csv"],
+                           "8f9d0cd8c1e907f26da3c1687e77c8ce23e14289f0f2190719b0d04dac1c8b53"),
+    "feasible_readme": (["feasible", "--p", README_P, "--theta", README_THETA],
+                        "7dd6e44ee8101ba60004d8deb7fca8b5d5a119e9dbf64a32fca085aa4bf28de5"),
+    "feasible_float": (["feasible", "--p", "[0.25, 0.5, 0.25]", "--theta", '["1/4", "3/4"]'],
+                       "42d523d06eb373b4356622aa1bbed3a51ed227ae3bfbc0a7689ab188f0937e92"),
+    "infeasible": (["feasible", "--p", "[0.8,0,0,0.2]", "--theta", "[0,0.3,0.3]"],
+                   "5951d9a506bdc75143496d5b75f7c3ded74c717557581ee6513751d727b0fc49"),
+    "constrained_bounds_readme": (["constrained-bounds", "--p", README_P, "--theta", README_THETA,
+                                   "--subset", "1,2"],
+                                  "8f8ce71b82f6a964b41147bad5dcde59edf23f9ca3627215f215d7404ad15514"),
+    "constrained_bounds_csv": (["constrained-bounds", "--p", B_HALF_3, "--theta", README_THETA,
+                                "--subset", "1,2,3", "--format", "csv"],
+                               "ffe1e173dcff1ccf3a2406c25fff0efe4ea5fce9eccba6debf8601f0715fe92c"),
+    "measure_float_csv": (["measure", "--p", GAPPED_FLOAT_6, "--format", "csv"],
+                          "654a73f6c6e342be3a1a2654405e49eb10b6b27399774d910abde4590c5706dc"),
+    "measure_exact_csv": (["measure", "--p", GAPPED_EXACT_4, "--format", "csv"],
+                          "b89358159156d699cdf68e04b527bba0c666012e0499b76126efcc217f37fcb6"),
+    "mode_d6": (["mode", "--d", "6"],
+                "32d73dc3bde22f35b6092a4201953e38a537dafa899a81ea11d0b0760d5ffe74"),
+    "mode_d6_csv": (["mode", "--d", "6", "--format", "csv"],
+                    "538f493174338781bdc05081cbe0a9d58da469d349ea11f007256531f261089a"),
+    "density_float": (["density", "--p", GAPPED_FLOAT_6],
+                      "764a67ab1e52ca2866608beef1b11bc5f55b78fe8c19dc74a78bb7a1483fef7a"),
+    "density_exact_gapped": (["density", "--p", GAPPED_EXACT_4],
+                             "ec033d76b7fe3ebf80e7c6cd850d203d6a7577c431b7daf2711af17034356271"),
+    "density_csv": (["density", "--p", RATIONAL_8, "--format", "csv"],
+                    "f66cdf3ac97b1e845ef8e472ec6ed5f7a6079a2b3502502dc9e011e3616ce258"),
+    "binomial_scan_csv": (["binomial-scan", "--d", "20", "--points", "251", "--format", "csv"],
+                          "a6abfb50554d020ef1394f86e861d99d94fcd142e9056d5dd6309090f6c6ae0e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINS))
+def test_cli_commands(name, capsys):
+    argv, pin = CLI_PINS[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+# Seeded neighborhood runs of 20,000 draws, two chunks: every thread count
+# prints the same bytes.
+NEIGHBORHOOD_PINS = {
+    "sup": (["--p", repr(list(SKEWED_5.values)), "--eps", "0.1", "--seed", "41"],
+            "cc46d4d5c309523b2743757f683c08e237d7f40b617492621f2d7620132e21b4"),
+    "sup_csv": (["--p", B_HALF_3, "--eps", "0.2", "--seed", "42", "--format", "csv"],
+                "23194846cf0b69a27dc3701ae682191b6a289d30a58930feee8e54bbc52d4127"),
+    "tv": (["--p", B_HALF_3, "--eps", "0.2", "--metric", "tv", "--seed", "43"],
+           "684287f73ef4a325869def85888fe116cbbe0639f4a22eba9039addd77ccf718"),
+    "tv_csv": (["--p", B_HALF_3, "--eps", "0.2", "--metric", "tv", "--seed", "43",
+                "--format", "csv"],
+               "1b4651541ef57daeaed8a06fb8d3ac5e76669de8a92d3f0bd4ed686a468256e5"),
+    "paper_sigma_s": (["--p", "[0.2, 0.2, 0.6]", "--eps", "0.3", "--seed", "44",
+                       "--paper-sigma-s"],
+                      "2917f612bffedc44ebaa5febd2348daaef39f49c0fd221775d47d59cde5ba5da"),
+    "paper_sigma_s_tv": (["--p", "[0.2, 0.2, 0.6]", "--eps", "0.3", "--metric", "tv",
+                          "--seed", "45", "--paper-sigma-s"],
+                         "f23d6847d35d8c19ce19ee0c187dbb5b872ace4b94990469f72a6f9e3eb40123"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("name", sorted(NEIGHBORHOOD_PINS))
+def test_cli_neighborhood(name, threads, capsys):
+    argv, pin = NEIGHBORHOOD_PINS[name]
+    assert main(["neighborhood", *argv, "-n", "20000", "--threads", threads]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
+
+
+# One refusal per subcommand: exit 2, nothing on stdout, and this stderr.
+SYMMETRIC_5 = '["1/32","5/32","10/32","10/32","5/32","1/32"]'
+CLI_REFUSALS = {
+    "extremals": (["--p", B_HALF_3, "--offset", "-1"], "--offset must be >= 0"),
+    "bounds": (["--p", B_HALF_3, "--order", "4"], "moment order must be in 1..3, got 4"),
+    "entropy-bounds": (["--p", "[0.5, 0.6]"], "SumPmf violates normalization: sum 1.1 != 1"),
+    "feasible": (["--p", B_HALF_3, "--theta", '{"a": 1}'], "theta must be a JSON array of means"),
+    "constrained-vertices": (
+        ["--p", SYMMETRIC_5, "--theta", json.dumps(["1/2"] * 5), "--max-bases", "1"],
+        "vertex enumeration exceeded max_bases=1 (1 vertices found so far); degenerate "
+        "instances can have combinatorially many feasible bases"),
+    "constrained-bounds": (["--p", B_HALF_3, "--theta", README_THETA, "--subset", "4"],
+                           "coordinates [4] out of range for d=3"),
+    "measure": (["--p", "[1.2, -0.2]"], "SumPmf violates nonnegativity: entry -0.2"),
+    "mode": (["--d", "1"],
+             "the maximal pmf needs d >= 2; below that all fibers have equal measure"),
+    "density": (["--p", "[NaN, 1.0]"], "SumPmf violates normalization: sum nan != 1"),
+    "sample": (["--p", "[0.5, 0.6]", "--seed", "1"], "SumPmf violates normalization: sum 1.1 != 1"),
+    "neighborhood": (["--p", "[0.25, 0.5, 0.25]", "--eps", "-0.1", "-n", "1000", "--seed", "1"],
+                     "epsilon must be positive, got -0.1"),
+    "binomial-scan": (["--d", "3", "--points", "1"], "need at least 2 scan points"),
+    "bin-vs-mode": (["--dmax", "1024"], "bin_vs_mode needs d <= 1023, where 2^d and so the log "
+                                        "gap are finite floats; got d = 1024"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REFUSALS))
+def test_cli_refusals(command, capsys):
+    argv, err = CLI_REFUSALS[command]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")

@@ -543,6 +543,36 @@ class TestErrors:
         assert code == 0
         assert json.loads(out)["upper"] == 0.875
 
+    def test_unreadable_path_names_it(self, capsys, tmp_path):
+        # The path exists but is a directory: exit 2 naming it, no traceback.
+        for argv in (["measure", "--p", str(tmp_path)],
+                     ["feasible", "--p", "[0.25, 0.5, 0.25]", "--theta", str(tmp_path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
+
+    def test_malformed_file_names_it(self, capsys, tmp_path):
+        path = tmp_path / "pmf.json"
+        path.write_text("[0.25 0.5, 0.25]")
+        want = (f"error: {str(path)!r} is not valid JSON: "
+                "Expecting ',' delimiter: line 1 column 7 (char 6)\n")
+        assert run(capsys, "density", "--p", str(path)) == (2, "", want)
+        argv = ["feasible", "--p", "[0.25, 0.5, 0.25]", "--theta", str(path)]
+        assert run(capsys, *argv) == (2, "", want)
+        path.write_bytes(b"\xff\xfe[0.5, 0.5]")
+        code, out, err = run(capsys, "density", "--p", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {str(path)!r} is not valid JSON: ")
+
+    @pytest.mark.parametrize("subset, token", [("a", "a"), ("1.5", "1.5"), ("1,x,2", "x")])
+    def test_subset_names_the_bad_token(self, capsys, subset, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["constrained-bounds", "--p", B_HALF, "--theta", THETA, "--subset", subset])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --subset: not an integer coordinate: {token!r}" in captured.err
+
 
 class TestClosedPipe:
     """A JSON-lines stream whose reader goes away ends quietly, with the

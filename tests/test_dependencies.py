@@ -88,3 +88,35 @@ def test_public_surface_is_pinned():
     attributes = {n: sorted(a for a in vars(c) if not a.startswith("_") and a not in FIELDS.get(n, []))
                   for n, c in classes.items()}
     assert attributes == ATTRIBUTES
+
+
+# Every subcommand, and whether it reads a sum pmf through --p.
+COMMANDS = {
+    "extremals": True, "bounds": True, "entropy-bounds": True, "feasible": True,
+    "constrained-vertices": True, "constrained-bounds": True, "measure": True, "mode": False,
+    "density": True, "sample": True, "neighborhood": True, "binomial-scan": False,
+    "bin-vs-mode": False,
+}
+
+
+def test_cli_entry_points_called_from_outside_src():
+    # pyproject.toml's console script calls cli.main, and the benchmark's
+    # set-up probe calls cli.build_parser: a rename would break both.
+    from bernsum import cli
+    assert callable(cli.main) and callable(cli.build_parser)
+    scripts = (TESTS.parent / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    assert scripts.strip().splitlines()[0] == 'bernsum = "bernsum.cli:main"'
+
+
+def test_every_help_exits_0(capsys):
+    from bernsum.cli import main
+    for argv in ([], *([c] for c in COMMANDS)):
+        try:
+            main([*argv, "--help"])
+        except SystemExit as exc:
+            assert exc.code == 0, argv
+        out = capsys.readouterr().out
+        if argv:
+            assert ("--p P" in out) == COMMANDS[argv[0]], argv
+        else:
+            assert all(c in out for c in COMMANDS)

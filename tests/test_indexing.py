@@ -95,6 +95,20 @@ def test_index_helpers():
             _check_dimension(d)
 
 
+def test_dimension_meets_the_integer_rule():
+    # A numpy integer is taken and handed back as an int; bools and floats
+    # (2.0 too) are refused, as every other integer argument refuses them.
+    for d in (np.int64(3), np.uint8(3), 3):
+        assert _check_dimension(d) == 3 and type(_check_dimension(d)) is int
+    assert level_element(np.int64(3), 1, 1) == 1
+    assert index_to_vector(6, np.int64(3)) == (0, 1, 1)
+    for bad in (True, np.bool_(True), 2.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            _check_dimension(bad, dense=False)
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            level_element(bad, 1, 1)
+
+
 @pytest.mark.parametrize("bad", [-1, -6, 2.5, 2.0, "3", None])
 def test_level_helpers_refuse_invalid_indices(bad):
     with pytest.raises(ValueError, match="nonnegative integer"):

@@ -73,6 +73,12 @@ class TestSimplexHausdorff:
         with pytest.raises(ValueError):
             simplex_hausdorff(2, -0.5)
 
+    def test_simplex_dimension_meets_the_integer_rule(self):
+        assert simplex_hausdorff(np.int64(2), 0.5) == simplex_hausdorff(2, 0.5)
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="simplex dimension must be an integer"):
+                simplex_hausdorff(bad, 0.5)
+
 
 class TestPolytopeMeasure:
     def test_d2_segment(self):
@@ -253,6 +259,13 @@ class TestNormalizingConstant:
         with pytest.raises(ValueError):
             normalizing_constant(0)
 
+    def test_dimension_meets_the_integer_rule(self):
+        assert normalizing_constant(np.int64(3)) == normalizing_constant(3)
+        assert type(normalizing_constant(np.int64(3)).log_value) is float
+        for bad in (True, 2.5, 2.0, -1):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                normalizing_constant(bad)
+
 
 class TestDirichletPdf:
     def test_d2_closed_form(self):
@@ -298,6 +311,15 @@ class TestMaximalPmf:
     def test_guard(self):
         with pytest.raises(ValueError):
             maximal_pmf(1)
+
+    def test_dimension_meets_the_integer_rule(self):
+        assert maximal_pmf(np.int64(4)) == maximal_pmf(4)
+        for bad in (3.0, True):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                maximal_pmf(bad)
+        for d in (1, 0, -3):
+            with pytest.raises(ValueError, match="the maximal pmf needs d >= 2"):
+                maximal_pmf(d)
 
     def test_beats_random_search(self):
         rng = np.random.default_rng(71)

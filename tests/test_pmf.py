@@ -79,6 +79,16 @@ class TestValidation:
         assert f.atoms == ((3, 1.0),) and type(f.atoms[0][0]) is int
         assert cross_moment(f, [np.int64(2)]) == 1.0
 
+    def test_numpy_integer_dimension_is_kept_as_an_int(self):
+        dense = JointPmf(np.int64(2), [0.25] * 4)
+        sparse = SparseJointPmf(np.int64(2), [(3, 1.0)])
+        assert type(dense.d) is int and type(sparse.d) is int
+        assert json.loads(json.dumps(dense.to_json_obj()))["d"] == 2
+        assert json.loads(json.dumps(sparse.to_json_obj()))["d"] == 2
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                JointPmf(bad, [0.25] * 4)
+
     def test_exact_sum_must_be_exact(self):
         with pytest.raises(ValueError):
             SumPmf([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15)])

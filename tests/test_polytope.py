@@ -311,6 +311,12 @@ class TestMomentBounds:
         with pytest.raises(ValueError, match="order"):
             moment_bounds(B_HALF_3, 4)
 
+    def test_order_meets_the_integer_rule(self):
+        assert moment_bounds(B_HALF_3, np.int64(2)) == moment_bounds(B_HALF_3, 2)
+        for bad in (True, 1.0, 1.5):
+            with pytest.raises(ValueError, match="moment order must be an integer"):
+                moment_bounds(B_HALF_3, bad)
+
     def test_sharpness_by_vertex_scan(self):
         rng = np.random.default_rng(41)
         for d in (2, 3, 4):

@@ -56,6 +56,23 @@ class TestUniformSimplex:
     def test_zero_dimension(self):
         assert list(sample_uniform_simplex(0, RngStream(1))) == [1.0]
 
+    def test_dimension_meets_the_integer_rule(self):
+        same = [sample_uniform_simplex(n, RngStream(5)) for n in (np.int64(3), 3)]
+        assert np.array_equal(*same)
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="simplex dimension must be an integer"):
+                sample_uniform_simplex(bad, RngStream(1))
+        assert sample_Fd_uniform(np.int64(2), RngStream(1)).d == 2
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                sample_Fd_uniform(bad, RngStream(1))
+        # Refused before 2^21 masses are drawn: the generator has not moved.
+        g = RngStream(1).generator()
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="dense operations are limited to d <= 20"):
+            sample_Fd_uniform(21, g)
+        assert g.bit_generator.state == state
+
     def test_coordinates_sum_to_one(self):
         g = RngStream(3).generator()
         for _ in range(100):
