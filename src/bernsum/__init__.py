@@ -56,7 +56,6 @@ from .sampling import (
     NeighborhoodSpec,
     RngStream,
     estimate_neighborhood_measure,
-    estimate_tv_neighborhood_bound,
     hit_and_run,
     region_volume,
     sample_dirichlet,

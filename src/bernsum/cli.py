@@ -41,7 +41,6 @@ from .sampling import (
     NeighborhoodSpec,
     RngStream,
     estimate_neighborhood_measure,
-    estimate_tv_neighborhood_bound,
     sample_polytope_uniform,
 )
 
@@ -198,8 +197,7 @@ def _cmd_neighborhood(args) -> dict:
     spec = NeighborhoodSpec(
         center=args.p, epsilon=args.eps, metric=args.metric, paper_region=args.paper_sigma_s
     )
-    estimate = estimate_neighborhood_measure if args.metric == "sup" else estimate_tv_neighborhood_bound
-    report = estimate(spec, args.n, RngStream(seed, 0), threads=args.threads)
+    report = estimate_neighborhood_measure(spec, args.n, RngStream(seed, 0), threads=args.threads)
     return {
         "metric": args.metric,
         "epsilon": args.eps,
@@ -241,7 +239,7 @@ def _at_least(low: int):
 
 
 _at_least_one = _at_least(1)  # --threads, --max-bases, binomial-scan --d
-_at_least_zero = _at_least(0)  # sample -n: 0 prints the header alone
+_at_least_zero = _at_least(0)  # --seed; sample -n, where 0 prints the header alone
 
 
 def _thread_count(text: str) -> int:
@@ -318,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("sample", _cmd_sample, help="uniform draws from the fiber over p (JSON lines)")
     sp.add_argument("-n", type=_at_least_zero, default=10)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_at_least_zero, default=None)
 
     sp = add("neighborhood", _cmd_neighborhood, help="Monte Carlo measure of a metric ball")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--metric", choices=("sup", "tv"), default="sup")
     sp.add_argument("-n", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_at_least_zero, default=None)
     sp.add_argument("--threads", type=_thread_count, default="auto")
     sp.add_argument("--paper-sigma-s", action="store_true",
                     help="use the looser parameterized region without the last-coordinate window")

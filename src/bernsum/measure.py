@@ -24,6 +24,8 @@ from .pmf import SumPmf, _read_only, _total
 
 LN2 = math.log(2.0)
 _TINY = sys.float_info.min
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_UNDERFLOW = math.log(math.ulp(0.0)) - LN2  # exp rounds anything below to 0.0
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,19 @@ def dirichlet_pdf(p: SumPmf) -> float:
 
 
 def _dirichlet_pdf(density: LogMeasure, d: int) -> float:
-    """dirichlet_pdf from the fiber density l(p) already evaluated."""
-    return (density * LogMeasure(_log_total_factorial(d))).value
+    """dirichlet_pdf from the fiber density l(p) already evaluated.
+
+    log l(p) adds d terms of about the size of log (2^d - 1)! and nearly
+    cancels it, so their sum may be off by d ulps of that size.  Past ln 2
+    (from d = 43) the pdf is refused unless it is certainly below the float
+    range, where it is 0.0; it is refused too wherever it overflows.
+    """
+    log_fact = _log_total_factorial(d)
+    lv = density.log_value + log_fact
+    err = d * math.ulp(log_fact)
+    if lv > _LOG_MAX or (err > LN2 and lv + err >= _LOG_UNDERFLOW):
+        raise _overflow("the Dirichlet pdf", d)
+    return math.exp(lv)
 
 
 def maximal_pmf(d: int) -> SumPmf:

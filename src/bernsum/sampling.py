@@ -65,6 +65,8 @@ class NeighborhoodSpec:
             raise ValueError(f"metric must be 'sup' or 'tv', got {self.metric!r}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
 
     @property
     def d(self) -> int:
@@ -287,18 +289,26 @@ def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int =
     return EstimateReport(est, se, n, acc)
 
 
-def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> EstimateReport:
-    """Induced measure of the spec's ball: sqrt(2^d) x box volume x the mean
-    fiber density over the n box draws (zero outside the ball)."""
+def estimate_neighborhood_measure(
+    spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1
+) -> EstimateReport:
+    """Induced measure of the spec's ball, sup or tv, around the center.
+
+    Averages the fiber density over uniform draws from the bounding box,
+    zero outside the ball, and scales by the box volume in the
+    sqrt(2^d)-normalized parameterization, so at eps >= 1 the sup estimate
+    converges to the full normalizing constant.  The TV-ball sits inside the
+    sup-ball of the same radius, so a tv draw must pass the sup window and
+    then the TV test: on identical seeds a tv estimate never exceeds the sup
+    estimate.
+    """
     if n < 1000:
         raise ValueError("need at least 10^3 draws for a meaningful estimate")
     d = spec.d
     log_box, m, logl = _region_mc(spec, n, rng, threads)
     acc = m / n
-    if m == 0:
-        return EstimateReport(LogMeasure.zero(), 0.0, n, 0.0)
-    shift = float(logl.max())
-    if shift == float("-inf"):  # every accepted point sat on a zero-density face
+    shift = float(logl.max()) if m else float("-inf")
+    if shift == float("-inf"):  # no draw in the ball, or every one on a zero-density face
         return EstimateReport(LogMeasure.zero(), 0.0, n, acc)
     # Shifted weights serve both the log-sum-exp and the delta method.
     w = np.exp(logl - shift)
@@ -311,30 +321,3 @@ def _estimate(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int) -> E
     est_lin = math.exp(log_est)  # underflows to 0.0 only below about -745
     se = est_lin * math.hypot(se_v_rel, se_l_rel)
     return EstimateReport(LogMeasure(log_est), se, n, acc)
-
-
-def estimate_neighborhood_measure(
-    spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1
-) -> EstimateReport:
-    """Induced measure of the sup-ball around the center.
-
-    Averages the fiber density over uniform draws from the region and scales
-    by the region volume in the sqrt(2^d)-normalized parameterization, so at
-    eps >= 1 the estimate converges to the full normalizing constant.
-    """
-    if spec.metric != "sup":
-        raise ValueError("this estimator handles the sup metric; see the tv bound")
-    return _estimate(spec, n, rng, threads)
-
-
-def estimate_tv_neighborhood_bound(
-    spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1
-) -> EstimateReport:
-    """Induced measure of the TV-ball, by rejection inside the sup-ball.
-
-    The TV-ball sits inside the sup-ball of the same radius, so on identical
-    seeds this estimate never exceeds the sup estimate.
-    """
-    if spec.metric != "tv":
-        raise ValueError("this estimator handles the tv metric")
-    return _estimate(spec, n, rng, threads)

@@ -33,7 +33,6 @@ from bernsum.sampling import (
     NeighborhoodSpec,
     RngStream,
     estimate_neighborhood_measure,
-    estimate_tv_neighborhood_bound,
     sample_Fd_uniform,
 )
 
@@ -211,7 +210,7 @@ def test_criterion_7_neighborhood_estimator():
             assert abs(rep.point_estimate.value - oracle) <= 4 * rep.std_error
             assert rep.std_error > 0
 
-            tv = estimate_tv_neighborhood_bound(
+            tv = estimate_neighborhood_measure(
                 NeighborhoodSpec(p, eps, "tv"), n, RngStream(777)
             )
             assert tv.point_estimate.value <= rep.point_estimate.value + 1e-15

@@ -26,7 +26,6 @@ from bernsum.sampling import (
     NeighborhoodSpec,
     RngStream,
     estimate_neighborhood_measure,
-    estimate_tv_neighborhood_bound,
     hit_and_run,
     region_volume,
     sample_Fd_uniform,
@@ -145,9 +144,9 @@ MC_PINS = {
 MC_CASES = {
     "sup": (estimate_neighborhood_measure, "sup", False,
             [(B_HALF[3], 0.2), (B_HALF[3], 1.5), (B_HALF[8], 0.05), (SKEWED_5, 0.1)]),
-    "tv": (estimate_tv_neighborhood_bound, "tv", False,
+    "tv": (estimate_neighborhood_measure, "tv", False,
            [(B_HALF[3], 0.2), (B_HALF[8], 0.05), (SKEWED_5, 0.5)]),
-    "tv_paper_region": (estimate_tv_neighborhood_bound, "tv", True,
+    "tv_paper_region": (estimate_neighborhood_measure, "tv", True,
                         [(B_HALF[3], 0.2), (SKEWED_5, 0.5)]),
     "region_volume": (region_volume, "sup", False,
                       [(B_HALF[3], 0.2), (B_HALF[8], 0.05), (SKEWED_5, 1.5)]),
@@ -199,7 +198,7 @@ WIDE_CASES = {
             [(binomial(2, 0.5), 0.1), (binomial(2, 0.3), 0.5), (binomial(10, 0.5), 0.05),
              (binomial(10, 0.3), 0.1), (binomial(16, 0.5), 0.05), (binomial(16, 0.3), 0.1),
              (binomial(16, 0.5), 0.2)]),
-    "tv": (estimate_tv_neighborhood_bound, "tv",
+    "tv": (estimate_neighborhood_measure, "tv",
            [(binomial(2, 0.5), 0.1), (binomial(2, 0.3), 0.5), (binomial(10, 0.5), 0.2),
             (binomial(10, 0.3), 0.5), (binomial(16, 0.5), 0.05)]),
     "region_volume": (region_volume, "sup",
@@ -376,6 +375,24 @@ def test_cli_neighborhood(name, threads, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
+# Every JSON record pinned above is strict JSON: no NaN or Infinity leaks.
+STRICT_JSON_ARGVS = {
+    **{name: argv for name, (argv, _) in {**MEASURE_CLI, **CLI_PINS}.items()},
+    **{f"neighborhood_{name}": ["neighborhood", *argv, "-n", "20000", "--threads", "1"]
+       for name, (argv, _) in NEIGHBORHOOD_PINS.items()},
+}
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in STRICT_JSON_ARGVS.items() if "csv" not in argv))
+def test_cli_records_are_strict_json(name, capsys):
+    assert main(STRICT_JSON_ARGVS[name]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+
+
 # One refusal per subcommand: exit 2, nothing on stdout, and this stderr.
 SYMMETRIC_5 = '["1/32","5/32","10/32","10/32","5/32","1/32"]'
 CLI_REFUSALS = {
@@ -407,3 +424,10 @@ def test_cli_refusals(command, capsys):
     argv, err = CLI_REFUSALS[command]
     assert main([command, *argv]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_cli_refuses_an_infinite_epsilon(capsys):
+    # json.dumps would write the record's epsilon as Infinity, which is not JSON.
+    argv = ["neighborhood", "--p", "[0.25, 0.5, 0.25]", "--eps", "inf", "-n", "2000", "--seed", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: epsilon must be finite, got inf\n")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bernsum import cli
 from bernsum.cli import build_parser, main
+from bernsum.measure import maximal_pmf
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf
 from bernsum.polytope import (
     describe,
@@ -283,6 +284,19 @@ class TestMeasureCommands:
         assert math.isclose(math.exp(rec["log_density"]), 0.5, rel_tol=1e-12)
         assert math.isclose(rec["dirichlet_pdf"], 3.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("command", ["measure", "density"])
+    @pytest.mark.parametrize("d", [40, 60])
+    @pytest.mark.parametrize("centre", ["b_half", "mode"])
+    def test_dirichlet_pdf_past_the_float_range_is_refused(self, capsys, command, d, centre):
+        # At d = 40 the pdf overflows a float; at d = 60 the two logs it adds
+        # cancel below their rounding error, so no float value is right.
+        if centre == "b_half":
+            p = [f"{math.comb(d, k)}/{2**d}" for k in range(d + 1)]
+        else:
+            p = [str(v) for v in maximal_pmf(d).values]
+        assert run(capsys, command, "--p", json.dumps(p)) == (
+            2, "", f"error: the Dirichlet pdf must be a finite float; at d = {d} it overflows\n")
+
 
 class TestSample:
     def test_stream_with_header(self, capsys):
@@ -508,6 +522,20 @@ class TestErrors:
         code, out, err = run(capsys, "feasible", "--p", p, "--theta", theta)
         assert (code, out) == (2, "")
         assert invariant in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--p", B_HALF],
+        ["neighborhood", "--p", B_HALF, "--eps", "0.1", "-n", "2000"],
+    ])
+    def test_negative_seed_refused(self, capsys, argv):
+        # numpy's own refusal, "expected non-negative integer", names
+        # neither the flag nor the value.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be >= 0, got -1" in captured.err
 
     def test_negative_pmf(self, capsys):
         code, _, err = run(capsys, "measure", "--p", "[1.2, -0.2]")

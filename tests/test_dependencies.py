@@ -21,7 +21,7 @@ PUBLIC = [
     "constrained_moment_bounds", "constrained_vertices", "convex_min_pmf", "cross_moment",
     "curve_argmax", "curve_log_measure", "decompose", "density_l", "describe",
     "dirichlet_pdf", "dist_sup", "dist_tv", "entropy", "entropy_bounds",
-    "estimate_neighborhood_measure", "estimate_tv_neighborhood_bound", "exchangeable_pmf",
+    "estimate_neighborhood_measure", "exchangeable_pmf",
     "extremal_by_index", "extremal_enumerate", "extremal_indices", "feasible_point",
     "flat_weights", "generalized_extremals", "hit_and_run", "index_to_vector",
     "level_element", "level_rank", "level_weight", "maximal_pmf", "membership",

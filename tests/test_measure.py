@@ -292,6 +292,27 @@ class TestDirichletPdf:
             rhs = math.log(dirichlet_pdf(p))
             assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-10)
 
+    @pytest.mark.parametrize("d", [40, 60])
+    @pytest.mark.parametrize("centre", ["b_half", "mode"])
+    def test_past_the_float_range_is_refused(self, d, centre):
+        # From d = 40 the pdf overflows at these centres; from about d = 57
+        # log l(p) and log (2^d - 1)! also cancel below their rounding error.
+        p = binomial_pmf(0.5, d) if centre == "b_half" else maximal_pmf(d)
+        message = f"the Dirichlet pdf must be a finite float; at d = {d} it overflows"
+        with pytest.raises(ValueError, match=message):
+            dirichlet_pdf(p)
+
+    def test_in_range_keeps_its_bits(self):
+        for p in (binomial_pmf(0.5, 38), maximal_pmf(38), binomial_pmf(0.3, 25)):
+            assert dirichlet_pdf(p) == math.exp(density_l(p).log_value + math.lgamma(2**p.d))
+
+    def test_certainly_below_the_float_range_is_zero(self):
+        # d = 300 is far past the cancellation, but this sum is below -745 by
+        # more than its rounding error.
+        assert dirichlet_pdf(binomial_pmf(0.05, 300)) == 0.0
+        gapped = SumPmf([0.5] + [0.0] * 59 + [0.5])
+        assert density_l(gapped).is_zero and dirichlet_pdf(gapped) == 0.0
+
     def test_mean_is_symmetric_binomial(self):
         for d in (2, 3, 5):
             alphas = [math.comb(d, k) for k in range(d + 1)]

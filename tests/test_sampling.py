@@ -12,7 +12,6 @@ from bernsum.sampling import (
     NeighborhoodSpec,
     RngStream,
     estimate_neighborhood_measure,
-    estimate_tv_neighborhood_bound,
     hit_and_run,
     region_volume,
     sample_dirichlet,
@@ -348,8 +347,6 @@ class TestNeighborhoodMeasure:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.1, "tv"), 2000, RngStream(1))
-        with pytest.raises(ValueError):
             estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.1), 999, RngStream(1))
         with pytest.raises(TypeError):
             estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.1), 2000, RngStream(1).generator())
@@ -367,6 +364,15 @@ class TestNeighborhoodMeasure:
         with pytest.raises(ValueError, match=r"window p_0 ± epsilon = 0\.5 ± 1e-20 rounds to zero width"):
             fn(spec, 2000, RngStream(1))
 
+    @pytest.mark.parametrize("eps, message", [
+        (math.inf, "epsilon must be finite, got inf"),
+        (math.nan, "epsilon must be positive, got nan"),
+        (-0.1, "epsilon must be positive, got -0.1"),
+    ])
+    def test_spec_radius_is_positive_and_finite(self, eps, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NeighborhoodSpec(P_D2, eps)
+
     def test_paper_region_flag_loosens_the_set(self):
         p = SumPmf([0.2, 0.2, 0.6])
         tight = estimate_neighborhood_measure(NeighborhoodSpec(p, 0.3), 50_000, RngStream(107))
@@ -381,25 +387,21 @@ class TestTvBound:
     def test_equals_sup_at_full_radius(self):
         spec_tv = NeighborhoodSpec(P_D2, 1.0, "tv")
         spec_sup = NeighborhoodSpec(P_D2, 1.0, "sup")
-        a = estimate_tv_neighborhood_bound(spec_tv, 50_000, RngStream(109))
+        a = estimate_neighborhood_measure(spec_tv, 50_000, RngStream(109))
         b = estimate_neighborhood_measure(spec_sup, 50_000, RngStream(109))
         assert a.point_estimate.log == b.point_estimate.log
 
     def test_never_exceeds_sup_estimate(self):
         for eps in (0.05, 0.1, 0.3):
-            a = estimate_tv_neighborhood_bound(NeighborhoodSpec(P_D2, eps, "tv"), 20_000, RngStream(113))
+            a = estimate_neighborhood_measure(NeighborhoodSpec(P_D2, eps, "tv"), 20_000, RngStream(113))
             b = estimate_neighborhood_measure(NeighborhoodSpec(P_D2, eps, "sup"), 20_000, RngStream(113))
             assert a.point_estimate.value <= b.point_estimate.value + 1e-15
 
     def test_matches_tv_quadrature_d2(self):
         eps = 0.08
-        rep = estimate_tv_neighborhood_bound(NeighborhoodSpec(P_D2, eps, "tv"), 100_000, RngStream(127))
+        rep = estimate_neighborhood_measure(NeighborhoodSpec(P_D2, eps, "tv"), 100_000, RngStream(127))
         want = 2.0 * quad_region_tv_2d(lambda x, y, z: y, P_D2.values, eps)
         assert abs(rep.point_estimate.value - want) <= 4 * rep.std_error
-
-    def test_metric_guard(self):
-        with pytest.raises(ValueError):
-            estimate_tv_neighborhood_bound(NeighborhoodSpec(P_D2, 0.1, "sup"), 2000, RngStream(1))
 
 
 class TestReportInvariants:
