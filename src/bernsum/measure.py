@@ -54,9 +54,6 @@ class LogMeasure:
     def value(self) -> float:
         return math.exp(self.log_value)
 
-    def __mul__(self, other: "LogMeasure") -> "LogMeasure":
-        return LogMeasure(self.log_value + other.log_value)
-
 
 def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
     """Surface measure p^n sqrt(n+1) / n! of the n-simplex scaled by p.
@@ -205,15 +202,19 @@ def _dirichlet_pdf(density: LogMeasure, d: int) -> float:
     """dirichlet_pdf from the fiber density l(p) already evaluated.
 
     log l(p) adds d terms of about the size of log (2^d - 1)! and nearly
-    cancels it, so their sum may be off by d ulps of that size.  Past ln 2
-    (from d = 43) the pdf is refused unless it is certainly below the float
-    range, where it is 0.0; it is refused too wherever it overflows.
+    cancels it, so their sum may be off by d ulps of that size.  The pdf is
+    refused as an overflow wherever it may exceed the float range.  Once that
+    error passes ln 2 (from d = 43) it is refused for its uncertainty too
+    where it may lie inside the range; certainly below it, it is 0.0.
     """
     log_fact = _log_total_factorial(d)
     lv = density.log_value + log_fact
     err = d * math.ulp(log_fact)
-    if lv > _LOG_MAX or (err > LN2 and lv + err >= _LOG_UNDERFLOW):
+    if lv > _LOG_MAX or (err > LN2 and lv + err > _LOG_MAX):
         raise _overflow("the Dirichlet pdf", d)
+    if err > LN2 and lv + err >= _LOG_UNDERFLOW:
+        raise ValueError(f"the Dirichlet pdf has no reliable float at d = {d}: its log, {lv:.6g}, "
+                         f"is uncertain by {err:.6g} nats, more than ln 2")
     return math.exp(lv)
 
 

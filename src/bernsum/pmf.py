@@ -336,8 +336,9 @@ def cross_moment(f: AnyJoint, subset: Iterable[int]) -> Number:
 
 def entropy(pmf: AnyPmf) -> float:
     """Shannon entropy in nats; zero atoms are skipped (0 log 0 = 0), and so
-    is an exact mass whose float is 0, as its term underflows."""
+    is an exact mass whose float is 0, as its term underflows.  A point
+    mass gives +0.0, as 0.0 - s does where -s would give -0.0."""
     if isinstance(pmf, JointPmf) and not pmf.exact:
         m = pmf.values[pmf.values > 0]
-        return -_fsum(m * np.log(m))
-    return -math.fsum(f * math.log(f) for f in map(float, pmf.positive_masses()) if f)
+        return 0.0 - _fsum(m * np.log(m))
+    return 0.0 - math.fsum(f * math.log(f) for f in map(float, pmf.positive_masses()) if f)

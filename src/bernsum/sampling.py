@@ -153,12 +153,15 @@ def sample_Fd_uniform(d: int, rng) -> JointPmf:
     return JointPmf(d, sample_uniform_simplex((1 << d) - 1, _as_generator(rng)))
 
 
-def _interior_start(spec: NeighborhoodSpec) -> np.ndarray:
-    d = spec.d
-    p = spec.center.array
-    alpha = 0.5 * min(spec.epsilon, 1.0)
-    blended = (1.0 - alpha) * p + alpha / (d + 1)
-    return blended[:-1].copy()
+def _checked_box(spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """spec.box(), refused when a free coordinate's window rounds to zero width."""
+    lo, hi, lo_d, hi_d = spec.box()
+    widths = hi - lo
+    if np.any(widths <= 0):
+        j = int(np.argmin(widths))
+        raise ValueError(f"the window p_{j} ± epsilon = {float(spec.center.array[j])!r} ± {spec.epsilon!r} "
+                         f"rounds to zero width: epsilon is below the float spacing of p_{j}")
+    return lo, hi, lo_d, hi_d
 
 
 def hit_and_run(
@@ -182,8 +185,13 @@ def hit_and_run(
         raise ValueError("hit_and_run needs an explicit rng")
     g = _as_generator(rng)
     d = spec.d
-    lo, hi, lo_d, hi_d = spec.box()
-    x = np.clip(_interior_start(spec), lo, hi)
+    lo, hi, lo_d, hi_d = _checked_box(spec)
+    # Start inside: the centre blended towards the uniform pmf, clipped.
+    alpha = 0.5 * min(spec.epsilon, 1.0)
+    x = np.clip((1.0 - alpha) * spec.center.array[:-1] + alpha / (d + 1), lo, hi)
+    # Row j < d bounds x_j; row d bounds sum(x) by the window on 1 - sum(x).
+    lows = [*lo.tolist(), 1.0 - hi_d]
+    highs = [*hi.tolist(), 1.0 - lo_d]
 
     def step(v: np.ndarray) -> np.ndarray:
         u = g.standard_normal(d)
@@ -191,24 +199,13 @@ def hit_and_run(
         if norm == 0.0:
             return v
         u /= norm
-        t_lo, t_hi = -np.inf, np.inf
-        for j in range(d):
-            if abs(u[j]) < 1e-14:
+        t_lo, t_hi = -math.inf, math.inf
+        for w, s, low, high in zip([*u.tolist(), float(u.sum())], [*v.tolist(), float(v.sum())], lows, highs):
+            if abs(w) < 1e-14:
                 continue
-            a = (lo[j] - v[j]) / u[j]
-            b = (hi[j] - v[j]) / u[j]
-            if a > b:
-                a, b = b, a
-            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
-        usum = u.sum()
-        if abs(usum) > 1e-14:
-            s = v.sum()
-            a = ((1.0 - hi_d) - s) / usum
-            b = ((1.0 - lo_d) - s) / usum
-            if a > b:
-                a, b = b, a
-            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
-        if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_hi < t_lo:
+            a, b = (low - s) / w, (high - s) / w
+            t_lo, t_hi = max(t_lo, min(a, b)), min(t_hi, max(a, b))
+        if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_hi < t_lo:
             return v
         t = g.uniform(t_lo, t_hi)
         cand = np.clip(v + t * u, lo, hi)
@@ -219,7 +216,7 @@ def hit_and_run(
     while True:
         for _ in range(thin):
             x = step(x)
-        yield SumPmf(tuple(x) + (1.0 - x.sum(),))
+        yield SumPmf([*x.tolist(), 1.0 - float(x.sum())])
 
 
 def _region_mc(
@@ -239,12 +236,8 @@ def _region_mc(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     d = spec.d
-    lo, hi, lo_d, hi_d = spec.box()
+    lo, hi, lo_d, hi_d = _checked_box(spec)
     widths = hi - lo
-    if np.any(widths <= 0):
-        j = int(np.argmin(widths))
-        raise ValueError(f"the window p_{j} ± epsilon = {float(spec.center.array[j])!r} ± {spec.epsilon!r} "
-                         f"rounds to zero width: epsilon is below the float spacing of p_{j}")
     log_box = float(np.log(widths).sum())
     p_full = spec.center.array
 

@@ -176,6 +176,34 @@ def test_hit_and_run_chain():
     assert digest(*states) == MC_PINS["hit_and_run"]
 
 
+# More chains, pinned on the walk that ran the window on 1 - sum(x) as a
+# second block after the box rows: at d = 2 and d = 8, on the paper's looser
+# region, and on an eps = 1.5 ball whose box is the unit cube, so only the
+# sum(x) row keeps the walk inside the simplex.  Dropping that row fails all
+# four.
+CHAIN_CASES = {
+    "b_half_d2": (SumPmf([0.25, 0.5, 0.25]), 0.1, False, 81),
+    "b_half_d8": (B_HALF[8], 0.05, False, 82),
+    "paper_region": (SKEWED_5, 0.1, True, 83),
+    "whole_simplex": (B_HALF[3], 1.5, False, 84),
+}
+
+CHAIN_PINS = {
+    "b_half_d2": "db0978816994959869f015cc38103ddce8799d2fa2689ce55bfdec1c6046c61d",
+    "b_half_d8": "d1f41b68b18dab50824dc152331f2de4fbacea610d601b6178b277f8583b50a7",
+    "paper_region": "3cc16576ecc67ff81b2b620bd0ba8a472e6c489f716da4f98bff3716cd2f52c4",
+    "whole_simplex": "fcfd206e17f1a034b63a171cc25263148f2a4451073156ada631c417791f1f2c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_hit_and_run_chains(name):
+    p, eps, paper_region, seed = CHAIN_CASES[name]
+    spec = NeighborhoodSpec(p, eps, paper_region=paper_region)
+    chain = hit_and_run(spec, burn_in=50, thin=3, rng=RngStream(seed))
+    assert digest(*(next(chain).values for _ in range(40))) == CHAIN_PINS[name]
+
+
 # The dimensions the benchmark's `mc` workload adds to the pins above: d = 2,
 # 10 and 16, at 1, 2 and 3 threads.  40,000 draws make two full chunks and a
 # partial third, so three threads each take one.  At d = 2 the TV ball is the

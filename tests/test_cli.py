@@ -284,6 +284,14 @@ class TestMeasureCommands:
         assert math.isclose(math.exp(rec["log_density"]), 0.5, rel_tol=1e-12)
         assert math.isclose(rec["dirichlet_pdf"], 3.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("argv, key", [
+        (["entropy-bounds", "--p", '["1","0","0"]'], '"min": 0.0'),
+        (["density", "--p", "[1,0,0]"], '"entropy_nats": 0.0'),
+    ], ids=["entropy-bounds", "density"])
+    def test_point_mass_entropy_prints_positive_zero(self, capsys, argv, key):
+        _, out, _ = run(capsys, *argv)
+        assert key in out and "-0.0" not in out
+
     @pytest.mark.parametrize("command", ["measure", "density"])
     @pytest.mark.parametrize("d", [40, 60])
     @pytest.mark.parametrize("centre", ["b_half", "mode"])

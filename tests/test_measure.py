@@ -48,12 +48,6 @@ class TestLogMeasure:
         assert LogMeasure.zero().value == 0.0
         assert LogMeasure.one().log_value == 0.0 and LogMeasure.one().log == 0.0
 
-    def test_product(self):
-        a = LogMeasure(math.log(2.0))
-        b = LogMeasure(math.log(3.0))
-        assert math.isclose((a * b).value, 6.0)
-        assert (a * LogMeasure.zero()).is_zero
-
 
 class TestSimplexHausdorff:
     def test_zero_dimension_is_one(self):
@@ -120,7 +114,7 @@ def chained_measures(p: SumPmf) -> dict[str, LogMeasure]:
             block = LogMeasure(n * log_v + 0.5 * math.log(n + 1) - math.lgamma(n + 1))
         else:
             block = simplex_hausdorff(n, float(v))
-        intrinsic = intrinsic * block
+        intrinsic = LogMeasure(intrinsic.log_value + block.log_value)
     ambient = intrinsic if all(v > 0 for v in p.values[1:p.d]) else LogMeasure.zero()
     return {"ambient": ambient, "intrinsic": intrinsic}
 
@@ -299,6 +293,17 @@ class TestDirichletPdf:
         # log l(p) and log (2^d - 1)! also cancel below their rounding error.
         p = binomial_pmf(0.5, d) if centre == "b_half" else maximal_pmf(d)
         message = f"the Dirichlet pdf must be a finite float; at d = {d} it overflows"
+        with pytest.raises(ValueError, match=message):
+            dirichlet_pdf(p)
+
+    def test_uncertain_in_range_is_refused_as_uncertain(self):
+        # At d = 43 the log sum is 0.03125 with a bound of 1.34375 nats: the
+        # pdf lies inside the float range, but no float value is certain.
+        d, t = 43, 3.3731e-05
+        mode, b = maximal_pmf(d), binomial_pmf(0.47, d)
+        p = SumPmf([(1 - t) * float(m) + t * float(v) for m, v in zip(mode.values, b.values)])
+        message = (r"^the Dirichlet pdf has no reliable float at d = 43: its log, 0\.03125, "
+                   r"is uncertain by 1\.34375 nats, more than ln 2$")
         with pytest.raises(ValueError, match=message):
             dirichlet_pdf(p)
 

@@ -227,6 +227,9 @@ class TestEntropy:
     def test_point_mass(self):
         assert entropy(SparseJointPmf(3, [(5, 1)])) == 0.0
         assert entropy(SumPmf([1, 0, 0])) == 0.0
+        # +0.0, not -0.0, on every float carrier.
+        for pmf in (SumPmf([1.0, 0.0]), JointPmf(1, [1.0, 0.0]), SparseJointPmf(1, [(0, 1.0)])):
+            assert math.copysign(1.0, entropy(pmf)) == 1.0
 
     def test_uniform_cube(self):
         for d in (1, 3, 5):

@@ -269,6 +269,17 @@ class TestHitAndRun:
         for q in itertools.islice(chain, 20):
             assert max(abs(a - b) for a, b in zip(q.values, p.values)) <= 1e-9
 
+    def test_window_below_float_spacing_is_refused(self):
+        # 0.25 ± 1e-18 rounds to 0.25: the estimators refuse this ball, and
+        # the chain refuses it too rather than emit its start forever.
+        spec = NeighborhoodSpec(P_D2, 1e-18)
+        with pytest.raises(ValueError, match=r"window p_0 ± epsilon = 0\.25 ± 1e-18 rounds to zero width"):
+            next(hit_and_run(spec, rng=RngStream(1)))
+
+    def test_states_hold_python_floats(self):
+        chain = hit_and_run(NeighborhoodSpec(B_HALF_3, 0.1), burn_in=5, thin=1, rng=RngStream(3))
+        assert all(type(v) is float for q in itertools.islice(chain, 5) for v in q.values)
+
 
 class TestRegionVolume:
     def test_whole_simplex(self):
