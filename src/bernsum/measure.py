@@ -63,13 +63,16 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
     n = _as_int(n, "simplex dimension")
     if n < 0:
         raise ValueError(f"simplex dimension must be >= 0, got {n}")
-    if side_param < 0:
+    if not side_param >= 0:
         raise ValueError(f"side parameter must be >= 0, got {side_param}")
     if n == 0:
         return LogMeasure.one()
     if side_param == 0:
         return LogMeasure.zero()
-    lv = n * math.log(float(side_param)) + 0.5 * math.log(n + 1) - math.lgamma(n + 1)
+    exact_tiny = isinstance(side_param, Fraction) and side_param < _TINY  # its log as _level_logs takes it
+    log_side = (math.log(side_param.numerator) - math.log(side_param.denominator) if exact_tiny
+                else math.log(float(side_param)))
+    lv = n * log_side + 0.5 * math.log(n + 1) - math.lgamma(n + 1)
     return LogMeasure(lv)
 
 

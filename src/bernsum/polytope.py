@@ -145,7 +145,7 @@ def membership(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = PROB_TOL) -
     return gap <= tol
 
 
-def decompose(f: JointPmf, p: SumPmf, tol: float = 1e-9) -> list[tuple[Number, ...]]:
+def decompose(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = 1e-9) -> list[tuple[Number, ...]]:
     """Per-level barycentric weights w_k(j) = f(x_k^j) / p_k.
 
     Returns one weight tuple per level (empty off-support).  The induced
@@ -153,6 +153,7 @@ def decompose(f: JointPmf, p: SumPmf, tol: float = 1e-9) -> list[tuple[Number, .
     """
     if not membership(f, p, tol):
         raise ValueError("decompose requires membership(f, p) within tol")
+    f = f.to_dense() if isinstance(f, SparseJointPmf) else f
     d = p.d
     support = set(p.support)
     blocks: list[tuple[Number, ...]] = []

@@ -5,11 +5,12 @@ sequences, so estimates are bit-identical across reruns and across worker
 counts: work is split into fixed-size chunks, chunk i always uses the child
 sequence [seed, stream_id, i], and chunk results merge in index order.
 
-The neighborhood region around a sum pmf p at sup-radius eps is an axis box
-over the d free coordinates intersected with a window on the last coordinate
-1 - sum(x).  By default that window is enforced, so sampled points satisfy
-the sup constraint on every coordinate; `paper_region=True` switches to the
-looser compatibility set that keeps only sum(x) <= 1.
+The neighborhood region around a sum pmf p at sup-radius eps is read from
+NeighborhoodSpec.box(), one checked window per coordinate k = 0..d: an axis
+box over the d free coordinates intersected with the window on the last
+coordinate 1 - sum(x).  By default that window is enforced, so sampled points
+satisfy the sup constraint on every coordinate; `paper_region=True` widens
+it to [0, 1], the looser compatibility set that keeps only sum(x) <= 1.
 """
 from __future__ import annotations
 
@@ -72,21 +73,20 @@ class NeighborhoodSpec:
     def d(self) -> int:
         return self.center.d
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate sup-window [max(p_j - eps, 0), min(p_j + eps, 1)]."""
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), the sup windows [max(p_j - eps, 0), min(p_j + eps, 1)] for
+        j = 0..d, entry d on the last coordinate 1 - sum(x); paper_region
+        widens that one to [0, 1].  Refused when a window rounds to zero width."""
         p = self.center.array
         lo = np.maximum(p - self.epsilon, 0.0)
         hi = np.minimum(p + self.epsilon, 1.0)
-        return lo, hi
-
-    def box(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """(lo, hi) over the d free coordinates and the window [lo_d, hi_d] on
-        the last one, 1 - sum(x); paper_region widens that window to [0, 1]."""
-        lo, hi = self.bounds()
-        d = self.d
         if self.paper_region:
-            return lo[:d], hi[:d], 0.0, 1.0
-        return lo[:d], hi[:d], float(lo[d]), float(hi[d])
+            lo[-1], hi[-1] = 0.0, 1.0
+        j = int(np.argmin(hi - lo))
+        if hi[j] <= lo[j]:
+            raise ValueError(f"the window p_{j} ± epsilon = {float(p[j])!r} ± {self.epsilon!r} "
+                             f"rounds to zero width: epsilon is below the float spacing of p_{j}")
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,12 @@ def sample_uniform_simplex(n: int, rng) -> np.ndarray:
 
 
 def sample_dirichlet(alpha: Sequence[float], rng) -> np.ndarray:
-    """Dirichlet draw via normalized gammas, valid for every alpha > 0."""
+    """Dirichlet draw via normalized gammas, valid for every finite alpha > 0."""
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise ValueError("alpha must be a vector with at least two entries")
-    if np.any(a <= 0):
-        raise ValueError("Dirichlet parameters must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError(f"Dirichlet parameters must be finite and positive, got {a.tolist()}")
     g = _as_generator(rng)
     while True:
         gam = g.standard_gamma(a)
@@ -153,17 +153,6 @@ def sample_Fd_uniform(d: int, rng) -> JointPmf:
     return JointPmf(d, sample_uniform_simplex((1 << d) - 1, _as_generator(rng)))
 
 
-def _checked_box(spec: NeighborhoodSpec) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """spec.box(), refused when a free coordinate's window rounds to zero width."""
-    lo, hi, lo_d, hi_d = spec.box()
-    widths = hi - lo
-    if np.any(widths <= 0):
-        j = int(np.argmin(widths))
-        raise ValueError(f"the window p_{j} ± epsilon = {float(spec.center.array[j])!r} ± {spec.epsilon!r} "
-                         f"rounds to zero width: epsilon is below the float spacing of p_{j}")
-    return lo, hi, lo_d, hi_d
-
-
 def hit_and_run(
     spec: NeighborhoodSpec,
     burn_in: int = 1000,
@@ -179,19 +168,21 @@ def hit_and_run(
     """
     if spec.metric != "sup":
         raise ValueError("hit_and_run samples the sup-metric region only")
+    burn_in, thin = _as_int(burn_in, "burn_in"), _as_int(thin, "thin")
     if burn_in < 0 or thin < 1:
         raise ValueError("burn_in must be >= 0 and thin >= 1")
     if rng is None:
         raise ValueError("hit_and_run needs an explicit rng")
     g = _as_generator(rng)
     d = spec.d
-    lo, hi, lo_d, hi_d = _checked_box(spec)
+    lo, hi = spec.box()
+    (*lows, lo_d), (*highs, hi_d) = lo.tolist(), hi.tolist()
+    lo, hi = lo[:d], hi[:d]
+    # Row j < d bounds x_j; row d bounds sum(x) by the window on 1 - sum(x).
+    lows, highs = [*lows, 1.0 - hi_d], [*highs, 1.0 - lo_d]
     # Start inside: the centre blended towards the uniform pmf, clipped.
     alpha = 0.5 * min(spec.epsilon, 1.0)
     x = np.clip((1.0 - alpha) * spec.center.array[:-1] + alpha / (d + 1), lo, hi)
-    # Row j < d bounds x_j; row d bounds sum(x) by the window on 1 - sum(x).
-    lows = [*lo.tolist(), 1.0 - hi_d]
-    highs = [*hi.tolist(), 1.0 - lo_d]
 
     def step(v: np.ndarray) -> np.ndarray:
         u = g.standard_normal(d)
@@ -231,13 +222,14 @@ def _region_mc(
     """
     if not isinstance(rng, RngStream):
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
+    n, threads = _as_int(n, "n"), _as_int(threads, "threads")
     if n < 1:
         raise ValueError("need at least one draw")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     d = spec.d
-    lo, hi, lo_d, hi_d = _checked_box(spec)
-    widths = hi - lo
+    lo, hi = spec.box()
+    widths = hi[:d] - lo[:d]
     log_box = float(np.log(widths).sum())
     p_full = spec.center.array
 
@@ -248,9 +240,9 @@ def _region_mc(
         # does not overlap across threads.
         X = rng.chunk_generator(chunk_idx).random((count, d))
         X *= widths
-        X += lo
+        X += lo[:d]
         last = 1.0 - X.sum(axis=1)
-        acc = (last >= lo_d) & (last <= hi_d)
+        acc = (last >= lo[d]) & (last <= hi[d])
         X = X[acc]
         if spec.metric == "tv":
             P = np.column_stack([X, last[acc]])
@@ -295,6 +287,7 @@ def estimate_neighborhood_measure(
     then the TV test: on identical seeds a tv estimate never exceeds the sup
     estimate.
     """
+    n = _as_int(n, "n")
     if n < 1000:
         raise ValueError("need at least 10^3 draws for a meaningful estimate")
     d = spec.d

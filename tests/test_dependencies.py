@@ -53,7 +53,7 @@ ATTRIBUTES = {
     "LabelMap": ["popcount", "preimages"],
     "LogMeasure": ["is_zero", "log", "one", "value", "zero"],
     "MeanVector": ["d"],
-    "NeighborhoodSpec": ["bounds", "box", "d"],
+    "NeighborhoodSpec": ["box", "d"],
     "PolytopeDescriptor": [],
     "RngStream": ["chunk_generator", "generator"],
     "SparseJointPmf": ["exact", "from_json_obj", "positive_masses", "to_dense", "to_json_obj"],

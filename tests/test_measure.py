@@ -67,6 +67,17 @@ class TestSimplexHausdorff:
         with pytest.raises(ValueError):
             simplex_hausdorff(2, -0.5)
 
+    @pytest.mark.parametrize("side", [math.nan, np.float64(math.nan)])
+    def test_nan_side_refused(self, side):
+        with pytest.raises(ValueError, match="side parameter must be >= 0, got nan"):
+            simplex_hausdorff(2, side)
+
+    def test_exact_side_below_the_normal_floats_agrees_with_polytope_measure(self):
+        # The fiber over (1/2, t, 1/2 - t) is the one segment of side t.
+        t = Fraction(1, 10**400)
+        intrinsic = polytope_measure(SumPmf([Fraction(1, 2), t, Fraction(1, 2) - t]))["intrinsic"]
+        assert simplex_hausdorff(1, t).log_value == intrinsic.log_value == -920.6874636073383
+
     def test_simplex_dimension_meets_the_integer_rule(self):
         assert simplex_hausdorff(np.int64(2), 0.5) == simplex_hausdorff(2, 0.5)
         for bad in (2.5, 2.0, True):

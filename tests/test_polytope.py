@@ -224,6 +224,13 @@ class TestDecompose:
         assert blocks[2] == (0, 0, Fraction(1))
         assert blocks[3] == (Fraction(1),)
 
+    def test_sparse_vertex_gives_one_hot_blocks(self):
+        # The stream's own carrier decomposes as its dense form does.
+        for sigma in ((1, 2, 3, 1), (1, 1, 1, 1), (1, 3, 2, 1)):
+            v = extremal_by_index(B_HALF_3, sigma)
+            want = [tuple(Fraction(int(j == s - 1)) for j in range(math.comb(3, k))) for k, s in enumerate(sigma)]
+            assert decompose(v, B_HALF_3) == want == decompose(v.to_dense(), B_HALF_3)
+
     def test_exchangeable_gives_uniform_blocks(self):
         f = exchangeable_pmf(B_HALF_3)
         blocks = decompose(f, B_HALF_3)

@@ -30,6 +30,7 @@ from oracles import (
 
 B_HALF_3 = SumPmf([0.125, 0.375, 0.375, 0.125])
 P_D2 = SumPmf([0.25, 0.5, 0.25])
+P_TINY_LAST = SumPmf([1e-10, 1e-10, 1 - 2e-10])
 
 
 def batch_se(samples: np.ndarray, batches: int = 50) -> float:
@@ -134,6 +135,12 @@ class TestDirichlet:
             sample_dirichlet([1.0, -0.5], RngStream(1))
         with pytest.raises(ValueError):
             sample_dirichlet([2.0], RngStream(1))
+
+    @pytest.mark.parametrize("alpha", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+    def test_non_finite_alpha_refused(self, alpha):
+        # NaN slips past a plain `a <= 0` test, and a draw from it never ends.
+        with pytest.raises(ValueError, match="Dirichlet parameters must be finite"):
+            sample_dirichlet(alpha, RngStream(1))
 
 
 class TestPolytopeUniform:
@@ -276,6 +283,22 @@ class TestHitAndRun:
         with pytest.raises(ValueError, match=r"window p_0 ± epsilon = 0\.25 ± 1e-18 rounds to zero width"):
             next(hit_and_run(spec, rng=RngStream(1)))
 
+    def test_last_window_below_float_spacing_is_refused(self):
+        # p_2 ± 1e-17 rounds to p_2: the window on 1 - sum(x) is a point.
+        chain = hit_and_run(NeighborhoodSpec(P_TINY_LAST, 1e-17), burn_in=0, thin=1, rng=RngStream(1))
+        with pytest.raises(ValueError, match=r"window p_2 ± epsilon = 0\.9999999998 ± 1e-17 rounds to zero width"):
+            next(chain)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"burn_in": 1.5}, "burn_in must be an integer, got 1.5"),
+        ({"burn_in": True}, "burn_in must be an integer, got True"),
+        ({"thin": True}, "thin must be an integer, got True"),
+        ({"thin": 2.0}, "thin must be an integer, got 2.0"),
+    ])
+    def test_counts_meet_the_integer_rule(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(hit_and_run(NeighborhoodSpec(P_D2, 0.1), rng=RngStream(1), **kwargs))
+
     def test_states_hold_python_floats(self):
         chain = hit_and_run(NeighborhoodSpec(B_HALF_3, 0.1), burn_in=5, thin=1, rng=RngStream(3))
         assert all(type(v) is float for q in itertools.islice(chain, 5) for v in q.values)
@@ -300,7 +323,7 @@ class TestRegionVolume:
         p = SumPmf([0.9, 0.05, 0.05])
         spec = NeighborhoodSpec(p, 0.2)
         rep = region_volume(spec, 50_000, RngStream(83))
-        lo, hi = spec.bounds()
+        lo, hi = spec.box()
         box = float(np.prod(hi[:2] - lo[:2]))
         assert rep.point_estimate.value <= math.sqrt(3) * box
         assert rep.acceptance_rate <= 1.0
@@ -375,6 +398,25 @@ class TestNeighborhoodMeasure:
         with pytest.raises(ValueError, match=r"window p_0 ± epsilon = 0\.5 ± 1e-20 rounds to zero width"):
             fn(spec, 2000, RngStream(1))
 
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    def test_last_window_below_float_spacing_is_named(self, fn):
+        # The free windows have width, but p_2 ± 1e-17 rounds to p_2: no
+        # float test on 1 - sum(x) can resolve that window.
+        spec = NeighborhoodSpec(P_TINY_LAST, 1e-17)
+        with pytest.raises(ValueError, match=r"window p_2 ± epsilon = 0\.9999999998 ± 1e-17 rounds to zero width"):
+            fn(spec, 2000, RngStream(1))
+
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    @pytest.mark.parametrize("n, threads, message", [
+        (True, 1, "n must be an integer, got True"),
+        (2000.5, 1, "n must be an integer, got 2000.5"),
+        (2000, True, "threads must be an integer, got True"),
+        (2000, 2.0, "threads must be an integer, got 2.0"),
+    ])
+    def test_counts_meet_the_integer_rule(self, fn, n, threads, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(NeighborhoodSpec(P_D2, 0.1), n, RngStream(1), threads=threads)
+
     @pytest.mark.parametrize("eps, message", [
         (math.inf, "epsilon must be finite, got inf"),
         (math.nan, "epsilon must be positive, got nan"),
@@ -392,6 +434,29 @@ class TestNeighborhoodMeasure:
         )
         assert loose.acceptance_rate > tight.acceptance_rate
         assert loose.point_estimate.value > tight.point_estimate.value
+
+
+class TestBox:
+    def test_one_window_per_coordinate(self):
+        spec = NeighborhoodSpec(SumPmf([0.9, 0.05, 0.05]), 0.2)
+        lo, hi = spec.box()
+        assert lo.tolist() == [0.7, 0.0, 0.0]
+        assert hi.tolist() == [1.0, 0.25, 0.25]
+
+    def test_paper_region_widens_the_last_window(self):
+        spec = NeighborhoodSpec(SumPmf([0.9, 0.05, 0.05]), 0.2, paper_region=True)
+        lo, hi = spec.box()
+        assert lo.tolist() == [0.7, 0.0, 0.0]
+        assert hi.tolist() == [1.0, 0.25, 1.0]
+
+    def test_paper_region_accepts_a_point_last_window(self):
+        # Only the last window rounds to a point, and paper_region drops it.
+        spec = NeighborhoodSpec(P_TINY_LAST, 1e-17, paper_region=True)
+        lo, hi = spec.box()
+        assert (lo[2], hi[2]) == (0.0, 1.0)
+        assert region_volume(spec, 2000, RngStream(1)).acceptance_rate == 1.0
+        assert estimate_neighborhood_measure(spec, 2000, RngStream(1)).n_samples == 2000
+        assert len(list(itertools.islice(hit_and_run(spec, burn_in=0, thin=1, rng=RngStream(1)), 3))) == 3
 
 
 class TestTvBound:
