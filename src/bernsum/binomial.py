@@ -25,6 +25,7 @@ from .measure import _TINY, LogMeasure, polytope_measure
 from .pmf import Number, SumPmf, _is_exact, _total
 
 _BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
+_ARGMAX_TOL = 1e-10
 
 
 def binomial_pmf(theta: Number, d: int) -> SumPmf:
@@ -81,27 +82,21 @@ def curve_log_measure(theta: float, d: int) -> LogMeasure:
     return polytope_measure(binomial_pmf(theta, d))["ambient"]
 
 
-def curve_argmax(d: int, grid: int = 1001, tol: float = 1e-10) -> float:
-    """Numeric argmax of the curve measure: grid scan plus golden section."""
+def curve_argmax(d: int) -> float:
+    """Numeric argmax of the curve measure: golden section on (0, 1), which
+    needs no scan, as the curve log-measure is strictly log-concave."""
     if d < 2:
         raise ValueError("the curve measure is constant for d < 2; argmax undefined")
-    if grid < 3:
-        raise ValueError("grid needs at least 3 points")
 
     def score(t: float) -> float:
         return curve_log_measure(t, d).log_value
 
-    ts = [j / (grid - 1) for j in range(grid)]
-    best = max(range(grid), key=lambda j: score(ts[j]))
-    lo = ts[max(best - 1, 0)]
-    hi = ts[min(best + 1, grid - 1)]
-
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, 1.0
     c = b - invphi * (b - a)
     e = a + invphi * (b - a)
     fc, fe = score(c), score(e)
-    while b - a > tol:
+    while b - a > _ARGMAX_TOL:
         if fc > fe:
             b, e, fe = e, c, fc
             c = b - invphi * (b - a)

@@ -91,8 +91,8 @@ class NeighborhoodSpec:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A Monte Carlo estimate with its first-order standard error, in the
-    units of point_estimate.value."""
+    """A Monte Carlo estimate with the sample standard error of its mean
+    weight, in the units of point_estimate.value."""
 
     point_estimate: LogMeasure
     std_error: float
@@ -129,11 +129,17 @@ def sample_dirichlet(alpha: Sequence[float], rng) -> np.ndarray:
     if not np.all(np.isfinite(a) & (a > 0)):
         raise ValueError(f"Dirichlet parameters must be finite and positive, got {a.tolist()}")
     g = _as_generator(rng)
-    while True:
-        gam = g.standard_gamma(a)
-        total = gam.sum()
-        if total > 0:
-            return gam / total
+    gam = g.standard_gamma(a)
+    total = gam.sum()
+    if total > 0:
+        return gam / total
+    # Every gamma underflowed: draw log G_a = log G_{a+1} + log(U) / a instead,
+    # times t = min(a) so no term overflows, and normalize by its largest term.
+    t = float(a.min())
+    y = t * np.log(g.standard_gamma(a + 1.0)) - g.standard_exponential(a.size) * (t / a)
+    with np.errstate(over="ignore"):  # a subnormal t sends the far terms to -inf, so to 0
+        x = np.exp((y - y.max()) / t)
+    return x / x.sum()
 
 
 def sample_polytope_uniform(p: SumPmf, rng) -> JointPmf:
@@ -210,15 +216,15 @@ def hit_and_run(
         yield SumPmf([*x.tolist(), 1.0 - float(x.sum())])
 
 
-def _region_mc(
-    spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1, density: bool = True
-) -> tuple[float, int, np.ndarray | None]:
+def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
+               threads: int = 1, density: bool = True) -> EstimateReport:
     """One rejection pass from the bounding box into the spec's own ball.
 
-    Returns (log_box, m, logl): the log volume of the box, the number of the
-    n draws that land in the ball and, when density is set, the log fiber
-    density at each of them in chunk order (None otherwise).  A tv draw must
-    pass the sup window first, then the TV test.
+    Draw x weighs l(x), the fiber density (1 when density is unset), in the
+    ball and 0 outside; a tv draw must pass the sup window, then the TV test.
+    The estimate is exp(log_scale) * box volume * mean weight, its std_error
+    the sample standard error (ddof 1) of that mean, zeros included: both from
+    s1 = sum(w), s2 = sum(w^2) over the hits, shifted by the largest log weight.
     """
     if not isinstance(rng, RngStream):
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
@@ -257,7 +263,18 @@ def _region_mc(
     else:
         parts = [run_chunk(j) for j in jobs]
     m = sum(part[0] for part in parts)
-    return log_box, m, np.concatenate([part[1] for part in parts]) if density else None
+    logl = np.concatenate([part[1] for part in parts]) if density and m else None
+    shift = 0.0 if logl is None else float(logl.max())
+    if not m or shift == -math.inf:  # no draw in the ball, or every one on a zero-density face
+        return EstimateReport(LogMeasure.zero(), 0.0, n, m / n)
+    if logl is None:  # unit weights: s1 = s2 = m, with no per-hit array
+        s1 = s2 = float(m)
+    else:
+        w = np.exp(logl - shift)
+        s1, s2 = float(w.sum()), float(np.square(w).sum())
+    log_est = log_scale + log_box - math.log(n) + (shift + math.log(s1))
+    rel_var = max(n * s2 / (s1 * s1) - 1.0, 0.0) / max(n - 1, 1)  # n = 1: a single draw, SE 0
+    return EstimateReport(LogMeasure(log_est), math.exp(log_est) * math.sqrt(rel_var), n, m / n)
 
 
 def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int = 1) -> EstimateReport:
@@ -265,13 +282,7 @@ def region_volume(spec: NeighborhoodSpec, n: int, rng: RngStream, threads: int =
     Lebesgue volume, estimated by rejection from the bounding box."""
     if spec.metric != "sup":
         raise ValueError("region_volume is defined for the sup metric")
-    log_box, m, _ = _region_mc(spec, n, rng, threads, density=False)
-    d = spec.d
-    acc = m / n
-    scale = math.sqrt(d + 1) * float(np.exp(log_box))
-    se = scale * math.sqrt(max(acc * (1.0 - acc), 0.0) / n)
-    est = LogMeasure(0.5 * math.log(d + 1) + log_box + math.log(acc)) if m else LogMeasure.zero()
-    return EstimateReport(est, se, n, acc)
+    return _region_mc(spec, n, rng, 0.5 * math.log(spec.d + 1), threads, density=False)
 
 
 def estimate_neighborhood_measure(
@@ -282,28 +293,12 @@ def estimate_neighborhood_measure(
     Averages the fiber density over uniform draws from the bounding box,
     zero outside the ball, and scales by the box volume in the
     sqrt(2^d)-normalized parameterization, so at eps >= 1 the sup estimate
-    converges to the full normalizing constant.  The TV-ball sits inside the
-    sup-ball of the same radius, so a tv draw must pass the sup window and
-    then the TV test: on identical seeds a tv estimate never exceeds the sup
-    estimate.
+    converges to the full normalizing constant.  std_error is the sample
+    standard error of that mean.  The TV-ball sits inside the sup-ball of the
+    same radius, so a tv draw must pass the sup window and then the TV test:
+    on identical seeds a tv estimate never exceeds the sup estimate.
     """
     n = _as_int(n, "n")
     if n < 1000:
         raise ValueError("need at least 10^3 draws for a meaningful estimate")
-    d = spec.d
-    log_box, m, logl = _region_mc(spec, n, rng, threads)
-    acc = m / n
-    shift = float(logl.max()) if m else float("-inf")
-    if shift == float("-inf"):  # no draw in the ball, or every one on a zero-density face
-        return EstimateReport(LogMeasure.zero(), 0.0, n, acc)
-    # Shifted weights serve both the log-sum-exp and the delta method.
-    w = np.exp(logl - shift)
-    log_est = 0.5 * d * LN2 + log_box - math.log(n) + (shift + math.log(float(w.sum())))
-    # Delta method on (volume stage) x (mean-density stage).
-    se_v_rel = math.sqrt(max((1.0 - acc), 0.0) / (acc * n))
-    mean_w = float(w.mean())
-    sd_w = float(w.std(ddof=1)) if m > 1 else 0.0
-    se_l_rel = sd_w / (mean_w * math.sqrt(m)) if mean_w > 0 else 0.0
-    est_lin = math.exp(log_est)  # underflows to 0.0 only below about -745
-    se = est_lin * math.hypot(se_v_rel, se_l_rel)
-    return EstimateReport(LogMeasure(log_est), se, n, acc)
+    return _region_mc(spec, n, rng, 0.5 * spec.d * LN2, threads)

@@ -3,10 +3,12 @@ Monte Carlo estimators, the CLI's extremal stream and the exact LP's
 vertex walk.
 
 The carrier digests were taken from the tuple-backed carriers that preceded
-the ndarray ones.  The estimator digests hash five fields of each report;
-they were re-taken when the report dropped its two per-stage errors, on a
-tree whose seven-field digests still matched those of the rejection pass
-that kept both balls' statistics at once.  Any change that reorders a level
+the ndarray ones.  The estimator digests hash five fields of each report.
+They were last re-taken, with the neighborhood CLI digests, when one sample
+standard error of the mean weight replaced the two-stage delta method and
+region_volume's binomial error: against the tree before, every estimator
+log value, is_zero, n_samples and acceptance_rate was bit-identical, and
+region_volume's log values moved at most 36 ulps.  Any change that reorders a level
 slice, alters a draw or moves a float in the last bit fails here, so
 speed-ups and refactors must keep every seeded result bit-identical.
 """
@@ -134,10 +136,10 @@ B_HALF = {d: SumPmf([math.comb(d, k) / 2**d for k in range(d + 1)]) for d in (3,
 SKEWED_5 = SumPmf([0.05, 0.1, 0.15, 0.2, 0.3, 0.2])
 
 MC_PINS = {
-    "sup": "032601707263403c2db60cddb7cc1089ec1bc0f6e54baddb1b4415b34f6e7aa5",
-    "tv": "8b6d75980c1f3672bae6254240d6100e311a3e5a6be1622a8e2a18b61d8eeda2",
-    "tv_paper_region": "a836671ec3b8aa33768572433bb98508e3c0a625c2d2213e80d949f3be9fb423",
-    "region_volume": "a89892499e4669d9baa2730a5f54917d53e59f49664a108f11c44056c8b4d85a",
+    "sup": "f1c64afe267666e3d01dbb9bb36701d043a91492ed83e6172ea7e19d6b3b2207",
+    "tv": "fd84cf457a772beda58f42ac5e8954a9760f531ba26dbd9df2e82cda459d6320",
+    "tv_paper_region": "cd9447b6f183993e14e2db5a0bb50563a3e4987399bb862d0a0ce779ef6d4339",
+    "region_volume": "736e052aefb31e6ff93cba88586d020d4cd852b6849083bd36e24f1bc82fdc7b",
     "hit_and_run": "07d5930e5c1468b7746d0bf7a45195d5b96b536a80bd8435f0d1d4f6866fcc09",
 }
 
@@ -216,9 +218,9 @@ def binomial(d: int, theta: float) -> SumPmf:
 
 
 WIDE_PINS = {
-    "sup": "d5577e3b385f47ca95f673289799a86c5f470e9c7bf8c082582a69f60af53b70",
-    "tv": "f1862cc8ca77f002d8e873e184099c3a593d5470c1da3ec0be5a358160235742",
-    "region_volume": "c63bea759c06e2511903cd3ebf9a20817e4db9893dc2a1a97ce27a6bcd42ec88",
+    "sup": "5ff3a409b3ac13c06510166adc002d9fafcd15a92d9d4327e6ddb9af2d1fb6de",
+    "tv": "6798768a71094594ad39af2478eab043ba48a040185c6f9cd3a250509c46aad9",
+    "region_volume": "3ae8e594b8ae4e3e65e0d938c81c75abcb6fdb3a6d993d33e1835fbf091b3432",
 }
 
 WIDE_CASES = {
@@ -377,20 +379,20 @@ def test_cli_commands(name, capsys):
 # prints the same bytes.
 NEIGHBORHOOD_PINS = {
     "sup": (["--p", repr(list(SKEWED_5.values)), "--eps", "0.1", "--seed", "41"],
-            "cc46d4d5c309523b2743757f683c08e237d7f40b617492621f2d7620132e21b4"),
+            "fc2e2cef2459520328a968fe473926fd92125f6dd3c71d018c4073aed355d68e"),
     "sup_csv": (["--p", B_HALF_3, "--eps", "0.2", "--seed", "42", "--format", "csv"],
-                "23194846cf0b69a27dc3701ae682191b6a289d30a58930feee8e54bbc52d4127"),
+                "c67cde6ebf39843c9254b710313c4db9026feb94ec20454ab881cc319c535e6f"),
     "tv": (["--p", B_HALF_3, "--eps", "0.2", "--metric", "tv", "--seed", "43"],
-           "684287f73ef4a325869def85888fe116cbbe0639f4a22eba9039addd77ccf718"),
+           "307348d958ef23373a05395b81ddbb88b4677202fb102d7d6a52d01f63151a27"),
     "tv_csv": (["--p", B_HALF_3, "--eps", "0.2", "--metric", "tv", "--seed", "43",
                 "--format", "csv"],
-               "1b4651541ef57daeaed8a06fb8d3ac5e76669de8a92d3f0bd4ed686a468256e5"),
+               "ba17ba26ae5eeceb7a8107a14ed6bc81f85846b446ac63b0ffd451e22f916650"),
     "paper_sigma_s": (["--p", "[0.2, 0.2, 0.6]", "--eps", "0.3", "--seed", "44",
                        "--paper-sigma-s"],
-                      "2917f612bffedc44ebaa5febd2348daaef39f49c0fd221775d47d59cde5ba5da"),
+                      "c8c13f3281ee75af154e791f3be608891db7f40bbee7ba7f5828a51325347cc4"),
     "paper_sigma_s_tv": (["--p", "[0.2, 0.2, 0.6]", "--eps", "0.3", "--metric", "tv",
                           "--seed", "45", "--paper-sigma-s"],
-                         "f23d6847d35d8c19ce19ee0c187dbb5b872ace4b94990469f72a6f9e3eb40123"),
+                         "5699b84f79ed1d2ad98c2306bc2e5595bd2451bc55bd0652fb69c4c7b3804f5c"),
 }
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -114,17 +113,10 @@ class TestPolytopeMeasure:
 
 def chained_measures(p: SumPmf) -> dict[str, LogMeasure]:
     """The fiber measures as a product of simplex_hausdorff block measures,
-    one LogMeasure per supported level, multiplied in level order.  A block
-    whose exact mass is below the normal floats takes simplex_hausdorff's
-    formula with log p = log(numerator) - log(denominator)."""
+    one LogMeasure per supported level, multiplied in level order."""
     intrinsic = LogMeasure.one()
     for k in p.support:
-        n, v = math.comb(p.d, k) - 1, p.values[k]
-        if n and isinstance(v, Fraction) and v < sys.float_info.min:
-            log_v = math.log(v.numerator) - math.log(v.denominator)
-            block = LogMeasure(n * log_v + 0.5 * math.log(n + 1) - math.lgamma(n + 1))
-        else:
-            block = simplex_hausdorff(n, float(v))
+        block = simplex_hausdorff(math.comb(p.d, k) - 1, p.values[k])
         intrinsic = LogMeasure(intrinsic.log_value + block.log_value)
     ambient = intrinsic if all(v > 0 for v in p.values[1:p.d]) else LogMeasure.zero()
     return {"ambient": ambient, "intrinsic": intrinsic}

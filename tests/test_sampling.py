@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bernsum.measure import normalizing_constant
+from bernsum.measure import density_l, normalizing_constant
 from bernsum.pmf import SumPmf, sum_map
 from bernsum.polytope import exchangeable_pmf, membership
 from bernsum.sampling import (
@@ -135,6 +135,22 @@ class TestDirichlet:
             sample_dirichlet([1.0, -0.5], RngStream(1))
         with pytest.raises(ValueError):
             sample_dirichlet([2.0], RngStream(1))
+
+    @pytest.mark.parametrize("alpha", [[1e-300, 1e-300], [1e-300] * 5, [5e-324, 5e-324]])
+    def test_every_gamma_underflowing_still_returns(self, alpha):
+        # Each standard_gamma draw is 0.0, so a redraw loop never ends.
+        for seed in range(20):
+            x = sample_dirichlet(alpha, RngStream(seed))
+            assert np.all(x >= 0) and math.isclose(x.sum(), 1.0, abs_tol=1e-12)
+
+    def test_symmetric_tiny_pair_puts_the_mass_on_either_coordinate(self):
+        draws = np.array([sample_dirichlet([1e-300, 1e-300], RngStream(seed)) for seed in range(20)])
+        assert set(draws.max(axis=1)) == {1.0}
+        assert 0 < (draws[:, 0] == 1.0).sum() < 20
+
+    def test_a_first_draw_that_succeeds_keeps_its_bits(self):
+        x = sample_dirichlet([1e-3, 1e-3], RngStream(1))
+        assert x[1] == 1.0 and math.isclose(x[0], 1.03008516e-268, rel_tol=1e-8)
 
     @pytest.mark.parametrize("alpha", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
     def test_non_finite_alpha_refused(self, alpha):
@@ -478,6 +494,33 @@ class TestTvBound:
         rep = estimate_neighborhood_measure(NeighborhoodSpec(P_D2, eps, "tv"), 100_000, RngStream(127))
         want = 2.0 * quad_region_tv_2d(lambda x, y, z: y, P_D2.values, eps)
         assert abs(rep.point_estimate.value - want) <= 4 * rep.std_error
+
+
+class TestOneSampleMean:
+    """Both estimators report scale * mean(w) over all n draws, zeros included,
+    with the sample standard error of that mean."""
+
+    @pytest.mark.parametrize("fn, metric, log_scale", [
+        (estimate_neighborhood_measure, "sup", math.log(2.0)),
+        (estimate_neighborhood_measure, "tv", math.log(2.0)),
+        (region_volume, "sup", 0.5 * math.log(3.0)),
+    ], ids=["sup", "tv", "region_volume"])
+    def test_mean_and_std_error_of_the_weights(self, fn, metric, log_scale):
+        n, seed, eps = 2000, 7, 0.2
+        spec = NeighborhoodSpec(P_D2, eps, metric=metric)
+        lo, hi = spec.box()
+        X = lo[:2] + (hi[:2] - lo[:2]) * RngStream(seed).chunk_generator(0).random((n, 2))
+        w = np.zeros(n)
+        for i, x in enumerate(X):
+            P = np.array([*x, 1.0 - x.sum()])
+            inside = lo[2] <= P[2] <= hi[2] and (metric == "sup" or 0.5 * np.abs(P - P_D2.array).sum() <= eps)
+            if inside:
+                w[i] = density_l(SumPmf(P.tolist())).value if fn is estimate_neighborhood_measure else 1.0
+        scale = math.exp(log_scale) * float(np.prod(hi[:2] - lo[:2]))
+        rep = fn(spec, n, RngStream(seed))
+        assert 0 < rep.acceptance_rate < 1
+        assert math.isclose(rep.point_estimate.value, scale * w.mean(), rel_tol=1e-12)
+        assert math.isclose(rep.std_error, scale * w.std(ddof=1) / math.sqrt(n), rel_tol=1e-9)
 
 
 class TestReportInvariants:
