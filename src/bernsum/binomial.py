@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .indexing import _as_int, _check_dimension
 from .measure import _TINY, LogMeasure, polytope_measure
-from .pmf import Number, SumPmf, _is_exact, _total
+from .pmf import Number, SumPmf, _is_exact, _not_bool, _total
 
 _BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
 _ARGMAX_TOL = 1e-10
@@ -39,7 +39,7 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
     mass below the normal floats needs no such help.
     """
     d = _check_dimension(d, dense=False)
-    if not 0 <= theta <= 1:
+    if not 0 <= _not_bool(theta, "theta") <= 1:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     t = Fraction(theta) if _is_exact(theta) else float(theta)
     try:
@@ -61,7 +61,7 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
 
 def poisson_binomial_pmf(theta: Sequence[Number]) -> SumPmf:
     """Sum law of independent Bernoulli(theta_i) trials, by O(d^2) convolution."""
-    thetas = list(theta)
+    thetas = [_not_bool(t, "a trial probability") for t in theta]
     if not thetas:
         raise ValueError("poisson_binomial_pmf needs at least one trial probability")
     if any(not 0 <= t <= 1 for t in thetas):

@@ -26,11 +26,12 @@ from .feasibility import (
     constrained_vertices,
     feasible_point,
 )
+from .indexing import _check_dimension
 from .measure import (
     LN2,
     LogMeasure,
-    _dirichlet_pdf,
     density_l,
+    dirichlet_pdf,
     maximal_pmf,
     normalizing_constant,
     polytope_measure,
@@ -159,12 +160,11 @@ def _cmd_constrained_bounds(args) -> dict:
 
 def _cmd_measure(args) -> dict:
     measures = polytope_measure(args.p)
-    density = density_l(args.p)
     return {
         "log_ambient": _log_or_none(measures["ambient"]),
         "log_intrinsic": _log_or_none(measures["intrinsic"]),
-        "log_density": _log_or_none(density),
-        "dirichlet_pdf": _dirichlet_pdf(density, args.p.d),
+        "log_density": _log_or_none(density_l(args.p)),
+        "dirichlet_pdf": dirichlet_pdf(args.p),
         "log_normalizing_constant": normalizing_constant(args.p.d).log_value,
     }
 
@@ -178,15 +178,15 @@ def _cmd_mode(args) -> dict:
 
 
 def _cmd_density(args) -> dict:
-    density = density_l(args.p)
-    return {"log_density": _log_or_none(density),
-            "dirichlet_pdf": _dirichlet_pdf(density, args.p.d),
+    return {"log_density": _log_or_none(density_l(args.p)),
+            "dirichlet_pdf": dirichlet_pdf(args.p),
             "entropy_nats": entropy(args.p)}
 
 
 def _cmd_sample(args) -> None:
     seed = _require_seed(args)
     gen = RngStream(seed, 0).generator()
+    _check_dimension(args.p.d)  # before the header, so a refusal prints nothing
     print(json.dumps({"seed": seed, "n": args.n, "d": args.p.d}))
     for _ in range(args.n):
         print(json.dumps(sample_polytope_uniform(args.p, gen).to_json_obj()))

@@ -25,7 +25,7 @@ from .pmf import SumPmf, _read_only, _total
 LN2 = math.log(2.0)
 _TINY = sys.float_info.min
 _LOG_MAX = math.log(sys.float_info.max)
-_LOG_UNDERFLOW = math.log(math.ulp(0.0)) - LN2  # exp rounds anything below to 0.0
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,27 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
     return LogMeasure(lv)
 
 
+def _stirling_remainder(a: int) -> float:
+    """r(a) = lgamma(a) - [(a - 1/2) log a - a + log sqrt(2 pi)], from Stirling's series at a >= 20."""
+    return (math.lgamma(a) - ((a - 0.5) * math.log(a) - a + _HALF_LOG_2PI) if a < 20 else
+            (x := 1 / a) * (1 / 12 - x * x * (1 / 360 - x * x * (1 / 1260 - x * x * (1 / 1680 - x * x / 1188)))))
+
+
 @functools.cache
-def _blocks(d: int) -> tuple[tuple[float, float, float], ...]:
+def _blocks(d: int) -> tuple[tuple[tuple[float, float, float, int, float], ...], np.ndarray, float]:
     """Per level 0 < k < d: n_k = C(d, k) - 1, 0.5 log(n_k + 1) and log n_k!,
-    each rounded as simplex_hausdorff rounds it.  Levels 0 and d are points.
-    Where log n_k! is past the float range it is inf, so only a supported
-    level that needs it overflows the sum.  This is the only per-d table:
-    the density kernel reads it through _kernel_table."""
+    each rounded as simplex_hausdorff rounds it, a = n_k + 1 and r(a).  Levels
+    0 and d are points.  Where log n_k! is past the float range it is inf, so
+    only a supported level that needs it overflows the sum.  Then the n_k array
+    and the sum of the log n_k! in level order: the only per-d table."""
     rows = []
     for k in range(1, d):
-        n = math.comb(d, k) - 1
+        a = math.comb(d, k)
         try:
-            rows.append((float(n), 0.5 * math.log(n + 1), math.lgamma(n + 1)))
+            rows.append((float(a - 1), 0.5 * math.log(a), math.lgamma(a), a, _stirling_remainder(a)))
         except OverflowError:
-            rows.append((0.0, 0.0, math.inf))
-    return tuple(rows)
+            rows.append((0.0, 0.0, math.inf, a, 0.0))
+    return tuple(rows), _read_only(np.array([row[0] for row in rows])), float(sum(row[2] for row in rows))
 
 
 def _overflow(what: str, d: int) -> ValueError:
@@ -102,11 +108,10 @@ def _level_logs(p: SumPmf) -> dict[int, float]:
     _log_masses, and an exact mass below the normal floats, where
     log(float(p_k)) loses bits or fails, from its numerator and denominator.
     Every other level's log is its float's, -inf for an empty level."""
-    logs = dict(p._log_masses or {})
-    for k, v in enumerate(p.values):
-        if float(v) <= _TINY and isinstance(v, Fraction) and 0 < v < _TINY:
-            logs[k] = math.log(v.numerator) - math.log(v.denominator)
-    return logs
+    tiny = {k: math.log(v.numerator) - math.log(v.denominator) for k, v in enumerate(p.values)
+            if type(v) is not float and isinstance(v, Fraction)  # a float skips the slow ABC check
+            and v.denominator.bit_length() > 1022 and 0 < v < _TINY}  # _TINY = 2^-1022
+    return {**(p._log_masses or {}), **tiny}
 
 
 def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
@@ -124,7 +129,7 @@ def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
     for k, lv in _level_logs(p).items():
         logs[k] = lv
     total, full = 0.0, True
-    for (n, half_log, log_fact), lv in zip(_blocks(d), logs[1:d]):
+    for (n, half_log, log_fact, _, _), lv in zip(_blocks(d)[0], logs[1:d]):
         if lv > -math.inf:
             total += n * lv + half_log - log_fact
         else:
@@ -135,34 +140,24 @@ def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
     return {"ambient": intrinsic if full else LogMeasure.zero(), "intrinsic": intrinsic}
 
 
-@functools.cache
-def _kernel_table(d: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """_blocks(d) as _log_density_rows reads it: the columns of the levels
-    0 < k < d, their n_k, and the sum of their log n_k! in level order."""
-    rows = _blocks(d)
-    n = np.array([row[0] for row in rows], dtype=float)
-    return _read_only(np.arange(1, d)), _read_only(n), float(sum(row[2] for row in rows))
-
-
 def _log_density_rows(X: np.ndarray, d: int, level_logs: dict[int, float] | None = None) -> np.ndarray:
     """log l(p) = sum_k n_k log p_k - log n_k! at each row of X (column k holds
     p_k; the d free coordinates will do), -inf where a level 0 < k < d is
     empty.  The terms are added level by level, as numpy reduces the
-    column-major X[:, cols] of two or more rows, so no row's value depends on
-    the rows beside it (numpy would sum a lone row pairwise).  level_logs
-    maps a level to the log that replaces its column's, as _level_logs gives
-    it."""
-    cols, n, const = _kernel_table(d)
+    column-major logs of two or more rows, so no row's value depends on the
+    rows beside it (numpy would sum a lone row pairwise).  level_logs maps a
+    level to the log that replaces its column's, as _level_logs gives it."""
+    _, n, log_facts = _blocks(d)
     with np.errstate(divide="ignore"):
-        logs = np.log(X[:, cols])
+        logs = np.log(X[:, np.arange(1, d)])  # an index array, not a slice, gives column-major logs
     for k, lv in (level_logs or {}).items():
         if 0 < k < d:
             logs[:, k - 1] = lv
-    terms = logs * n
-    total = np.zeros(len(X))
-    for column in terms.T:
+    terms, lone = logs * n, len(X) == 1  # a lone row adds Python floats: one numpy call per level costs more
+    total = 0.0 if lone else np.zeros(len(X))
+    for column in terms[0].tolist() if lone else terms.T:
         total += column
-    return total - const
+    return np.atleast_1d(total - log_facts)
 
 
 def density_l(p: SumPmf) -> LogMeasure:
@@ -177,18 +172,13 @@ def density_l(p: SumPmf) -> LogMeasure:
     return LogMeasure(lv)
 
 
-def _log_total_factorial(d: int) -> float:
-    """log (2^d - 1)! = lgamma(2^d), the Dirichlet normalizer's factorial."""
-    try:
-        return math.lgamma(1 << d)
-    except OverflowError:
-        raise _overflow("log (2^d - 1)!", d) from None
-
-
 def normalizing_constant(d: int) -> LogMeasure:
     """Total mass sqrt(2^d) / (2^d - 1)! of the induced measure."""
     d = _check_dimension(d, dense=False)
-    return LogMeasure(0.5 * d * LN2 - _log_total_factorial(d))
+    try:
+        return LogMeasure(0.5 * d * LN2 - math.lgamma(1 << d))
+    except OverflowError:
+        raise _overflow("log (2^d - 1)!", d) from None
 
 
 def dirichlet_pdf(p: SumPmf) -> float:
@@ -196,28 +186,39 @@ def dirichlet_pdf(p: SumPmf) -> float:
 
     It is l(p) (2^d - 1)!, as Gamma(alpha_k) = n_k! and the alpha_k sum to
     2^d: with respect to Lebesgue measure on the d free coordinates, and 0
-    wherever a vanishing p_k carries alpha_k > 1.
+    wherever a vanishing p_k carries alpha_k > 1.  Stirling's form of each
+    lgamma (a = C(d, k), N = 2^d, u = N p_k / a - 1, c = log sqrt(2 pi)) makes
+    its log the fsum of a (log(1 + u) - u) <= 0 and 0.5 log a - r(a) - log p_k
+    over 0 < k < d, the exact N sum_k p_k - N and (3/2) log N - (d - 2) c + r(N),
+    so no terms of size N log N cancel.  Refused where the pdf or a term of its
+    log overflows a float.
     """
-    return _dirichlet_pdf(density_l(p), p.d)
-
-
-def _dirichlet_pdf(density: LogMeasure, d: int) -> float:
-    """dirichlet_pdf from the fiber density l(p) already evaluated.
-
-    log l(p) adds d terms of about the size of log (2^d - 1)! and nearly
-    cancels it, so their sum may be off by d ulps of that size.  The pdf is
-    refused as an overflow wherever it may exceed the float range.  Once that
-    error passes ln 2 (from d = 43) it is refused for its uncertainty too
-    where it may lie inside the range; certainly below it, it is 0.0.
-    """
-    log_fact = _log_total_factorial(d)
-    lv = density.log_value + log_fact
-    err = d * math.ulp(log_fact)
-    if lv > _LOG_MAX or (err > LN2 and lv + err > _LOG_MAX):
+    d, logs = p.d, _level_logs(p)
+    if any(not p.values[k] and k not in logs for k in range(1, d)):
+        return 0.0
+    try:
+        big_n, top, bottom = 1 << d, 0, 1  # N sum_k p_k = top / bottom
+        terms = [1.5 * d * LN2 - (d - 2) * _HALF_LOG_2PI + _stirling_remainder(big_n)]
+        for k, (_, half_log, _, a, r) in enumerate(_blocks(d)[0], 1):
+            num, den = p.values[k].as_integer_ratio()  # so u and N p_k / a round once
+            log_p = logs[k] if k in logs else math.log(num / den)
+            top_k, bottom_k = big_n * num, a * den  # N p_k / a
+            u = (top_k - bottom_k) / bottom_k
+            if -0.25 < u < 0.25:  # log(1 + u) - u = -u^2 (1/2 - u/3 + ...), by Horner's rule to |u|^j < 2^-54:
+                kl, e = 0.0, -math.frexp(u)[1] or 54  # |u| < 2^-e; u = 0 takes one term
+                for j in range(2 + 54 // e, 1, -1):
+                    kl = 1 / j - u * kl
+                kl *= -u * u
+            else:  # log(N p_k / a) - u; from log p_k where N p_k / a underflows
+                ratio = top_k / bottom_k
+                kl = (math.log(ratio) if ratio >= _TINY else log_p + math.log(big_n / a)) - u
+            terms += (a * kl, half_log - r, -log_p)
+            top, bottom = top * den + top_k * bottom, bottom * den
+        lv = math.fsum(terms + [(top - big_n * bottom) / bottom])
+    except OverflowError:
+        raise _overflow("a term of the log Dirichlet pdf", d) from None
+    if lv > _LOG_MAX:
         raise _overflow("the Dirichlet pdf", d)
-    if err > LN2 and lv + err >= _LOG_UNDERFLOW:
-        raise ValueError(f"the Dirichlet pdf has no reliable float at d = {d}: its log, {lv:.6g}, "
-                         f"is uncertain by {err:.6g} nats, more than ln 2")
     return math.exp(lv)
 
 

@@ -34,6 +34,13 @@ def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def _not_bool(v, what: str):
+    """v itself; a bool (numpy's too) is refused, as as_number refuses it."""
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return v
+
+
 def as_number(v) -> Number:
     """Coerce a JSON-ish scalar ("num/den" strings allowed) to int/float/Fraction.
 

@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .indexing import _as_int, _check_dimension, _level_slice, _next_in_level, _popcounts, level_element
-from .pmf import PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _is_exact, _total, entropy, sum_map
+from .pmf import (PROB_TOL, JointPmf, Number, SparseJointPmf, SumPmf, _is_exact, _not_bool, _total, entropy,
+                  sum_map)
 
 FLAT_WEIGHTS_MAX = 10_000
 
@@ -273,7 +274,7 @@ def convex_min_pmf(d: int, mu: Number) -> SumPmf:
     collapses by continuity).
     """
     d = _check_dimension(d, dense=False)
-    if not 0 <= mu <= d:
+    if not 0 <= _not_bool(mu, "mean") <= d:
         raise ValueError(f"mean must lie in [0, {d}], got {mu}")
     mu = Fraction(mu) if _is_exact(mu) else float(mu)
     lo = math.floor(mu)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .indexing import _as_int, _check_dimension, _level_slice
 from .measure import LN2, LogMeasure, _log_density_rows
-from .pmf import JointPmf, SumPmf
+from .pmf import JointPmf, SumPmf, _not_bool
 
 CHUNK = 1 << 14
 
@@ -64,7 +64,7 @@ class NeighborhoodSpec:
     def __post_init__(self):
         if self.metric not in ("sup", "tv"):
             raise ValueError(f"metric must be 'sup' or 'tv', got {self.metric!r}")
-        if not self.epsilon > 0:
+        if not _not_bool(self.epsilon, "epsilon") > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
@@ -144,7 +144,7 @@ def sample_dirichlet(alpha: Sequence[float], rng) -> np.ndarray:
 
 def sample_polytope_uniform(p: SumPmf, rng) -> JointPmf:
     """Uniform draw from the fiber over p, blockwise by its product structure."""
-    d = p.d
+    d = _check_dimension(p.d)
     g = _as_generator(rng)
     values = np.zeros(1 << d)
     for k in p.support:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import numpy as np
 
 _ZERO = Fraction(0)
@@ -380,6 +381,31 @@ def naive_entropy(values) -> float:
         if fv > 0:
             total -= fv * math.log(fv)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet(C(d, k)) log pdf in high precision
+# ---------------------------------------------------------------------------
+
+def reference_log_dirichlet_pdf(p) -> float:
+    """log of the Dirichlet(C(d,k)) pdf at p = (p_0, ..., p_d), from its
+    definition lgamma(2^d) - sum_k lgamma(C(d,k)) + sum_k (C(d,k) - 1) log p_k
+    in mpmath at 40 + d digits, each mass taken as the exact rational it
+    denotes (a float, int, Fraction or "num/den" string).  0 log 0 = 0, so
+    levels 0 and d (C(d,k) = 1) add nothing whatever their mass; a vanishing
+    mass of any other level gives -inf.  Rounded to a float once, at the end."""
+    d = len(p) - 1
+    with mpmath.workdps(40 + d):
+        total = mpmath.loggamma(mpmath.mpf(2) ** d)
+        for k, v in enumerate(p):
+            a = math.comb(d, k)
+            if a == 1:
+                continue
+            v = Fraction(v)
+            if v == 0:
+                return -math.inf
+            total += (a - 1) * (mpmath.log(v.numerator) - mpmath.log(v.denominator)) - mpmath.loggamma(a)
+        return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,12 @@ class TestBinomialPmf:
         with pytest.raises(ValueError):
             binomial_pmf(1.5, 3)
 
+    @pytest.mark.parametrize("theta", [True, np.True_, False])
+    def test_bool_theta_refused(self, theta):
+        # A bool is no probability, as for the masses of a pmf.
+        with pytest.raises(ValueError, match=f"^theta must be a number, got {theta!r}$"):
+            binomial_pmf(theta, 3)
+
     def test_dimension_meets_the_integer_rule(self):
         p = binomial_pmf(0.5, np.int64(3))
         assert p == binomial_pmf(0.5, 3)
@@ -60,6 +66,11 @@ class TestBinomialPmf:
 class TestPoissonBinomial:
     def test_iid_reduces_to_binomial(self):
         assert poisson_binomial_pmf([0.5, 0.5, 0.5]).values == binomial_pmf(0.5, 3).values
+
+    @pytest.mark.parametrize("bad", [True, np.True_])
+    def test_bool_probability_refused(self, bad):
+        with pytest.raises(ValueError, match=f"^a trial probability must be a number, got {bad!r}$"):
+            poisson_binomial_pmf([bad, 0.5])
 
     def test_iid_reduction_random(self):
         rng = np.random.default_rng(107)
@@ -270,10 +281,17 @@ class TestFloatRangeGuards:
                                       ["binomial-scan", "--d", "1015", "--points", "3"],
                                       ["bin-vs-mode", "--dmax", "1100"],
                                       ["density", "--p", json.dumps([1 / 1021] * 1021)],
-                                      ["measure", "--p", json.dumps([0.5] + [0] * 1099 + [0.5])],
-                                      ["density", "--p", json.dumps([0.5] + [0] * 1099 + [0.5])]])
+                                      ["measure", "--p", json.dumps([0.5] + [0] * 1099 + [0.5])]])
     def test_cli_exits_2(self, argv, capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "finite float" in err
+
+    def test_gapped_density_past_the_limit_prints_a_zero_pdf(self, capsys):
+        # An empty level 0 < k < d gives pdf 0.0 before any term of its log
+        # is formed, so no float limit applies; measure still needs the
+        # normalizing constant and is refused above.
+        assert main(["density", "--p", json.dumps([0.5] + [0] * 1099 + [0.5])]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["log_density"] is None and rec["dirichlet_pdf"] == 0.0

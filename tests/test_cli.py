@@ -322,6 +322,13 @@ class TestSample:
         assert code == 0
         assert json_lines(out) == [{"seed": 3, "n": 0, "d": 3}]
 
+    @pytest.mark.parametrize("n", ["0", "2"])
+    def test_past_the_dense_limit_prints_nothing(self, capsys, n):
+        # Refused before the header, so stdout holds no partial record.
+        p = json.dumps([1 / 22] * 22)
+        assert run(capsys, "sample", "--p", p, "-n", n, "--seed", "1") == (
+            2, "", "error: dense operations are limited to d <= 20, got 21\n")
+
     def test_negative_count_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sample", "--p", B_HALF, "-n", "-2", "--seed", "1"])

@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency: importing bernsum and its
-CLI in a fresh interpreter loads no scipy, no test tool and no test oracle.
+CLI in a fresh interpreter loads no scipy, no test tool and no test oracle,
+nor mpmath or sympy, which the oracles may use.
 The names `import bernsum` exposes are pinned, and so are the fields of each
 public dataclass and the public methods and properties of each public class,
 so adding or removing one is a visible change here."""
@@ -13,7 +14,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-FORBIDDEN = {"scipy", "hypothesis", "_hypothesis_pytestplugin", "pytest", "_pytest", "oracles"}
+FORBIDDEN = {"scipy", "hypothesis", "_hypothesis_pytestplugin", "pytest", "_pytest", "oracles", "mpmath", "sympy"}
 PUBLIC = [
     "BasisLimitError", "EstimateReport", "ExtremalIndex", "InfeasibleError", "JointPmf",
     "LabelMap", "LogMeasure", "MeanVector", "NeighborhoodSpec", "PolytopeDescriptor",

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from bernsum.binomial import binomial_pmf
 from bernsum.cli import main
 from bernsum.pmf import SumPmf, entropy
 
-from oracles import quad_simplex
+from oracles import quad_simplex, reference_log_dirichlet_pdf
 
 B_HALF_3 = SumPmf([0.125, 0.375, 0.375, 0.125])
 
@@ -36,6 +37,47 @@ def pmf_at(coords) -> SumPmf:
 def random_interior_pmf(rng: np.random.Generator, d: int) -> SumPmf:
     vals = rng.dirichlet(np.ones(d + 1))
     return SumPmf(tuple(vals / vals.sum()))
+
+
+LOG_MAX = math.log(sys.float_info.max)
+
+
+def assert_pdf_within_gate(p: SumPmf) -> None:
+    """dirichlet_pdf(p) has a log within max(1e-12, 1e-14 |oracle|) of the
+    mpmath oracle's, and is refused only where that log passes log(max float);
+    below the normal floats the pdf is exp of the oracle's log."""
+    want = reference_log_dirichlet_pdf(p.values)
+    if want > LOG_MAX:
+        with pytest.raises(ValueError, match="the Dirichlet pdf must be a finite float"):
+            dirichlet_pdf(p)
+        return
+    got = dirichlet_pdf(p)
+    if want < math.log(sys.float_info.min):
+        assert math.isclose(got, math.exp(want), rel_tol=1e-9, abs_tol=1e-320)
+    else:
+        assert abs(math.log(got) - want) <= max(1e-12, 1e-14 * abs(want)), (math.log(got), want)
+
+
+def mode_mixture(d: int, t, q: SumPmf, exact: bool) -> SumPmf:
+    """(1 - t) mode + t q, in Fractions or in floats."""
+    cast = Fraction if exact else float
+    t = cast(t)
+    return SumPmf([(1 - t) * cast(m) + t * cast(v) for m, v in zip(maximal_pmf(d).values, q.values)])
+
+
+@st.composite
+def pdf_inputs(draw) -> SumPmf:
+    """Exact and float p at d = 2..64: mode mixtures, binomials and integer weights."""
+    d, exact = draw(st.integers(2, 64)), draw(st.booleans())
+    theta = Fraction(draw(st.integers(1, 99)), 100)
+    kind = draw(st.sampled_from(["mode_mixture", "binomial", "weights"]))
+    if kind == "mode_mixture":
+        t = Fraction(draw(st.integers(0, 1000)), 1000) / 10 ** draw(st.integers(0, 9))
+        return mode_mixture(d, t, binomial_pmf(theta, d), exact)
+    if kind == "binomial":
+        return binomial_pmf(theta if exact else float(theta), d)
+    w = draw(st.lists(st.integers(1, 1000), min_size=d + 1, max_size=d + 1))
+    return SumPmf([Fraction(x, sum(w)) if exact else x / sum(w) for x in w])
 
 
 class TestLogMeasure:
@@ -299,20 +341,38 @@ class TestDirichletPdf:
         with pytest.raises(ValueError, match=message):
             dirichlet_pdf(p)
 
-    def test_uncertain_in_range_is_refused_as_uncertain(self):
-        # At d = 43 the log sum is 0.03125 with a bound of 1.34375 nats: the
-        # pdf lies inside the float range, but no float value is certain.
+    def test_d43_in_range_returns_its_value(self):
+        # The log pdf is 0.035 here, inside the float range, while log l(p)
+        # and log (2^d - 1)! are about 2.5e14: only a sum without their
+        # cancellation resolves it.
         d, t = 43, 3.3731e-05
         mode, b = maximal_pmf(d), binomial_pmf(0.47, d)
         p = SumPmf([(1 - t) * float(m) + t * float(v) for m, v in zip(mode.values, b.values)])
-        message = (r"^the Dirichlet pdf has no reliable float at d = 43: its log, 0\.03125, "
-                   r"is uncertain by 1\.34375 nats, more than ln 2$")
-        with pytest.raises(ValueError, match=message):
-            dirichlet_pdf(p)
+        assert math.isclose(math.log(dirichlet_pdf(p)), 0.0347902802, abs_tol=1e-10)
+        assert_pdf_within_gate(p)
 
     def test_in_range_keeps_its_bits(self):
+        # At d = 38 the log pdf is about 650, while log l(p) and
+        # log (2^d - 1)! are about 7e12 and cancel.
         for p in (binomial_pmf(0.5, 38), maximal_pmf(38), binomial_pmf(0.3, 25)):
-            assert dirichlet_pdf(p) == math.exp(density_l(p).log_value + math.lgamma(2**p.d))
+            assert_pdf_within_gate(p)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_mode_mixture_d36_within_the_gate(self, exact):
+        # Near the mode every u_k is small, so the series carries the log.
+        assert_pdf_within_gate(mode_mixture(36, Fraction(1, 10**6), binomial_pmf(Fraction(47, 100), 36), exact))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pdf_inputs())
+    def test_within_the_gate_of_mpmath(self, p):
+        assert_pdf_within_gate(p)
+
+    @pytest.mark.parametrize("values", [[Fraction(1, 1101)] * 1101, [1 / 1101] * 1101])
+    def test_overflowing_term_is_refused_by_name(self, values):
+        # At d = 1100, N p_1 / C(d, 1) - 1 passes the float range.
+        with pytest.raises(ValueError, match=r"^a term of the log Dirichlet pdf must be a finite "
+                                             r"float; at d = 1100 it overflows$"):
+            dirichlet_pdf(SumPmf(values))
 
     def test_certainly_below_the_float_range_is_zero(self):
         # d = 300 is far past the cancellation, but this sum is below -745 by

@@ -26,6 +26,7 @@ from oracles import (
     quad_integral,
     quad_region_sup_2d,
     quad_simplex,
+    reference_log_dirichlet_pdf,
 )
 
 B_HALF_3 = SumPmf([Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)])
@@ -101,6 +102,18 @@ class TestOracleExamples:
         assert (min(triple), max(triple)) == (0.125, 0.125)
         last_pair = [naive_cross_moment(3, v, [2, 3]) for v in dense]
         assert (min(last_pair), max(last_pair)) == (0.375, 0.5)
+
+    def test_log_dirichlet_pdf_closed_forms(self):
+        # Dirichlet(1, 2, 1) at (1/4, 1/2, 1/4): 3! / 1! * 1/2 = 3.
+        assert math.isclose(reference_log_dirichlet_pdf([0.25, 0.5, 0.25]), math.log(3), rel_tol=1e-15)
+        # Dirichlet(1, 3, 3, 1) at b(1/2): 7! / (2! 2!) * (3/8)^4 = 102060/4096.
+        assert math.isclose(reference_log_dirichlet_pdf(["1/8", "3/8", "3/8", "1/8"]),
+                            math.log(Fraction(102060, 4096)), rel_tol=1e-15)
+
+    def test_log_dirichlet_pdf_takes_zero_log_zero(self):
+        # Levels 0 and d carry alpha = 1, so their mass may vanish; a middle one may not.
+        assert math.isclose(reference_log_dirichlet_pdf([0, 0.5, 0.5]), math.log(3), rel_tol=1e-15)
+        assert reference_log_dirichlet_pdf([0.5, 0, 0.5]) == -math.inf
 
 
 class TestMutationSensitivity:

@@ -439,6 +439,11 @@ class TestConvexMinPmf:
         with pytest.raises(ValueError, match="mean"):
             convex_min_pmf(3, -0.1)
 
+    @pytest.mark.parametrize("mu", [True, np.True_])
+    def test_bool_mean_refused(self, mu):
+        with pytest.raises(ValueError, match=f"^mean must be a number, got {mu!r}$"):
+            convex_min_pmf(3, mu)
+
     def test_vertices_of_its_fiber_match_reference_masses(self):
         p = convex_min_pmf(3, Fraction(6, 5))
         vertices = list(extremal_enumerate(p))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bernsum.binomial import binomial_pmf
 from bernsum.measure import density_l, normalizing_constant
 from bernsum.pmf import SumPmf, sum_map
 from bernsum.polytope import exchangeable_pmf, membership
@@ -178,6 +179,14 @@ class TestPolytopeUniform:
         center = exchangeable_pmf(B_HALF_3).array
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - center) <= 4 * np.maximum(se, 1e-12))
+
+    def test_past_the_dense_limit_is_refused_before_any_draw(self):
+        # Refused before any draw and before any array of 2^d masses is filled.
+        g = RngStream(5).generator()
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="dense operations are limited to d <= 20, got 21"):
+            sample_polytope_uniform(binomial_pmf(0.5, 21), g)
+        assert g.bit_generator.state == state
 
     def test_partial_support(self):
         p = SumPmf([0, 0.8, 0.2, 0])
@@ -440,6 +449,11 @@ class TestNeighborhoodMeasure:
     ])
     def test_spec_radius_is_positive_and_finite(self, eps, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
+            NeighborhoodSpec(P_D2, eps)
+
+    @pytest.mark.parametrize("eps", [True, np.True_])
+    def test_bool_radius_refused(self, eps):
+        with pytest.raises(ValueError, match=f"^epsilon must be a number, got {eps!r}$"):
             NeighborhoodSpec(P_D2, eps)
 
     def test_paper_region_flag_loosens_the_set(self):
