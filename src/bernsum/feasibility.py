@@ -4,7 +4,8 @@ The fiber over p intersected with the class of fixed coordinate means theta
 is the solution set of {sum-level rows, coordinate-mean rows, f >= 0}.  All
 arithmetic here is exact rational: float inputs are converted to the exact
 binary fraction they represent, so reference values in eighths survive the
-round trip untouched.
+round trip untouched.  A verdict that those fractions miss by no more than
+PROB_TOL is rounding's, not the caller's, and is refused.
 
 Feasibility needs no LP.  The coordinate means reachable in the fiber form
 the Minkowski sum of the scaled hypersimplices p_k * Delta(d, k), the base
@@ -26,17 +27,22 @@ when they differ by one column swap that preserves feasibility.  For
 bounded polytopes that graph is connected, so a breadth-first walk from any
 feasible basis reaches every basic feasible solution; distinct solution
 vectors are the vertices.  Each edge costs one pivot on the parent's
-tableau, and _pivot is the only routine that changes a tableau.  Column j may enter on row i when x_i / a_ij is the
-minimum ratio over the rows with a_ij > 0, or when x_i = 0 and a_ij != 0 of
-either sign: such a degenerate swap changes the basis but not the vertex.
+tableau, and _pivot is the only routine that changes a tableau.  Column j
+may enter on row i when x_i / a_ij is the minimum ratio over the rows with
+a_ij > 0, or when x_i = 0 and a_ij != 0 of either sign: such a degenerate
+swap changes the basis but not the vertex.
 
 The LP runs on integers.  The rows are 0/1 and the right-hand side is
 scaled by the lcm of its denominators, so the starting tableau is integral
 with denominator D = 1.  Every later tableau holds integer numerators over
 one common D > 0, the absolute determinant of the current basis, and a
 pivot is Bareiss's fraction-free update (Bareiss 1968), whose divisions are
-exact.  Signs and ratio tests read the numerators directly, ratios compare
-by cross-multiplication, and a Fraction is built only for each new vertex.
+exact.  _pivot is given the entering column: the walk and phase 1 read it
+off the tableau, the master prices it from B^-1 and never stores it.  On a
+negative entry the pivot row is negated first, so D stays positive, and
+each other row is rebuilt once.  Signs and ratio tests read the numerators
+directly, ratios compare by cross-multiplication, and a Fraction is built
+only for each new vertex.
 
 A cross moment E[prod_{i in S} X_i] is linear on the fiber, so each of its
 bounds is one LP optimum, found by column generation (Dantzig & Wolfe 1960;
@@ -60,10 +66,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .indexing import _check_dimension
-from .pmf import JointPmf, Number, SumPmf, _subset_mask, as_number
+from .pmf import PROB_TOL, JointPmf, Number, SumPmf, _subset_mask, as_number
 
 VERTEX_D_MAX = 5
 
@@ -85,6 +91,9 @@ class MeanVector:
     """Prescribed coordinate means theta in [0,1]^d, held exactly."""
 
     values: tuple[Fraction, ...]
+    # Set when a mean was given as a float: its binary fraction may miss the
+    # mean meant by the caller, so _majorization will not let rounding decide.
+    _floats: ClassVar[bool] = False
 
     def __init__(self, values: Sequence[Number]):
         vals = tuple(as_number(v) for v in values)
@@ -95,6 +104,8 @@ class MeanVector:
             if not 0 <= t <= 1:
                 raise ValueError(f"coordinate means must lie in [0,1], got {t}")
         object.__setattr__(self, "values", tuple(map(Fraction, vals)))
+        if any(isinstance(t, float) for t in vals):
+            object.__setattr__(self, "_floats", True)
 
     @property
     def d(self) -> int:
@@ -110,48 +121,48 @@ def _coerce_theta(theta, d: int) -> MeanVector:
 
 def _exact_p(p: SumPmf) -> tuple[Fraction, ...]:
     vals = tuple(Fraction(v) for v in p.values)  # floats: their exact binary fractions
-    if sum(vals) != 1:
-        # Floats that merely approximate a pmf get renormalized exactly.
-        total = sum(vals)
-        vals = tuple(v / total for v in vals)
-    return vals
+    total = sum(vals)
+    # Floats that merely approximate a pmf get renormalized exactly.
+    return vals if total == 1 else tuple(v / total for v in vals)
 
 
-def _pivot(T, D, row, col):
-    """Fraction-free pivot on T[row][col]; returns the new common denominator.
+def _pivot(T, D, row, u):
+    """Fraction-free pivot on row of the entering column u (u[i] its entry
+    in row i); returns the new common denominator.
 
     T holds integers over one denominator D > 0 that is the absolute
     determinant of the current basis in the integer system, so T is D times
-    the rational tableau and, by Cramer's rule, integral.  Pivoting makes the
-    new determinant pv = T[row][col] (up to sign) and row i becomes
-    (T[i] * pv - T[i][col] * T[row]) / D (Bareiss 1968): Sylvester's identity
-    makes every such division exact, so floor division loses nothing.  When
-    pv < 0 every row is negated so that D stays positive and the signs of the
-    entries stay those of the rational tableau.  Rows are rebound, never
+    the rational tableau and, by Cramer's rule, integral.  The new
+    determinant is pv = |u[row]|; the pivot row is negated first when
+    u[row] < 0, so D stays positive and the entries keep the rational
+    tableau's signs; then each other row i becomes (T[i] * pv - u[i] *
+    T[row]) / D (Bareiss 1968).  Sylvester's identity makes every division
+    exact, so floor division loses nothing.  Rows are rebound, never
     mutated, so a shallow copy of T leaves the original tableau intact.
     """
-    pv = T[row][col]
+    pv = u[row]
+    if pv < 0:
+        T[row] = [-a for a in T[row]]
+        pv = -pv
     prow = T[row]
-    for i, ti in enumerate(T):
-        f = ti[col]
+    for i, (ti, f) in enumerate(zip(T, u)):
         if i != row:
             T[i] = [(a * pv - f * b) // D for a, b in zip(ti, prow)]
-    if pv < 0:
-        for i, ti in enumerate(T):
-            T[i] = [-a for a in ti]
-        pv = -pv
     return pv
 
 
-def _enumerate_bases(T0, D0, basis0, scale, max_bases=None):
-    """All basic feasible solutions reachable by feasible single swaps.
+def _enumerate_bases(T0, D0, basis0, scale, columns, d, max_bases=None):
+    """All basic feasible solutions reachable by feasible single swaps, as
+    exact pmfs in sorted order of their 2^d masses.
 
     T0 is an integer tableau [R | s] over the denominator D0, in canonical
     form for basis0 (row i carries basis0[i]); each queued basis is reached
-    by one pivot on a copy of its parent's tableau.  Values are
-    T[i][-1] / (D * scale).  Bases are kept as bitmasks of their columns and
-    vertices by their supports: a basic feasible solution is the only
-    feasible point with its support, so the support names the vertex.
+    by one pivot on a copy of its parent's tableau.  Column j is the atom
+    columns[j], of mass T[i][-1] / (D * scale) when basic in row i.  Bases
+    are bitmasks of their columns and vertices are keyed by their supports:
+    a basic feasible solution is the only feasible point with its support.
+    A vertex is >= 0 and, as _exact_p sums to exactly 1, so do its level
+    rows: nothing is left to validate.
     """
     r = len(T0)
     n = len(T0[0]) - 1
@@ -171,14 +182,14 @@ def _enumerate_bases(T0, D0, basis0, scale, max_bases=None):
         if swap is not None:
             row, col = swap
             T, basis = list(T), list(basis)
-            D = _pivot(T, D, row, col)
+            D = _pivot(T, D, row, [t[col] for t in T])
             basis[row] = col
         xB = [ti[-1] for ti in T]
         support = sum(1 << b for b, v in zip(basis, xB) if v)
         if support not in solutions:
-            x = [_ZERO] * n
+            x = [_ZERO] * (1 << d)
             for b, v in zip(basis, xB):
-                x[b] = Fraction(v, D * scale)
+                x[columns[b]] = Fraction(v, D * scale)
             solutions[support] = x
         mask = sum(1 << b for b in basis)
         rows = sorted(range(r), key=basis.__getitem__)
@@ -203,7 +214,7 @@ def _enumerate_bases(T0, D0, basis0, scale, max_bases=None):
                 if nb not in seen:
                     seen.add(nb)
                     queue.append((basis, T, D, (i, j)))
-    return sorted(solutions.values())
+    return [JointPmf._with_validated_masses(d, x) for x in sorted(solutions.values())]
 
 
 def _solve(p: SumPmf, theta: MeanVector):
@@ -240,7 +251,7 @@ def _solve(p: SumPmf, theta: MeanVector):
             t = T[i][enter]
             if t > 0 and (row is None or (T[i][-1] * T[row][enter], basis[i]) < (T[row][-1] * t, basis[row])):
                 row = i
-        D = _pivot(T, D, row, enter)
+        D = _pivot(T, D, row, [t[enter] for t in T])
         basis[row] = enter
     if T[m][-1]:
         return None
@@ -250,31 +261,32 @@ def _solve(p: SumPmf, theta: MeanVector):
             enter = next((j for j in range(n) if T[i][j]), None)
             if enter is None:
                 continue
-            D = _pivot(T, D, i, enter)
+            D = _pivot(T, D, i, [t[enter] for t in T])
             basis[i] = enter
         keep.append(i)
     return columns, ([T[i] for i in keep], D, [basis[i] for i in keep], master.scale)
 
 
-def _to_joint(d: int, columns, x) -> JointPmf:
-    """A basic feasible solution as a pmf: it is >= 0, and as _exact_p sums
-    to exactly 1, so do its level rows; nothing is left to validate."""
-    values: list[Number] = [_ZERO] * (1 << d)
-    for idx, v in zip(columns, x):
-        values[idx] = v
-    return JointPmf._with_validated_masses(d, values)
-
-
-def _majorization(pvals: Sequence[Fraction], theta: MeanVector):
-    """The coordinates in decreasing order of mean, those means x and the
-    tails q_s = P(S >= s), s = 1..d; or None when theta is infeasible, that
-    is when x is not majorized by q (dominated prefix sums, equal totals)."""
+def _majorization(p: SumPmf, theta: MeanVector):
+    """p's exact masses, the coordinates in decreasing order of mean, those
+    means x and the tails q_s = P(S >= s), s = 1..d; or None when theta is
+    infeasible, that is when x is not majorized by q (dominated prefix sums,
+    equal totals).  When p or theta holds a float and the test fails by no
+    more than PROB_TOL, only rounding decides, and a ValueError is raised."""
+    pvals = _exact_p(p)
     order = sorted(range(theta.d), key=lambda i: theta.values[i], reverse=True)
     x = [theta.values[i] for i in order]
     q = list(accumulate(reversed(pvals[1:])))[::-1]
     px, pq = list(accumulate(x)), list(accumulate(q))
     if px[-1] == pq[-1] and all(a <= b for a, b in zip(px, pq)):
-        return order, x, q
+        return pvals, order, x, q
+    if theta._floats or not p.exact:
+        gap = max(abs(px[-1] - pq[-1]), *(a - b for a, b in zip(px, pq)))
+        if gap <= PROB_TOL:
+            raise ValueError(
+                f"theta misses feasibility by {float(gap):.3g}, within the float tolerance "
+                f"{PROB_TOL:g}, so only the rounding of the float inputs decides the verdict; "
+                f"give p and theta as exact num/den values")
     return None
 
 
@@ -335,10 +347,9 @@ def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
     d = p.d
     theta = _coerce_theta(theta, d)
     _check_dimension(d)
-    pvals = _exact_p(p)
-    if (verdict := _majorization(pvals, theta)) is None:
+    if (verdict := _majorization(p, theta)) is None:
         return None
-    order, x, q = verdict
+    pvals, order, x, q = verdict
     bits = [1 << i for i in order]
     values: list[Number] = [0] * (1 << d)  # an atom never hit stays int 0
     for k, zk in _level_marginals(pvals, x, q).items():
@@ -367,9 +378,10 @@ def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list
         raise ValueError(f"constrained_vertices is limited to d <= {VERTEX_D_MAX}")
     got = _solve(p, theta)
     if got is None:
+        _majorization(p, theta)  # refuses a verdict that float rounding decides
         return []
     columns, (T, D, basis, scale) = got
-    return [_to_joint(d, columns, x) for x in _enumerate_bases(T, D, basis, scale, max_bases)]
+    return _enumerate_bases(T, D, basis, scale, columns, d, max_bases)
 
 
 def _lex_ratio_less(a: list[int], ua: int, b: list[int], ub: int) -> bool:
@@ -447,10 +459,8 @@ class _Master:
         for i in range(self.m):
             if u[i] > 0 and (row is None or _lex_ratio_less(self.T[i], u[i], self.T[row], u[row])):
                 row = i
-        # After the pivot the entering column is D times a unit vector, so it is dropped.
-        T = [t + [a] for t, a in zip(self.T, u)]
-        self.D = _pivot(T, self.D, row, self.m + 1)
-        self.T = [t[:-1] for t in T]
+        # After the pivot the entering column is D times a unit vector, so it is never stored.
+        self.D = _pivot(self.T, self.D, row, u)
         self.pivots += 1
 
     def price(self, sigma: int) -> int | None:
@@ -520,12 +530,11 @@ def constrained_moment_bounds(p: SumPmf, theta, subset, max_bases: int | None = 
     if max_bases is not None and max_bases < 1:
         raise ValueError("max_bases must be >= 1")
     theta = _coerce_theta(theta, p.d)
-    pvals = _exact_p(p)
-    if _majorization(pvals, theta) is None:
+    if (verdict := _majorization(p, theta)) is None:
         raise InfeasibleError("the mean-constrained fiber is empty")
     if any(mask >> i & 1 for i, t in enumerate(theta.values) if t == 0):
         return 0.0, 0.0  # no member puts mass on S
-    master = _Master(pvals, theta, mask, max_bases)
+    master = _Master(verdict[0], theta, mask, max_bases)
     lo = master.solve(1)
     # The upper bound starts from the lower optimum, on one pivot budget.
     master.T[-1] = [-a for a in master.T[-1]]

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .indexing import _as_int, _check_dimension
-from .pmf import SumPmf, _read_only, _total
+from .pmf import SumPmf, _not_bool, _read_only, _total
 
 LN2 = math.log(2.0)
 _TINY = sys.float_info.min
@@ -63,8 +63,10 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
     n = _as_int(n, "simplex dimension")
     if n < 0:
         raise ValueError(f"simplex dimension must be >= 0, got {n}")
-    if not side_param >= 0:
+    if not _not_bool(side_param, "side parameter") >= 0:
         raise ValueError(f"side parameter must be >= 0, got {side_param}")
+    if side_param == math.inf:
+        raise ValueError(f"side parameter must be finite, got {side_param}")
     if n == 0:
         return LogMeasure.one()
     if side_param == 0:

@@ -262,6 +262,40 @@ class TestFeasible:
         assert exc.value.code == 2
         assert "--max-bases: must be >= 1, got 0" in capsys.readouterr().err
 
+    # Float inputs whose binary fractions miss sum(theta) = E[S] by 1.11e-16,
+    # and the exact values they stand for, which are feasible.
+    ROUNDED = [
+        ("[0.2, 0.5, 0.3]", "[0.55, 0.55]", '["1/5", "1/2", "3/10"]', '["11/20", "11/20"]'),
+        ("[0.1, 0.2, 0.3, 0.4]", "[0.6, 0.7, 0.7]",
+         '["1/10", "1/5", "3/10", "2/5"]', '["3/5", "7/10", "7/10"]'),
+    ]
+
+    @pytest.mark.parametrize("argv", [
+        ("feasible", "--p", ROUNDED[0][0], "--theta", ROUNDED[0][1]),
+        ("constrained-vertices", "--p", ROUNDED[0][0], "--theta", ROUNDED[0][1]),
+        ("constrained-bounds", "--p", ROUNDED[0][0], "--theta", ROUNDED[0][1], "--subset", "1,2"),
+        ("feasible", "--p", ROUNDED[1][0], "--theta", ROUNDED[1][1]),
+    ], ids=["feasible", "constrained-vertices", "constrained-bounds", "feasible-d3"])
+    def test_verdict_only_float_rounding_decides_is_refused(self, capsys, argv):
+        assert run(capsys, *argv) == (
+            2, "", "error: theta misses feasibility by 1.11e-16, within the float tolerance 1e-12, "
+                   "so only the rounding of the float inputs decides the verdict; "
+                   "give p and theta as exact num/den values\n")
+
+    @pytest.mark.parametrize("p,theta,lower,upper", [
+        (ROUNDED[0][2], ROUNDED[0][3], "3/10", "3/10"),
+        (ROUNDED[1][2], ROUNDED[1][3], "2/5", "3/5"),
+    ])
+    def test_exact_forms_of_the_rounded_inputs_are_feasible(self, capsys, p, theta, lower, upper):
+        code, out, _ = run(capsys, "feasible", "--p", p, "--theta", theta)
+        assert code == 0
+        witness = JointPmf.from_json_obj(json.loads(out)["witness"])
+        levels = [Fraction(v) for v in json.loads(p)]
+        means = [Fraction(t) for t in json.loads(theta)]
+        assert exact_levels_and_means(witness.d, witness.atoms()) == (levels, means)
+        code, out, _ = run(capsys, "constrained-bounds", "--p", p, "--theta", theta, "--subset", "1,2")
+        assert (code, json.loads(out)) == (0, {"subset": "1|2", "lower": lower, "upper": upper})
+
 
 class TestMeasureCommands:
     def test_measure_fields(self, capsys):
@@ -296,8 +330,8 @@ class TestMeasureCommands:
     @pytest.mark.parametrize("d", [40, 60])
     @pytest.mark.parametrize("centre", ["b_half", "mode"])
     def test_dirichlet_pdf_past_the_float_range_is_refused(self, capsys, command, d, centre):
-        # At d = 40 the pdf overflows a float; at d = 60 the two logs it adds
-        # cancel below their rounding error, so no float value is right.
+        # At d = 40 and d = 60 the log pdf passes log(max float) = 709.78, so
+        # the pdf overflows a float and is refused by name.
         if centre == "b_half":
             p = [f"{math.comb(d, k)}/{2**d}" for k in range(d + 1)]
         else:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bernsum.feasibility import (
@@ -13,6 +13,7 @@ from bernsum.feasibility import (
     constrained_moment_bounds,
     constrained_vertices,
     feasible_point,
+    _pivot,
     _solve,
 )
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment
@@ -20,6 +21,7 @@ from bernsum.polytope import exchangeable_pmf, extremal_enumerate, membership
 
 from oracles import (
     ReferenceBasisLimit,
+    _fraction_pivot,
     brute_constrained_vertices,
     constraint_system,
     exact_levels_and_means,
@@ -226,6 +228,75 @@ def test_verdict_matches_exact_lp_and_witness_is_exact(instance):
         assert exact_levels_and_means(d, w.atoms()) == (pvals, theta)
         assert sum(1 for _ in w.atoms()) <= d * len(p.support) + 1
     assert verdicts[0]  # theta came from a member of the first fiber
+
+
+class TestFloatRounding:
+    """The binary fractions of (0.2, 0.5, 0.3) and (0.55, 0.55) miss
+    sum(theta) = E[S] by 1e-16 or less, while the values they stand for,
+    (1/5, 1/2, 3/10) and (11/20, 11/20), are feasible."""
+
+    P_FLOAT, THETA_FLOAT = [0.2, 0.5, 0.3], [0.55, 0.55]
+    P_EXACT, THETA_EXACT = [Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)], [Fraction(11, 20)] * 2
+    MESSAGE = r"theta misses feasibility by [0-9.]+e-1[67], within the float tolerance 1e-12.*exact num/den"
+
+    @pytest.mark.parametrize("p,theta", [
+        (P_FLOAT, THETA_FLOAT),
+        (P_FLOAT, THETA_EXACT),
+        (P_EXACT, THETA_FLOAT),
+        (P_EXACT, MeanVector(THETA_FLOAT)),
+    ], ids=["both-float", "float-p", "float-theta", "float-mean-vector"])
+    def test_verdict_only_rounding_decides_is_refused(self, p, theta):
+        p = SumPmf(p)
+        for call in (lambda: feasible_point(p, theta), lambda: constrained_vertices(p, theta),
+                     lambda: constrained_moment_bounds(p, theta, [1, 2])):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                call()
+
+    def test_exact_theta_within_the_tolerance_stays_infeasible(self):
+        # Exact inputs mean what they say: a miss of 1e-13 is a verdict.
+        p = SumPmf(self.P_EXACT)
+        theta = [Fraction(11, 20), Fraction(11, 20) + Fraction(1, 10**13)]
+        assert feasible_point(p, theta) is None
+        assert _solve(p, MeanVector(theta)) is None
+        assert constrained_vertices(p, theta) == []
+        with pytest.raises(InfeasibleError):
+            constrained_moment_bounds(p, theta, [1, 2])
+
+    def test_float_miss_past_the_tolerance_stays_infeasible(self):
+        # sum(theta) = 0.6 = E[S], but theta_2 = 0.3 > q_1 = P(S >= 1) = 0.2.
+        p = SumPmf([0.8, 0, 0, 0.2])
+        assert feasible_point(p, [0, 0.3, 0.3]) is None
+        assert constrained_vertices(p, [0, 0.3, 0.3]) == []
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pivot_chain_matches_fraction_pivots(data):
+    # Bareiss on a general integer tableau from D = 1: after each pivot, on
+    # an entry of either sign, D > 0, every division was exact and T / D is
+    # the Gauss-Jordan tableau.  The first pivot is on a negative entry.
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    T = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    assume(any(a < 0 for t in T for a in t))
+    ref = [[Fraction(a) for a in t] for t in T]
+    D, negative = 1, False
+    for _ in range(data.draw(st.integers(1, 6))):
+        entries = [(i, j) for i in range(rows) for j in range(cols) if T[i][j]]
+        want_negative = not negative or data.draw(st.booleans())
+        row, col = data.draw(st.sampled_from(
+            [(i, j) for i, j in entries if (T[i][j] < 0) == want_negative] or entries))
+        u = [t[col] for t in T]
+        negative |= u[row] < 0
+        pv, sign = abs(u[row]), (1 if u[row] > 0 else -1)
+        prow = [sign * a for a in T[row]]
+        assert all((a * pv - f * b) % D == 0
+                   for i, (t, f) in enumerate(zip(T, u)) if i != row for a, b in zip(t, prow))
+        D = _pivot(T, D, row, u)
+        _fraction_pivot(ref, row, col)
+        assert D > 0
+        assert [[Fraction(a, D) for a in t] for t in T] == ref
+    assert negative
 
 
 class TestConstrainedVertices:

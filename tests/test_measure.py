@@ -113,6 +113,16 @@ class TestSimplexHausdorff:
         with pytest.raises(ValueError, match="side parameter must be >= 0, got nan"):
             simplex_hausdorff(2, side)
 
+    @pytest.mark.parametrize("side", [math.inf, np.float64(math.inf)])
+    def test_infinite_side_refused(self, side):
+        with pytest.raises(ValueError, match="side parameter must be finite, got inf"):
+            simplex_hausdorff(2, side)
+
+    @pytest.mark.parametrize("side", [True, False, np.True_])
+    def test_bool_side_refused(self, side):
+        with pytest.raises(ValueError, match=f"side parameter must be a number, got {side!r}"):
+            simplex_hausdorff(2, side)
+
     def test_exact_side_below_the_normal_floats_agrees_with_polytope_measure(self):
         # The fiber over (1/2, t, 1/2 - t) is the one segment of side t.
         t = Fraction(1, 10**400)
@@ -334,8 +344,8 @@ class TestDirichletPdf:
     @pytest.mark.parametrize("d", [40, 60])
     @pytest.mark.parametrize("centre", ["b_half", "mode"])
     def test_past_the_float_range_is_refused(self, d, centre):
-        # From d = 40 the pdf overflows at these centres; from about d = 57
-        # log l(p) and log (2^d - 1)! also cancel below their rounding error.
+        # From d = 40 the log pdf at these centres passes log(max float) =
+        # 709.78, so the pdf overflows a float and is refused by name.
         p = binomial_pmf(0.5, d) if centre == "b_half" else maximal_pmf(d)
         message = f"the Dirichlet pdf must be a finite float; at d = {d} it overflows"
         with pytest.raises(ValueError, match=message):
