@@ -11,6 +11,7 @@ and recorded in the output so any run can be replayed.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import json
@@ -37,7 +38,7 @@ from .measure import (
     polytope_measure,
 )
 from .pmf import SumPmf, _num_to_json, entropy
-from .polytope import _sigma_stream, entropy_bounds, moment_bounds
+from .polytope import _runs, entropy_bounds, moment_bounds
 from .sampling import (
     NeighborhoodSpec,
     RngStream,
@@ -97,24 +98,34 @@ def _extremal_lines(p: SumPmf, offset: int) -> Iterator[str]:
     """The `extremals` records, each exactly as json.dumps writes
     {"sigma": [...], "pmf": {"d": d, "atoms": [[i, p_k], ...]}}.
 
-    Each level's mass is encoded once per stream.  A level's sigma digit and
-    its atom fragment are rebuilt only when the odometer moves the level;
-    a line then sorts the at most d + 1 atoms by index and joins the parts.
+    Each level's mass is encoded once per stream, and its sigma digit and
+    atom only when the odometer moves the level.  Each run of the fast level
+    f (polytope._runs) sorts the other levels' atoms by index and joins,
+    for each place f's atom can take among them, the text to its left (the
+    sigma digits after sigma_f included) and to its right.  A line then
+    bisects f's index into the sorted indices and fills one f-string.
     """
     d = p.d
-    support = p.support
     masses = [json.dumps(_jsonable(v)) for v in p.values]
-    digits = [""] * (d + 1)
-    atoms: list[tuple[int, str]] = [(0, "")] * len(support)
-    head, mid, tail = '{"sigma": [', f'], "pmf": {{"d": {d}, "atoms": [', "]}}"
-    for sigma, elems, low in _sigma_stream(p, offset):
-        for k in range(low):
-            digits[k] = str(sigma[k])
-        for j, k in enumerate(support):
-            if k >= low:
-                break
-            atoms[j] = (elems[k], f"[{elems[k]}, {masses[k]}]")
-        yield head + ", ".join(digits) + mid + ", ".join([a for _, a in sorted(atoms)]) + tail
+    tail = f'], "pmf": {{"d": {d}, "atoms": ['
+    seen, digits, atoms = [-1] * (d + 1), [""] * (d + 1), [""] * (d + 1)
+    for f, sigma, elems, run in _runs(p, offset):
+        for k in range(d + 1):
+            if seen[k] != elems[k]:
+                seen[k], digits[k], atoms[k] = elems[k], str(sigma[k]), f"[{elems[k]}, {masses[k]}]"
+        rest = sorted((k for k in p.support if k != f), key=elems.__getitem__)
+        keys = [elems[k] for k in rest]
+        pre = '{"sigma": [' + "1, " * f  # the levels below f never move
+        lefts = ["".join([", " + digits[k] for k in range(f + 1, d + 1)]) + tail]
+        rights = ["]}}"]
+        for k, j in zip(rest, reversed(rest)):
+            lefts.append(f"{lefts[-1]}{atoms[k]}, ")
+            rights.append(f", {atoms[j]}{rights[-1]}")
+        rights.reverse()
+        mass = masses[f]
+        for s, e in run:
+            i = bisect.bisect(keys, e)
+            yield f"{pre}{s}{lefts[i]}[{e}, {mass}]{rights[i]}"
 
 
 def _cmd_extremals(args) -> None:

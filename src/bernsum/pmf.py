@@ -46,7 +46,11 @@ def as_number(v) -> Number:
 
     Every integer type (numpy's included) becomes an int; bools are refused."""
     if isinstance(v, str):
+        num, slash, den = v.partition("/")
         try:
+            # Plain ASCII "num/den" skips Fraction's string grammar; it gives the same value.
+            if slash and v.isascii() and num.isdigit() and den.isdigit():
+                return Fraction(int(num), int(den))
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"not a probability value: {v!r} has a zero denominator") from None
@@ -61,10 +65,16 @@ def _total(masses: Iterable[Number]) -> Number:
     """Exact sum when every nonzero mass is an int or Fraction, else the
     correctly rounded float sum; zeros decide only when every mass is zero."""
     masses = list(masses)
-    deciding = [m for m in masses if m] or masses
-    if all(_is_exact(m) for m in deciding):
-        return sum(m for m in masses if _is_exact(m))
-    return math.fsum(float(m) for m in deciding)
+    if not all(_is_exact(m) for m in masses):
+        deciding = [m for m in masses if m] or masses
+        if not all(_is_exact(m) for m in deciding):
+            return math.fsum(float(m) for m in deciding)
+        masses = [m for m in masses if _is_exact(m)]
+    if not any(isinstance(m, Fraction) for m in masses):
+        return sum(masses)
+    # The numerators over the common denominator summed as integers, reduced once.
+    den = math.lcm(*[m.denominator for m in masses])
+    return Fraction(sum([m.numerator * (den // m.denominator) for m in masses]), den)
 
 
 def _check_normalized(total: Number, what: str) -> None:
@@ -76,7 +86,7 @@ def _check_normalized(total: Number, what: str) -> None:
 def _validate_masses(values: Iterable[Number], what: str) -> tuple[Number, ...]:
     vals = tuple(as_number(v) for v in values)
     for v in vals:
-        if v < 0:
+        if (v.numerator if isinstance(v, Fraction) else v) < 0:
             raise ValueError(f"{what} violates nonnegativity: entry {v}")
     _check_normalized(_total(vals), what)
     return vals

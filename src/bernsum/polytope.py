@@ -4,7 +4,10 @@ For a sum pmf p the fiber of the sum map is a product of scaled simplices,
 one block per supported level k, with C(d,k) coordinates each.  Its vertices
 put the whole level mass p_k on a single weight-k binary vector, so a vertex
 is described by one slice position per supported level.  Everything here is
-exact when p is exact: vertices inherit p's entries verbatim.
+exact when p is exact: vertices inherit p's entries verbatim.  The vertices
+stream from one odometer (_runs) in runs of the fast level, the lowest
+supported level with more than one element: within a run only that level
+moves, so a consumer sets up the other levels once per run.
 """
 from __future__ import annotations
 
@@ -82,25 +85,30 @@ def extremal_by_index(p: SumPmf, sigma: ExtremalIndex | Sequence[int]) -> Sparse
     return SparseJointPmf(d, atoms)
 
 
-def _sigma_stream(p: SumPmf, offset: int = 0) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+def _runs(p: SumPmf, offset: int = 0) -> Iterator[tuple[int, list[int], list[int], Iterator]]:
     """The one odometer over the vertices of the fiber over p, in colex sigma
-    order (the first level cycles fastest), from stream position `offset`.
+    order (the first level cycles fastest), from stream position `offset`,
+    in runs of the fast level f: the lowest supported level with C(d, f) > 1,
+    else the lowest supported level (p on levels {0, d} only has one vertex).
 
     sigma_k runs over 1..C(d, k) on a supported level and stays 1 elsewhere.
-    Each step yields (sigma, elems, low): the labels, the index of each
-    level's sigma_k-th weight-k vector, and the lowest level that did not move
-    since the previous step (d + 1 at the first, when every level is new).
-    Only the start is decoded from offset in mixed radix (an offset at or
-    past the end yields nothing) and unranked by level_element.  A step moves
-    one level to its next element (_next_in_level) and resets the levels
-    below it to their first, 2^k - 1, so a vertex costs amortized O(1).
+    A run is (f, sigma, elems, run): every level's label and the index of its
+    sigma_k-th weight-k vector at the run's first vertex, then the lazy
+    (sigma_f, index) pairs of its vertices, to the end of level f, all other
+    levels fixed.  sigma and elems are the odometer's own lists: read them
+    before the next run.  Only the start is decoded from offset in mixed
+    radix (an offset at or past the end yields nothing) and unranked by
+    level_element.  Between runs one level above f moves to its next element
+    (_next_in_level) and the levels from f up to it reset to their first,
+    2^k - 1, so a vertex costs amortized O(1).
     """
     offset = _as_int(offset, "offset")
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
     d = p.d
-    support = set(p.support)
+    support = p.support
     sizes = [math.comb(d, k) if k in support else 1 for k in range(d + 1)]
+    f = next((k for k in support if sizes[k] > 1), support[0])
     sigma = []
     for size in sizes:
         offset, r = divmod(offset, size)
@@ -108,33 +116,46 @@ def _sigma_stream(p: SumPmf, offset: int = 0) -> Iterator[tuple[tuple[int, ...],
     if offset:
         return
     elems = [level_element(d, k, s) for k, s in enumerate(sigma)]
-    low = d + 1
     while True:
-        yield tuple(sigma), tuple(elems), low
-        for k in range(d + 1):
+        yield f, sigma, elems, zip(range(sigma[f], sizes[f] + 1), _level_walk(elems[f]))
+        for k in range(f + 1, d + 1):
             if sigma[k] < sizes[k]:
                 sigma[k] += 1
                 elems[k] = _next_in_level(elems[k])
-                low = k + 1
                 break
             sigma[k] = 1
             elems[k] = (1 << k) - 1
         else:
             return
+        sigma[f], elems[f] = 1, (1 << f) - 1
+
+
+def _level_walk(x: int) -> Iterator[int]:
+    """x and the indices after it in x's level, each made when it is read, so
+    a run zipped behind its sigma range never steps past the last one."""
+    while True:
+        yield x
+        x = _next_in_level(x)
 
 
 def extremal_enumerate(p: SumPmf, offset: int = 0) -> Iterator[SparseJointPmf]:
     """Lazily yield every vertex exactly once, in colex sigma order, starting
     at stream position offset: level k's mass p_k sits on the odometer's
     current weight-k index."""
-    masses = [(k, p.values[k]) for k in p.support]
-    for _, elems, _ in _sigma_stream(p, offset):
-        yield SparseJointPmf._with_validated_masses(p.d, [(elems[k], m) for k, m in masses])
+    d = p.d
+    for f, _, elems, run in _runs(p, offset):
+        others = [(elems[k], p.values[k]) for k in p.support if k != f]
+        mass = p.values[f]
+        for _, e in run:
+            yield SparseJointPmf._with_validated_masses(d, [*others, (e, mass)])
 
 
 def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[ExtremalIndex]:
     """The sigma labels in the same order extremal_enumerate yields vertices."""
-    return (ExtremalIndex(sigma) for sigma, _, _ in _sigma_stream(p, offset))
+    for f, sigma, _, run in _runs(p, offset):
+        below, above = sigma[:f], sigma[f + 1:]
+        for s, _ in run:
+            yield ExtremalIndex((*below, s, *above))
 
 
 def membership(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = PROB_TOL) -> bool:

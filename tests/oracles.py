@@ -2,14 +2,17 @@
 
 Everything here recomputes results from definitions: exhaustive basis
 enumeration for vertex sets, a breadth-first feasible-basis walk on a
-Fraction tableau, tensor Gauss-Legendre quadrature for integrals, and naive
-sums for moments and entropy.  Nothing imports from the package
-under test, so agreement is evidence rather than tautology; results are
-plain dicts, lists and Fractions.
+Fraction tableau, tensor Gauss-Legendre quadrature for integrals, naive
+sums for moments and entropy, the vertex order as a product of level slices,
+and mass parsing and summing on Fraction objects.  Nothing imports from
+the package under test, so agreement is evidence rather than tautology;
+results are plain dicts, lists and Fractions.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -346,6 +349,22 @@ def level_slices(d: int) -> list[list[int]]:
     return [[i for i in range(1 << d) if popcount(i) == k] for k in range(d + 1)]
 
 
+def colex_vertices(values):
+    """Every vertex of the fiber over the sum law `values` (p_0..p_d), in
+    colex sigma order: the product over each supported level's sorted
+    weight-k indices, the first level cycling fastest.  Yields (sigma,
+    atoms): 1-based positions, 1 off-support, and the (index, p_k) pairs
+    sorted by index."""
+    d = len(values) - 1
+    slices = level_slices(d)
+    support = [k for k, v in enumerate(values) if v > 0]
+    # product() cycles its last factor fastest, so the levels go in reversed.
+    for picks in itertools.product(*(slices[k] for k in reversed(support))):
+        chosen = dict(zip(reversed(support), picks))
+        sigma = tuple(slices[k].index(chosen[k]) + 1 if k in chosen else 1 for k in range(d + 1))
+        yield sigma, tuple(sorted((i, values[k]) for k, i in chosen.items()))
+
+
 def naive_sum_map(d: int, values):
     out = [0.0] * (d + 1)
     for i, v in enumerate(values):
@@ -638,3 +657,53 @@ def ks_two_sample_pvalue(xs, ys) -> float:
     d_stat = float(np.max(np.abs(cdf_x - cdf_y)))
     n_eff = xs.size * ys.size / (xs.size + ys.size)
     return kolmogorov_sf(math.sqrt(n_eff) * d_stat)
+
+
+# ---------------------------------------------------------------------------
+# mass parsing and the exact sum as the package did them on Fraction objects
+# ---------------------------------------------------------------------------
+
+PROB_TOL = 1e-12
+
+
+def _is_exact(v) -> bool:
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+def fraction_as_number(v):
+    """A JSON-ish scalar as int, float or Fraction, every string through
+    Fraction(str)."""
+    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"not a probability value: {v!r} has a zero denominator") from None
+    if isinstance(v, (float, Fraction)):
+        return v
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"not a probability value: {v!r}")
+
+
+def fraction_total(masses):
+    """Exact sum, by Fraction additions, when every nonzero mass is exact;
+    else the float sum of the nonzero masses.  Zeros decide only when every
+    mass is zero."""
+    masses = list(masses)
+    deciding = [m for m in masses if m] or masses
+    if all(_is_exact(m) for m in deciding):
+        return sum(m for m in masses if _is_exact(m))
+    return math.fsum(float(m) for m in deciding)
+
+
+def fraction_validate_masses(values, what: str) -> tuple:
+    """The masses parsed, each tested >= 0 by comparison, and their total
+    tested against 1: exactly, or within PROB_TOL for a float total."""
+    vals = tuple(fraction_as_number(v) for v in values)
+    for v in vals:
+        if v < 0:
+            raise ValueError(f"{what} violates nonnegativity: entry {v}")
+    total = fraction_total(vals)
+    if (total != 1) if _is_exact(total) else not abs(total - 1.0) <= PROB_TOL:
+        raise ValueError(f"{what} violates normalization: sum {total!r} != 1")
+    return vals

@@ -81,6 +81,21 @@ EXTREMALS = {
     # Carries into sigma_3 at 12 * 66 = 792.
     "rational_d12_offset": (["--p", RATIONAL_12, "--offset", "700", "--limit", "200"],
                             "f836e51a9c203e5f6cc47b87b9f5a975639fbd3bd9d15f7259cbd5a84d3a96af"),
+    # Pinned on the stream that stepped every level once per vertex.  Only
+    # levels 0 and d hold mass, so no level moves and there is one vertex.
+    "single_vertex_d5": (["--p", '["1/3","0","0","0","0","2/3"]'],
+                         "8153c8231a846d0f97ff2c8dcf53f48401fdeee85ed531d6bbf0cb316ef8ed41"),
+    # Starts at sigma_1 = 6, mid-way through the first run of level 1.
+    "rational_d12_mid_run": (["--p", RATIONAL_12, "--offset", "5", "--limit", "40"],
+                             "3311d9c4b534e9e6c5dfae3d8007c7a9f64846da306bd99f52937c3269571ec9"),
+    # Level 20 of d = 40 has C(40, 20) ~ 1.4e11 elements: these return at
+    # once only if no work grows with the size of the moving level.
+    "level_20_of_40_offset": (["--p", json.dumps(["0"] * 20 + ["1"] + ["0"] * 20),
+                               "--offset", "1000000000", "--limit", "3"],
+                              "255be35daef3e41c11be22aac8138a16f84c620f345abf95acf22f00e2f19262"),
+    "levels_0_20_40": (["--p", json.dumps(["1/4"] + ["0"] * 19 + ["1/2"] + ["0"] * 19 + ["1/4"]),
+                        "--limit", "3"],
+                       "4eb2db9046a3313c2bc20fc46dcad321a450ddce57427858f0b3c1ca7ccbf7c1"),
 }
 
 

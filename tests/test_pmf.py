@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsum.feasibility import MeanVector
-from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy, sum_map
+from bernsum.pmf import (JointPmf, SparseJointPmf, SumPmf, _total, _validate_masses, as_number, cross_moment,
+                         entropy, sum_map)
 from bernsum.polytope import exchangeable_pmf
 
-from oracles import naive_cross_moment, naive_entropy, naive_sum_map
+from oracles import (fraction_as_number, fraction_total, fraction_validate_masses, naive_cross_moment,
+                     naive_entropy, naive_sum_map)
 
 B_HALF_3 = SumPmf([0.125, 0.375, 0.375, 0.125])
 UNIFORM_3 = JointPmf(3, [0.125] * 8)
@@ -166,6 +168,92 @@ def mixed_masses(draw):
         [0, Fraction(-1, 10**15), Fraction(1, 10**13), Fraction(1, 10**11)]))
     floats = draw(st.lists(st.booleans(), min_size=4, max_size=4))
     return [float(v) if f else v for v, f in zip(masses, floats)]
+
+
+# Strings as_number parses on integers or hands to Fraction(str), and some
+# that both refuse: signs, spaces, `_` separators, decimals, exponents.
+MASS_TEXTS = ["3", "4/2", "3/0", "3/-4", "-3/4", "+3/4", " 3/4", "3/4 ", "3 /4", "0/7", "007/010",
+              "1_000/4096", "1/4_096", "0.25", ".5", "1e-3", "2.5E1", "-0", "1/2/3", "/2", "1/", "",
+              "x", "\u0661/\u0662", "\u00bd", "3/0_0"]
+
+
+def mass_texts():
+    return st.one_of(
+        st.sampled_from(MASS_TEXTS),
+        st.builds("{}/{}".format, st.integers(0, 10**20), st.integers(0, 10**6)),
+        st.from_regex(r"[ ]?[-+]?[0-9_]{0,4}(/[-+]?[0-9_]{0,4}|\.[0-9]{0,3}([eE][-+]?[0-9])?)?[ ]?",
+                      fullmatch=True),
+        st.text(max_size=6),
+    )
+
+
+def outcome(fn, *args):
+    """What fn returns, as (type, repr) of each value, or the message of the
+    ValueError it raises."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return [(type(v), repr(v)) for v in (out if isinstance(out, tuple) else (out,))]
+
+
+@st.composite
+def mass_lists(draw):
+    """Masses k/den that sum to 1, or 1 off by one k: each a "k/den" text, a
+    Fraction, an int where den divides k, a float, or a sign-flipped or
+    zero-denominator text."""
+    den = draw(st.integers(1, 5000))
+    parts = draw(st.lists(st.integers(0, den), min_size=1, max_size=8))
+    parts.append(den - sum(parts) + draw(st.sampled_from([0, 0, 1, -1])))
+    forms = st.sampled_from(["text", "fraction", "int", "float", "negated", "zero_den"])
+    out = []
+    for k in parts:
+        form = draw(forms)
+        if form == "int" and k % den == 0:
+            out.append(k // den)
+        elif form == "fraction":
+            out.append(Fraction(k, den))
+        elif form == "float":
+            out.append(k / den)
+        elif form == "negated":
+            out.append(f"-{k}/{den}")
+        elif form == "zero_den" and draw(st.integers(0, 9)) == 0:
+            out.append(f"{k}/0")
+        else:
+            out.append(f"{k}/{den}")
+    return out
+
+
+class TestExactMasses:
+    """as_number parses a plain "num/den" on integers and _total sums exact
+    masses over their common denominator; both must match the Fraction(str)
+    and Fraction-addition path in value, type and error message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mass_texts())
+    def test_as_number_matches_fraction_parsing(self, text):
+        assert outcome(as_number, text) == outcome(fraction_as_number, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=mass_lists())
+    def test_validation_matches_fraction_arithmetic(self, values):
+        want = outcome(fraction_validate_masses, values, "SumPmf")
+        assert outcome(_validate_masses, values, "SumPmf") == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(masses=st.lists(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=50),
+                                     st.sampled_from([0.0, 0.5, -0.0])), max_size=8))
+    def test_total_keeps_value_and_type(self, masses):
+        # An all-int list still sums to an int, and a Fraction to a Fraction
+        # even when it is integral; a nonzero float makes the sum a float.
+        assert outcome(_total, masses) == outcome(fraction_total, masses)
+        assert outcome(_total, (k * m for k, m in enumerate(masses))) == \
+            outcome(fraction_total, [k * m for k, m in enumerate(masses)])
+
+    def test_mean_keeps_its_type(self):
+        assert type(SumPmf([0, 1]).mean()) is int
+        mean = SumPmf([0, "2/2"]).mean()
+        assert mean == 1 and type(mean) is Fraction
 
 
 class TestSumMap:

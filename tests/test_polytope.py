@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy, sum_map
 from bernsum.polytope import (
@@ -23,7 +25,7 @@ from bernsum.polytope import (
     moment_bounds,
 )
 
-from oracles import brute_vertices, brute_vertices_labeled
+from oracles import brute_vertices, brute_vertices_labeled, colex_vertices
 
 B_HALF_3 = SumPmf([Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)])
 
@@ -191,6 +193,69 @@ class TestEnumerate:
             assert cross_moment(v, list(range(1, d + 1))) == Fraction(1, d + 1)
         with pytest.raises(ValueError, match="d <= 20"):
             next(iter(extremal_enumerate(p))).to_dense()
+
+
+def run_length(p: SumPmf) -> int:
+    """C(d, f) for the lowest supported level f with more than one element,
+    else 1: the vertices the first level to move passes before a carry."""
+    return next((math.comb(p.d, k) for k in p.support if math.comb(p.d, k) > 1), 1)
+
+
+def assert_window_in_colex_order(p: SumPmf, offset: int, limit: int) -> None:
+    want = list(itertools.islice(colex_vertices(p.values), offset, offset + limit))
+    assert [ix.sigma for ix in itertools.islice(extremal_indices(p, offset), limit)] == [s for s, _ in want]
+    assert [v.atoms for v in itertools.islice(extremal_enumerate(p, offset), limit)] == [a for _, a in want]
+
+
+@st.composite
+def stream_windows(draw):
+    """A sum law at d <= 7 with at most 20,000 vertices, exact or float, with
+    empty levels, sometimes level 1 empty (so a higher level moves fastest)
+    or only levels 0 and d supported (one vertex); and an offset/limit window
+    from the start, mid-run, across the ends of runs, or at the end."""
+    d = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))
+    shape = draw(st.sampled_from(["any", "level_1_empty", "ends_only"]))
+    if shape == "level_1_empty":
+        weights[1] = 0
+    elif shape == "ends_only":
+        weights = [w if k in (0, d) else 0 for k, w in enumerate(weights)]
+    if not any(weights):
+        weights[draw(st.sampled_from([0, d]))] = 1
+    while math.prod(math.comb(d, k) for k, w in enumerate(weights) if w) > 20_000:
+        weights[max((k for k, w in enumerate(weights) if w), key=lambda k: math.comb(d, k))] = 0
+    total = sum(weights)
+    exact = draw(st.booleans())
+    p = SumPmf([Fraction(w, total) if exact else w / total for w in weights])
+    count, run = describe(p).vertex_count, run_length(p)
+    offset = draw(st.integers(0, count + 1) | st.sampled_from([count - 1, count])
+                  | st.builds(lambda j, back: max(j * run - back, 0), st.integers(0, count // run),
+                              st.integers(0, 3)))
+    return p, offset, draw(st.integers(0, 2 * run + 3))
+
+
+class TestColexOrder:
+    """extremal_indices and extremal_enumerate against colex_vertices, which
+    lists every vertex by itertools.product over the level slices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=stream_windows())
+    def test_windows_match_the_product_order(self, window):
+        assert_window_in_colex_order(*window)
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(1, 3), 0, 0, 0, 0, Fraction(2, 3)],  # one vertex, no level moves
+        [0, 0, 1],  # a point mass at level d
+        [1.0, 0.0, 0.0],  # a float point mass at level 0
+        [Fraction(1, 10), 0, Fraction(3, 10), Fraction(2, 5), 0, Fraction(1, 5)],  # level 2 moves fastest
+        [w / 10 for w in (1, 0, 2, 3, 0, 4)],  # level 2 moves fastest, float
+        [Fraction(k + 1, 21) for k in range(6)],  # full support, runs of 5
+    ])
+    def test_runs_start_mid_run_and_cross_carries(self, values):
+        p = SumPmf(values)
+        count, run = describe(p).vertex_count, run_length(p)
+        for offset in sorted({0, 1, run // 2, run - 1, run, 2 * run - 1, count - 1, count}):
+            assert_window_in_colex_order(p, offset, 2 * run + 3)
 
 
 class TestMembership:
