@@ -61,6 +61,13 @@ class ExtremalIndex:
     def __init__(self, sigma: Iterable[int]):
         object.__setattr__(self, "sigma", tuple(_as_int(s, "sigma entry") for s in sigma))
 
+    @classmethod
+    def _of_ints(cls, sigma: tuple[int, ...]) -> "ExtremalIndex":
+        """A label whose entries are already ints (the odometer's own)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "sigma", sigma)
+        return self
+
     def validate(self, p: SumPmf) -> None:
         d = p.d
         if len(self.sigma) != d + 1:
@@ -82,7 +89,7 @@ def extremal_by_index(p: SumPmf, sigma: ExtremalIndex | Sequence[int]) -> Sparse
     sigma.validate(p)
     d = p.d
     atoms = [(level_element(d, k, sigma.sigma[k]), p.values[k]) for k in p.support]
-    return SparseJointPmf(d, atoms)
+    return SparseJointPmf._with_validated_masses(d, atoms)
 
 
 def _runs(p: SumPmf, offset: int = 0) -> Iterator[tuple[int, list[int], list[int], Iterator]]:
@@ -155,7 +162,7 @@ def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[ExtremalIndex]:
     for f, sigma, _, run in _runs(p, offset):
         below, above = sigma[:f], sigma[f + 1:]
         for s, _ in run:
-            yield ExtremalIndex((*below, s, *above))
+            yield ExtremalIndex._of_ints((*below, s, *above))
 
 
 def membership(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = PROB_TOL) -> bool:
@@ -192,25 +199,24 @@ def decompose(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = 1e-9) -> lis
 
 
 def flat_weights(p: SumPmf, blocks: Sequence[tuple[Number, ...]]) -> list[Number]:
-    """Product-form vertex weights lambda_sigma, in enumeration order.
+    """Product-form vertex weights lambda_sigma, in enumeration order: the
+    product of each supported level's block weight, multiplied from 1 in
+    level order, over the blocks in colex order (the first level fastest).
 
     Exposed only for small vertex counts; the block form is the lossless
     compact representation.
     """
-    desc = describe(p)
-    if desc.vertex_count > FLAT_WEIGHTS_MAX:
-        raise ValueError(
-            f"flat weights limited to {FLAT_WEIGHTS_MAX} vertices, "
-            f"this polytope has {desc.vertex_count}"
-        )
-    support = p.support
-    out = []
-    for sigma in extremal_indices(p):
-        lam: Number = 1
-        for k in support:
-            lam = lam * blocks[k][sigma.sigma[k] - 1]
-        out.append(lam)
-    return out
+    d, support = p.d, p.support
+    count = math.prod(math.comb(d, k) for k in support)
+    if count > FLAT_WEIGHTS_MAX:
+        raise ValueError(f"flat weights limited to {FLAT_WEIGHTS_MAX} vertices, this polytope has {count}")
+    if len(blocks) != d + 1:
+        raise ValueError(f"flat weights need d+1 = {d + 1} blocks, got {len(blocks)}")
+    for k in support:
+        if len(blocks[k]) != math.comb(d, k):
+            raise ValueError(f"block {k} needs C({d}, {k}) = {math.comb(d, k)} weights, got {len(blocks[k])}")
+    # product() cycles its last factor fastest, so the levels go in reversed.
+    return [math.prod(reversed(c)) for c in itertools.product(*(blocks[k] for k in reversed(support)))]
 
 
 def exchangeable_pmf(p: SumPmf) -> JointPmf:

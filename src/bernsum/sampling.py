@@ -30,10 +30,18 @@ CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible random source: same (seed, stream_id) -> same draws."""
+    """Reproducible random source: same (seed, stream_id) -> same draws.
+    Both are integers >= 0, as _as_int takes them."""
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            v = _as_int(getattr(self, name), name)
+            if v < 0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
+            object.__setattr__(self, name, v)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, self.stream_id])))
@@ -62,6 +70,8 @@ class NeighborhoodSpec:
     paper_region: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.center, SumPmf):
+            raise ValueError(f"center must be a SumPmf, got {type(self.center).__name__}")
         if self.metric not in ("sup", "tv"):
             raise ValueError(f"metric must be 'sup' or 'tv', got {self.metric!r}")
         if not _not_bool(self.epsilon, "epsilon") > 0:
@@ -257,11 +267,8 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
         return len(X), _log_density_rows(X, d) if density else None
 
     jobs = [(i, min(CHUNK, n - start)) for i, start in enumerate(range(0, n, CHUNK))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, jobs))
-    else:
-        parts = [run_chunk(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run_chunk, jobs))
     m = sum(part[0] for part in parts)
     logl = np.concatenate([part[1] for part in parts]) if density and m else None
     shift = 0.0 if logl is None else float(logl.max())

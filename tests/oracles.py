@@ -4,7 +4,8 @@ Everything here recomputes results from definitions: exhaustive basis
 enumeration for vertex sets, a breadth-first feasible-basis walk on a
 Fraction tableau, tensor Gauss-Legendre quadrature for integrals, naive
 sums for moments and entropy, the vertex order as a product of level slices,
-and mass parsing and summing on Fraction objects.  Nothing imports from
+flat weights by walking its labels, and mass parsing and summing on Fraction
+objects.  Nothing imports from
 the package under test, so agreement is evidence rather than tautology;
 results are plain dicts, lists and Fractions.
 """
@@ -363,6 +364,20 @@ def colex_vertices(values):
         chosen = dict(zip(reversed(support), picks))
         sigma = tuple(slices[k].index(chosen[k]) + 1 if k in chosen else 1 for k in range(d + 1))
         yield sigma, tuple(sorted((i, values[k]) for k, i in chosen.items()))
+
+
+def label_walk_flat_weights(values, blocks):
+    """Product-form vertex weights by walking the sigma labels: for each
+    label of colex_vertices, 1 times the sigma_k-th weight of each supported
+    level's block, the levels ascending."""
+    support = [k for k, v in enumerate(values) if v > 0]
+    out = []
+    for sigma, _ in colex_vertices(values):
+        lam = 1
+        for k in support:
+            lam = lam * blocks[k][sigma[k] - 1]
+        out.append(lam)
+    return out
 
 
 def naive_sum_map(d: int, values):

@@ -5,6 +5,7 @@ The names `import bernsum` exposes are pinned, and so are the fields of each
 public dataclass and the public methods and properties of each public class,
 so adding or removing one is a visible change here."""
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -100,6 +101,19 @@ COMMANDS = {
 }
 
 
+# The names perfbench/ calls, by module: deleting or renaming one would turn
+# its jobs into `error`.  They may go only with the benchmark's own change,
+# ROADMAP item 4.
+PERFBENCH_CALLS = {
+    "cli": ["main", "build_parser"],
+    "feasibility": ["feasible_point", "constrained_vertices", "constrained_moment_bounds"],
+    "pmf": ["SumPmf", "JointPmf", "SparseJointPmf", "sum_map", "entropy", "cross_moment"],
+    "polytope": ["exchangeable_pmf", "membership", "decompose"],
+    "sampling": ["NeighborhoodSpec", "RngStream", "region_volume", "hit_and_run",
+                 "sample_polytope_uniform", "sample_Fd_uniform"],
+}
+
+
 def test_cli_entry_points_called_from_outside_src():
     # pyproject.toml's console script calls cli.main, and the benchmark's
     # set-up probe calls cli.build_parser: a rename would break both.
@@ -107,6 +121,11 @@ def test_cli_entry_points_called_from_outside_src():
     assert callable(cli.main) and callable(cli.build_parser)
     scripts = (TESTS.parent / "pyproject.toml").read_text().split("[project.scripts]")[1]
     assert scripts.strip().splitlines()[0] == 'bernsum = "bernsum.cli:main"'
+    for module, names in PERFBENCH_CALLS.items():
+        mod = importlib.import_module(f"bernsum.{module}")
+        assert [n for n in names if not callable(getattr(mod, n, None))] == [], module
+    from bernsum.measure import LogMeasure
+    assert LogMeasure(-1.5).log == -1.5
 
 
 def test_every_help_exits_0(capsys):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy, sum_map
+from bernsum import polytope
 from bernsum.polytope import (
+    FLAT_WEIGHTS_MAX,
     ExtremalIndex,
     LabelMap,
     convex_min_pmf,
@@ -25,7 +27,7 @@ from bernsum.polytope import (
     moment_bounds,
 )
 
-from oracles import brute_vertices, brute_vertices_labeled, colex_vertices
+from oracles import brute_vertices, brute_vertices_labeled, colex_vertices, label_walk_flat_weights, level_slices
 
 B_HALF_3 = SumPmf([Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)])
 
@@ -345,6 +347,67 @@ class TestDecompose:
         p = SumPmf([Fraction(1, 11)] * 11)  # d = 10: far beyond the flat limit
         with pytest.raises(ValueError, match="flat weights"):
             flat_weights(p, [()] * 11)
+
+
+@st.composite
+def fiber_members(draw):
+    """A sum law at d <= 6 with at most FLAT_WEIGHTS_MAX vertices, exact or
+    float, and a member of its fiber, exact or float: each supported level's
+    mass spread over its slice by drawn integer weights, some of them 0."""
+    d = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))
+    if not any(weights):
+        weights[draw(st.sampled_from([0, d]))] = 1
+    while math.prod(math.comb(d, k) for k, w in enumerate(weights) if w) > FLAT_WEIGHTS_MAX:
+        weights[max((k for k, w in enumerate(weights) if w), key=lambda k: math.comb(d, k))] = 0
+    total = sum(weights)
+    p_exact, f_exact = draw(st.booleans()), draw(st.booleans())
+    p = SumPmf([Fraction(w, total) if p_exact else w / total for w in weights])
+    values = [0] * (1 << d)
+    for k in p.support:
+        size = math.comb(d, k)
+        spread = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+        for i, n in zip(level_slices(d)[k], spread):
+            mass = Fraction(weights[k] * n, total * sum(spread))
+            values[i] = mass if f_exact else float(mass)
+    return p, JointPmf(d, values)
+
+
+class TestFlatWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(member=fiber_members())
+    def test_matches_the_label_walk(self, member):
+        p, f = member
+        blocks = decompose(f, p)
+        got, want = flat_weights(p, blocks), label_walk_flat_weights(p.values, blocks)
+        assert [type(w) for w in got] == [type(w) for w in want]
+        assert [repr(w) for w in got] == [repr(w) for w in want]
+
+    def test_built_from_the_blocks_alone(self, monkeypatch):
+        for name in ("extremal_indices", "ExtremalIndex", "describe"):
+            monkeypatch.setattr(polytope, name, None)
+        p = SumPmf([Fraction(k + 1, 21) for k in range(6)])
+        lams = flat_weights(p, decompose(exchangeable_pmf(p), p))
+        assert lams == [Fraction(1, 2500)] * 2500
+
+    def test_refuses_malformed_blocks(self):
+        p = SumPmf(["1/4", "1/2", "1/4"])
+        with pytest.raises(ValueError, match=r"d\+1 = 3 blocks, got 2"):
+            flat_weights(p, [(1,), (Fraction(1, 2),) * 2])
+        for bad, k in (([(1,), (1, 2, 3), (1,)], 1), ([(1,), (1,), (1,)], 1), ([(1,), (1, 0), ()], 2)):
+            with pytest.raises(ValueError, match=f"block {k} needs C\\(2, {k}\\)"):
+                flat_weights(p, bad)
+        # An unsupported level's block is never read.
+        assert flat_weights(SumPmf([0.5, 0.5, 0.0]), [(1.0,), (0.5, 0.5), ()]) == [0.5, 0.5]
+
+    def test_labels_are_not_rechecked(self, monkeypatch):
+        whats = []
+        real = polytope._as_int
+        monkeypatch.setattr(polytope, "_as_int", lambda v, what: whats.append(what) or real(v, what))
+        labels = list(extremal_indices(B_HALF_3, np.int64(2)))
+        assert whats == ["offset"]
+        assert labels == [ExtremalIndex(s) for s, _ in itertools.islice(colex_vertices(B_HALF_3.values), 2, None)]
+        assert {type(s) for ix in labels for s in ix.sigma} == {int}
 
 
 class TestExchangeable:

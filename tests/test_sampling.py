@@ -52,6 +52,23 @@ class TestRngStream:
         b = RngStream(42, 2).generator().uniform(size=5)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("args, message", [
+        ((True,), "seed must be an integer, got True"),
+        ((1.5,), "seed must be an integer, got 1.5"),
+        ((-1,), "seed must be >= 0, got -1"),
+        ((1, False), "stream_id must be an integer, got False"),
+        ((1, 2.0), "stream_id must be an integer, got 2.0"),
+        ((1, -2), "stream_id must be >= 0, got -2"),
+    ])
+    def test_seed_and_stream_meet_the_integer_rule(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RngStream(*args)
+
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        rng = RngStream(np.int64(42), np.uint8(1))
+        assert rng == RngStream(42, 1) and type(rng.seed) is int and type(rng.stream_id) is int
+        assert np.array_equal(rng.chunk_generator(3).random(4), RngStream(42, 1).chunk_generator(3).random(4))
+
 
 class TestUniformSimplex:
     def test_zero_dimension(self):
@@ -455,6 +472,10 @@ class TestNeighborhoodMeasure:
     def test_bool_radius_refused(self, eps):
         with pytest.raises(ValueError, match=f"^epsilon must be a number, got {eps!r}$"):
             NeighborhoodSpec(P_D2, eps)
+
+    def test_center_must_be_a_sum_pmf(self):
+        with pytest.raises(ValueError, match="^center must be a SumPmf, got list$"):
+            NeighborhoodSpec([0.25, 0.5, 0.25], 0.1)
 
     def test_paper_region_flag_loosens_the_set(self):
         p = SumPmf([0.2, 0.2, 0.6])
