@@ -145,19 +145,20 @@ def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
 def _log_density_rows(X: np.ndarray, d: int, level_logs: dict[int, float] | None = None) -> np.ndarray:
     """log l(p) = sum_k n_k log p_k - log n_k! at each row of X (column k holds
     p_k; the d free coordinates will do), -inf where a level 0 < k < d is
-    empty.  The terms are added level by level, as numpy reduces the
-    column-major logs of two or more rows, so no row's value depends on the
-    rows beside it (numpy would sum a lone row pairwise).  level_logs maps a
-    level to the log that replaces its column's, as _level_logs gives it."""
+    empty.  The terms are added level by level (contiguous for a column-major
+    X), so no row's value depends on the rows beside it (numpy would sum a lone
+    row pairwise).  level_logs maps a level to the log that replaces its
+    column's, as _level_logs gives it."""
     _, n, log_facts = _blocks(d)
     with np.errstate(divide="ignore"):
-        logs = np.log(X[:, np.arange(1, d)])  # an index array, not a slice, gives column-major logs
+        logs = np.log(X[:, 1:d])
     for k, lv in (level_logs or {}).items():
         if 0 < k < d:
             logs[:, k - 1] = lv
-    terms, lone = logs * n, len(X) == 1  # a lone row adds Python floats: one numpy call per level costs more
+    logs *= n
+    lone = len(X) == 1  # a lone row adds Python floats: one numpy call per level costs more
     total = 0.0 if lone else np.zeros(len(X))
-    for column in terms[0].tolist() if lone else terms.T:
+    for column in logs[0].tolist() if lone else logs.T:
         total += column
     return np.atleast_1d(total - log_facts)
 

@@ -10,7 +10,10 @@ NeighborhoodSpec.box(), one checked window per coordinate k = 0..d: an axis
 box over the d free coordinates intersected with the window on the last
 coordinate 1 - sum(x).  By default that window is enforced, so sampled points
 satisfy the sup constraint on every coordinate; `paper_region=True` widens
-it to [0, 1], the looser compatibility set that keeps only sum(x) <= 1.
+it to [0, 1], the looser compatibility set that keeps only sum(x) <= 1.  The
+box estimators decide a draw from a dot product for 1 - sum(x) and column sums
+for its TV distance; a draw within their rounding bound of a window end is
+decided by numpy's row sums instead, so every decision is the row-wise one.
 """
 from __future__ import annotations
 
@@ -226,12 +229,70 @@ def hit_and_run(
         yield SumPmf([*x.tolist(), 1.0 - float(x.sum())])
 
 
+def _band(approx: np.ndarray, a: float, b: float, m: float, exact) -> np.ndarray:
+    """Indices of the rows whose value lies in [a, b], from approx (within m/2 of
+    the value) where it is farther than m from both ends, else from exact(indices)."""
+    near = np.flatnonzero((approx >= a - m) & (approx <= b + m))
+    v = approx[near]
+    sure = (v >= a + m) & (v <= b - m)
+    band = np.flatnonzero(~sure)
+    if len(band):
+        sure[band] = exact(near[band])
+    return near[sure]
+
+
+def _margin(hi: np.ndarray, d: int) -> float:
+    """(d + 3)(2 + H) 2^-50, H = sum_{j<d} hi_j >= sum(x): four times a bound on
+    the gap between _box_hits's approximations and numpy's values.  With
+    u = 2^-53, gamma_n = n u / (1 - n u) (Higham, ch. 3), numpy's x_j carry two
+    roundings, its row sum gamma_{d-1} and the dot product gamma_d in any order,
+    FMA or not, and each subtraction from 1 one u: 1 - sum(x) is off by at most
+    2 gamma_{d+3} (1 + H).  The TV terms differ only in the last one, by that
+    plus 2u, and each sum of them (<= H + 2) errs by gamma_d (H + 2); halved,
+    the TV gap is below 2 gamma_{d+3} (2 + H) <= (d + 3)(2 + H) 2^-51."""
+    return (d + 3) * (2.0 + float(hi[:d].sum())) * 2.0**-50
+
+
+def _box_hits(U: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: np.ndarray, epsilon: float,
+              tv: bool, density: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Indices of the rows of U, uniform on [0,1)^d, whose box point x = U *
+    widths + lo passes window d on 1 - sum(x), then for tv the TV test on
+    [x, 1 - sum(x)], and their log densities when density is set.  Each test
+    reads 1 - sum(lo) - U @ widths for 1 - sum(x), the TV distance column by
+    column, and only rows within _margin of an end run numpy's row sums, so
+    the decisions and bits are those of testing every row that way."""
+    d = U.shape[1]
+    widths, lo_free, m = hi[:d] - lo[:d], lo[:d], _margin(hi, d)
+    last = (1.0 - float(lo_free.sum())) - U @ widths
+
+    def exact(idx, ball=False):  # the row-by-row test of the rows idx: window d, or the TV ball
+        X = U[idx] * widths
+        X += lo_free
+        s = 1.0 - X.sum(axis=1)
+        if ball:
+            return 0.5 * np.abs(np.column_stack([X, s]) - p).sum(axis=1) <= epsilon
+        return (s >= lo[d]) & (s <= hi[d])
+
+    idx = _band(last, lo[d], hi[d], m, exact)
+    if not (tv or density):
+        return idx, None
+    C = U.ravel().take(idx * d + np.arange(d)[:, None])  # coordinate j of the kept x in row j:
+    C *= widths[:, None]  # x's two roundings, so x's bits
+    C += lo_free[:, None]
+    if tv:
+        dist = 0.5 * (np.abs(C - p[:d, None]).sum(axis=0) + np.abs(last[idx] - p[d]))
+        keep = _band(dist, -math.inf, epsilon, m, lambda j: exact(idx[j], ball=True))
+        idx, C = idx[keep], C[:, keep]
+    return idx, _log_density_rows(C.T, d) if density else None
+
+
 def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
                threads: int = 1, density: bool = True) -> EstimateReport:
     """One rejection pass from the bounding box into the spec's own ball.
 
     Draw x weighs l(x), the fiber density (1 when density is unset), in the
     ball and 0 outside; a tv draw must pass the sup window, then the TV test.
+    _box_hits decides each chunk's draws from certified column sums.
     The estimate is exp(log_scale) * box volume * mean weight, its std_error
     the sample standard error (ddof 1) of that mean, zeros included: both from
     s1 = sum(w), s2 = sum(w^2) over the hits, shifted by the largest log weight.
@@ -239,32 +300,19 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
     if not isinstance(rng, RngStream):
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
     n, threads = _as_int(n, "n"), _as_int(threads, "threads")
-    if n < 1:
-        raise ValueError("need at least one draw")
+    if n < 1000:
+        raise ValueError("need at least 10^3 draws for a meaningful estimate")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     d = spec.d
     lo, hi = spec.box()
-    widths = hi[:d] - lo[:d]
-    log_box = float(np.log(widths).sum())
-    p_full = spec.center.array
+    log_box = float(np.log(hi[:d] - lo[:d]).sum())
 
     def run_chunk(args):
         chunk_idx, count = args
-        # One bulk fill scaled in place: the same bits as g.uniform(lo, hi),
-        # whose broadcast over array bounds runs per element, is slower, and
-        # does not overlap across threads.
-        X = rng.chunk_generator(chunk_idx).random((count, d))
-        X *= widths
-        X += lo[:d]
-        last = 1.0 - X.sum(axis=1)
-        acc = (last >= lo[d]) & (last <= hi[d])
-        X = X[acc]
-        if spec.metric == "tv":
-            P = np.column_stack([X, last[acc]])
-            X = X[0.5 * np.abs(P - p_full).sum(axis=1) <= spec.epsilon]
-        # The kernel is row-independent, so it runs on the rows kept alone.
-        return len(X), _log_density_rows(X, d) if density else None
+        U = rng.chunk_generator(chunk_idx).random((count, d))
+        idx, logl = _box_hits(U, lo, hi, spec.center.array, spec.epsilon, spec.metric == "tv", density)
+        return len(idx), logl
 
     jobs = [(i, min(CHUNK, n - start)) for i, start in enumerate(range(0, n, CHUNK))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -280,7 +328,7 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
         w = np.exp(logl - shift)
         s1, s2 = float(w.sum()), float(np.square(w).sum())
     log_est = log_scale + log_box - math.log(n) + (shift + math.log(s1))
-    rel_var = max(n * s2 / (s1 * s1) - 1.0, 0.0) / max(n - 1, 1)  # n = 1: a single draw, SE 0
+    rel_var = max(n * s2 / (s1 * s1) - 1.0, 0.0) / (n - 1)
     return EstimateReport(LogMeasure(log_est), math.exp(log_est) * math.sqrt(rel_var), n, m / n)
 
 
@@ -305,7 +353,4 @@ def estimate_neighborhood_measure(
     same radius, so a tv draw must pass the sup window and then the TV test:
     on identical seeds a tv estimate never exceeds the sup estimate.
     """
-    n = _as_int(n, "n")
-    if n < 1000:
-        raise ValueError("need at least 10^3 draws for a meaningful estimate")
     return _region_mc(spec, n, rng, 0.5 * spec.d * LN2, threads)

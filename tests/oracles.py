@@ -4,8 +4,8 @@ Everything here recomputes results from definitions: exhaustive basis
 enumeration for vertex sets, a breadth-first feasible-basis walk on a
 Fraction tableau, tensor Gauss-Legendre quadrature for integrals, naive
 sums for moments and entropy, the vertex order as a product of level slices,
-flat weights by walking its labels, and mass parsing and summing on Fraction
-objects.  Nothing imports from
+flat weights by walking its labels, the box estimator's row-by-row chunk
+test, and mass parsing and summing on Fraction objects.  Nothing imports from
 the package under test, so agreement is evidence rather than tautology;
 results are plain dicts, lists and Fractions.
 """
@@ -638,6 +638,43 @@ def _composite_gl(a: float, b: float, panels: int, nodes: int):
     xs = (mids[:, None] + halves[:, None] * t[None, :]).ravel()
     ws = (halves[:, None] * w[None, :]).ravel()
     return xs, ws
+
+
+# ---------------------------------------------------------------------------
+# the box estimator's chunk test, row by row
+# ---------------------------------------------------------------------------
+
+def reference_log_density_rows(X, d: int):
+    """log l(x) = sum_k n_k log x_k - log n_k!, n_k = C(d, k) - 1, at each row
+    of X, the terms added level by level as the package's kernel adds them."""
+    n = np.array([float(math.comb(d, k) - 1) for k in range(1, d)])
+    log_facts = float(sum(math.lgamma(math.comb(d, k)) for k in range(1, d)))
+    with np.errstate(divide="ignore"):
+        logs = np.log(X[:, np.arange(1, d)])
+    terms, lone = logs * n, len(X) == 1
+    total = 0.0 if lone else np.zeros(len(X))
+    for column in terms[0].tolist() if lone else terms.T:
+        total += column
+    return np.atleast_1d(total - log_facts)
+
+
+def box_hits_reference(U, lo, hi, p_full, epsilon, metric, density=True):
+    """The box estimator's chunk as it read when every draw was scaled and
+    row-summed: the kept box points X = U * widths + lo (rows of U uniform on
+    [0,1)^d) whose last coordinate 1 - sum(x) passes window d, then, for tv,
+    the TV test; with their log fiber densities when density is set."""
+    d = U.shape[1]
+    widths = hi[:d] - lo[:d]
+    X = U.copy()
+    X *= widths
+    X += lo[:d]
+    last = 1.0 - X.sum(axis=1)
+    acc = (last >= lo[d]) & (last <= hi[d])
+    X = X[acc]
+    if metric == "tv":
+        P = np.column_stack([X, last[acc]])
+        X = X[0.5 * np.abs(P - p_full).sum(axis=1) <= epsilon]
+    return X, reference_log_density_rows(X, d) if density else None
 
 
 # ---------------------------------------------------------------------------

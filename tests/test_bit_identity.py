@@ -262,6 +262,44 @@ def test_mc_estimators_wide_d(name, threads):
     assert digest(*rows) == WIDE_PINS[name]
 
 
+# The sparse regime past the benchmark's dimensions: at d = 20 and 30 almost
+# every draw misses the sum window, and the tv balls keep none of the rows
+# that pass it, so nearly every decision is a rejection.  Pinned on the
+# kernel that scaled and row-summed every draw.
+def flat(d: int) -> SumPmf:
+    return SumPmf([1 / (d + 1)] * (d + 1))
+
+
+SPARSE_PINS = {
+    "sup": "8a8c01224ae063c340d8319e43b7e349ffed21390dbcdddef1688b24f083dafa",
+    "tv": "2475999ed1492e4fe440350208d2081433384bfe99176a2c7e372f998c75b553",
+    "tv_paper_region_d10": "4ea74884b37f9ebc462bd4ca3f667bbea42276f46664fe5a982f3ddb7b7691f0",
+    "region_volume": "b71fbaa941405065bce1f64195e3c3a66f292c02c7bf780e1b22bfb7f9a54a19",
+}
+
+SPARSE_CASES = {
+    "sup": (estimate_neighborhood_measure, "sup", False,
+            [(binomial(20, 0.5), 0.05), (flat(20), 0.1), (binomial(30, 0.5), 0.01), (flat(30), 0.05)]),
+    "tv": (estimate_neighborhood_measure, "tv", False,
+           [(flat(20), 0.05), (binomial(20, 0.5), 0.02), (flat(30), 0.03)]),
+    "tv_paper_region_d10": (estimate_neighborhood_measure, "tv", True,
+                            [(binomial(10, 0.5), 0.3), (binomial(10, 0.3), 0.1), (flat(10), 0.2)]),
+    "region_volume": (region_volume, "sup", False,
+                      [(binomial(20, 0.5), 0.05), (flat(20), 0.1), (binomial(30, 0.5), 0.01), (flat(30), 0.05)]),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_mc_estimators_sparse(name, threads):
+    fn, metric, paper_region, balls = SPARSE_CASES[name]
+    rows = []
+    for seed, (p, eps) in enumerate(balls, start=91):
+        spec = NeighborhoodSpec(p, eps, metric=metric, paper_region=paper_region)
+        rows.append(report_row(fn(spec, 40_000, RngStream(seed), threads=threads)))
+    assert digest(*rows) == SPARSE_PINS[name]
+
+
 # The exact LP's vertex walk: the repr (types included) of every result of
 # the benchmark's constrained jobs at seed 5, and the README's
 # `bernsum constrained-vertices` example.  Taken on the Fraction tableau.

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernsum.binomial import binomial_pmf
 from bernsum.measure import density_l, normalizing_constant
 from bernsum.pmf import SumPmf, sum_map
 from bernsum.polytope import exchangeable_pmf, membership
 from bernsum.sampling import (
+    CHUNK,
     EstimateReport,
     NeighborhoodSpec,
     RngStream,
@@ -19,9 +22,12 @@ from bernsum.sampling import (
     sample_Fd_uniform,
     sample_polytope_uniform,
     sample_uniform_simplex,
+    _box_hits,
+    _margin,
 )
 
 from oracles import (
+    box_hits_reference,
     dirichlet_mean_cov,
     ks_two_sample_pvalue,
     quad_region_sup_2d,
@@ -427,6 +433,13 @@ class TestNeighborhoodMeasure:
         with pytest.raises(TypeError):
             estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.1), 2000, RngStream(1).generator())
 
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    def test_fewer_than_a_thousand_draws_refused(self, fn):
+        # One draw used to give region_volume a zero measure with std_error 0.
+        with pytest.raises(ValueError, match=r"^need at least 10\^3 draws for a meaningful estimate$"):
+            fn(NeighborhoodSpec(P_D2, 0.1), 999, RngStream(3))
+        assert fn(NeighborhoodSpec(P_D2, 0.1), 1000, RngStream(3)).n_samples == 1000
+
     @pytest.mark.parametrize("threads", [0, -3])
     @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
     def test_threads_below_one_refused(self, fn, threads):
@@ -572,3 +585,206 @@ class TestReportInvariants:
             NeighborhoodSpec(P_D2, 0.0)
         with pytest.raises(ValueError):
             NeighborhoodSpec(P_D2, 0.1, "euclid")
+
+
+# ---------------------------------------------------------------------------
+# The box estimator's chunk test: certified column sums against the oracle
+# that scales and row-sums every draw.
+
+def kept_rows(U, spec, idx):
+    lo, hi = spec.box()
+    d = spec.d
+    X = U[idx] * (hi[:d] - lo[:d])
+    X += lo[:d]
+    return X
+
+
+def assert_matches_oracle(U, spec):
+    """_box_hits keeps the oracle's rows with the oracle's log weights, bit
+    for bit, with and without the density."""
+    lo, hi = spec.box()
+    p, tv = spec.center.array, spec.metric == "tv"
+    for density in (True, False):
+        idx, logl = _box_hits(U, lo, hi, p, spec.epsilon, tv, density)
+        X_ref, logl_ref = box_hits_reference(U, lo, hi, p, spec.epsilon, spec.metric, density)
+        X = kept_rows(U, spec, idx)
+        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+        if density:
+            assert logl.tobytes() == logl_ref.tobytes()
+        else:
+            assert logl is None
+
+
+def swept_rows(spec, g, value, bases=6, span=200):
+    """Rows of U around the point where numpy's 1 - sum(x) equals value:
+    random rows scaled so that it does up to rounding, then their last entry
+    stepped one float at a time through [-span, span]."""
+    lo, hi = spec.box()
+    d = spec.d
+    w, target = hi[:d] - lo[:d], 1.0 - float(lo[:d].sum()) - value  # sum(U * w) that lands on value
+    out = []
+    for _ in range(20 * bases):
+        u = g.random(d)
+        u[:-1] *= (target - 0.5 * w[-1]) / (u[:-1] @ w[:-1])
+        u[-1] = (target - u[:-1] @ w[:-1]) / w[-1]
+        if np.all((u >= 0) & (u < 1)):
+            U = np.repeat(u[None, :], 2 * span + 1, axis=0)
+            U[:, -1] += np.arange(-span, span + 1) * np.spacing(u[-1])
+            out.append(U[(U[:, -1] >= 0) & (U[:, -1] < 1)])
+            if len(out) == bases:
+                break
+    return np.concatenate(out) if out else np.empty((0, d))
+
+
+def window_rows(spec, g, count):
+    """Uniform rows of U scaled so that 1 - sum(x) lands on a uniform point
+    of window d, kept where they stay in [0, 1)."""
+    lo, hi = spec.box()
+    d = spec.d
+    w = hi[:d] - lo[:d]
+    U = g.random((count, d))
+    U *= ((1.0 - float(lo[:d].sum()) - lo[d] - (hi[d] - lo[d]) * g.random(count)) / (U @ w))[:, None]
+    return U[np.all((U >= 0) & (U < 1), axis=1)]
+
+
+def box_columns(U, spec):
+    """x = U * widths + lo with one row per coordinate: the oracle's floats,
+    without its slow broadcast over short rows."""
+    lo, hi = spec.box()
+    d = spec.d
+    C = np.ascontiguousarray(U.T)
+    C *= (hi[:d] - lo[:d])[:, None]
+    C += lo[:d, None]
+    return C
+
+
+def numpy_last_and_tv(U, spec, tv=True):
+    """1 - sum(x) and the TV distance as the oracle's row reductions give them."""
+    X = np.ascontiguousarray(box_columns(U, spec).T)
+    last = 1.0 - X.sum(axis=1)
+    if not tv:
+        return last
+    return last, 0.5 * np.abs(np.column_stack([X, last]) - spec.center.array).sum(axis=1)
+
+
+def approx_last_and_tv(U, spec):
+    """The approximations _box_hits decides from, formed as it forms them."""
+    lo, hi = spec.box()
+    d, p = spec.d, spec.center.array
+    last = (1.0 - float(lo[:d].sum())) - U @ (hi[:d] - lo[:d])
+    dist = np.abs(box_columns(U, spec) - p[:d, None]).sum(axis=0)
+    dist += np.abs(last - p[d])
+    return last, 0.5 * dist
+
+
+@st.composite
+def box_cases(draw):
+    """A ball (d = 2..20, sup or tv, either last window, eps from 1e-6 to 1.5,
+    a centre with empty levels or a mass near 1) and rows of U: uniform ones,
+    and ones swept through both ends of the last window."""
+    d = draw(st.integers(2, 20))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = g.random(d + 1)
+    kind = draw(st.sampled_from(["interior", "zeros", "near_one"]))
+    if kind == "zeros":
+        w[g.random(d + 1) < 0.5] = 0.0
+        w[g.integers(d + 1)] = 1.0
+    elif kind == "near_one":
+        w *= 10.0 ** -draw(st.integers(3, 15))
+        w[g.integers(d + 1)] = 1.0
+    eps = 10.0 ** draw(st.floats(-6, math.log10(1.5)))
+    spec = NeighborhoodSpec(SumPmf((w / w.sum()).tolist()), eps, draw(st.sampled_from(["sup", "tv"])),
+                            paper_region=draw(st.booleans()))
+    lo, hi = spec.box()
+    U = np.concatenate([g.random((draw(st.integers(1, 600)), d)),
+                        swept_rows(spec, g, lo[d], bases=2, span=50),
+                        swept_rows(spec, g, hi[d], bases=2, span=50)])
+    return spec, U[g.permutation(len(U))]
+
+
+class TestBoxHits:
+    @settings(max_examples=150, deadline=None)
+    @given(case=box_cases())
+    def test_matches_the_row_by_row_oracle(self, case):
+        spec, U = case
+        assert_matches_oracle(U, spec)
+
+    def test_whole_chunks_match_the_oracle(self):
+        # Full chunks as the estimators draw them, at the benchmark's dimensions.
+        for d, eps, metric in [(2, 0.1, "sup"), (5, 0.2, "tv"), (8, 0.05, "sup"), (16, 0.1, "tv")]:
+            p = binomial_pmf(0.4, d)
+            U = RngStream(d).chunk_generator(0).random((CHUNK, d))
+            assert_matches_oracle(U, NeighborhoodSpec(SumPmf([float(v) for v in p.values]), eps, metric))
+
+    # Dyadic windows: window d lies in [0.5, 1), where 1 - sum(x) takes every
+    # float, so it lands on each end and on the float beyond it.
+    DYADIC = [
+        ([0.125, 0.125, 0.75], 0.125),
+        ([0.0625, 0.0625, 0.125, 0.75], 0.125),
+        ([0.0625, 0.0625, 0.0625, 0.0625, 0.0625, 0.6875], 0.125),
+        ([0.03125] * 8 + [0.75], 0.0625),
+    ]
+
+    @pytest.mark.parametrize("values, eps", DYADIC)
+    @pytest.mark.parametrize("metric", ["sup", "tv"])
+    def test_rows_on_the_window_ends(self, values, eps, metric):
+        spec = NeighborhoodSpec(SumPmf(values), eps, metric)
+        lo, hi = spec.box()
+        d = spec.d
+        g = np.random.default_rng(17 + d)
+        U = np.concatenate([swept_rows(spec, g, lo[d]), swept_rows(spec, g, hi[d])])
+        last, _ = numpy_last_and_tv(U, spec)
+        for end in (lo[d], np.nextafter(lo[d], -1.0), hi[d], np.nextafter(hi[d], 2.0)):
+            assert np.any(last == end)
+        assert_matches_oracle(U, spec)
+
+    @pytest.mark.parametrize("values, eps", [
+        ([0.25, 0.25, 0.25, 0.25], 0.125),
+        ([0.125, 0.125, 0.125, 0.125, 0.25, 0.25], 0.125),
+        ([0.0625] * 8 + [0.25, 0.25], 0.0625),
+    ])
+    def test_rows_at_tv_epsilon(self, values, eps):
+        # x moves eps/2 up on coordinates 0 and d-1 and down on 1 and d: TV is
+        # eps, and sweeping the last entry of u moves it one step at a time.
+        spec = NeighborhoodSpec(SumPmf(values), eps, "tv")
+        lo, hi = spec.box()
+        d, p = spec.d, spec.center.array
+        x = p[:d] + 0.5 * eps * np.isin(np.arange(d), [0, d - 1]) - 0.5 * eps * (np.arange(d) == 1)
+        u0 = (x - lo[:d]) / (hi[:d] - lo[:d])
+        g = np.random.default_rng(d)
+        rows = []
+        for _ in range(8):
+            u = u0 + g.integers(-40, 41, size=d) * np.spacing(u0)
+            U = np.repeat(u[None, :], 401, axis=0)
+            U[:, -1] += np.arange(-200, 201) * np.spacing(u[-1])
+            rows.append(U)
+        U = np.concatenate(rows)
+        last, tv = numpy_last_and_tv(U, spec)
+        assert np.all((last >= lo[d]) & (last <= hi[d]))
+        assert np.any(tv == eps) and np.any(tv == np.nextafter(eps, 1.0))
+        assert_matches_oracle(U, spec)
+
+    def test_margin_has_slack(self):
+        # The approximations lie within a quarter of the margin of numpy's
+        # values, at every d the rows can reach: 10^5 rows per d over three
+        # balls (a flat centre, eps >= 1 so every window is [0, 1], and the
+        # paper's looser last window), a third of them aimed into window d,
+        # where the TV test runs.
+        for d in range(2, 65):
+            g = np.random.default_rng(1000 + d)
+            p = SumPmf((g.dirichlet(np.ones(d + 1))).tolist())
+            for spec in (NeighborhoodSpec(SumPmf([1 / (d + 1)] * (d + 1)), 0.05, "tv"),
+                         NeighborhoodSpec(p, 1.5, "tv"),
+                         NeighborhoodSpec(p, 0.1, "tv", paper_region=True)):
+                lo, hi = spec.box()
+                m = _margin(hi, d)
+                U = g.random((22_000, d))
+                approx_last = (1.0 - float(lo[:d].sum())) - U @ (hi[:d] - lo[:d])
+                assert np.max(np.abs(approx_last - numpy_last_and_tv(U, spec, tv=False))) <= m / 4
+                U = window_rows(spec, g, 11_000)
+                last, tv = numpy_last_and_tv(U, spec)
+                approx_last, approx_tv = approx_last_and_tv(U, spec)
+                assert np.max(np.abs(approx_last - last)) <= m / 4
+                inside = (last >= lo[d]) & (last <= hi[d])
+                assert inside.sum() >= 2_000
+                assert np.max(np.abs(approx_tv - tv)[inside]) <= m / 4
