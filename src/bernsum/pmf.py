@@ -6,6 +6,9 @@ Three carriers: SumPmf (a point of the d-simplex of sum laws), JointPmf
 d+1 atoms).  Values may be floats or exact Fractions.  Nonzero masses that
 are all exact must sum to exactly 1, float zeros beside them or not, so a sum
 pmf and each of its vertices meet one rule; else the sum is 1 within PROB_TOL.
+Float totals, cross moments and entropies are correctly rounded sums, the
+value math.fsum returns; on dense carriers they are computed exactly in
+numpy.  sum_map's level masses are numpy's bincount sums.
 
 JSON forms: SumPmf is a bare array, JointPmf is {"d": ..., "values": [...]},
 SparseJointPmf is {"d": ..., "atoms": [[index, mass], ...]}.  Exact values
@@ -92,7 +95,8 @@ def _validate_masses(values: Iterable[Number], what: str) -> tuple[Number, ...]:
     return vals
 
 
-_FSUM_BLOCK = 1 << 13
+_FSUM_BLOCK = 1 << 16
+_BINS = 2099  # _fsum's bin b holds the integer mantissas m of entries m * 2^(b - 1127)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -101,8 +105,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _fsum(a: np.ndarray) -> float:
-    """math.fsum of a float array, fed in blocks so no list of 2^d floats is
-    built: one whole-array .tolist() raised the dense benchmark's peak RSS by ~23 MB."""
+    """math.fsum(a.tolist()), the correctly rounded sum, computed exactly in numpy.
+
+    np.frexp writes each entry as m * 2^(e - 53), m a signed 53-bit integer;
+    the halves m >> 26 and m & (2^26 - 1) go into per-exponent float64 bins,
+    whose totals are integers below 2^27 * a.size < 2^53, so exact.  One
+    int/int true division, which Python rounds correctly, rounds their sum.
+    Non-finite entries, 2^26 or more of them, magnitudes from 2^996 (where
+    fsum's partials may overflow) and an exact zero (whose sign is fsum's)
+    go to math.fsum, fed in blocks so that no list of 2^d floats is built.
+    """
+    if 0 < a.size < 1 << 26 and -2.0**996 < a.min() and a.max() < 2.0**996:
+        bins = np.zeros((2, _BINS))
+        for i in range(0, a.size, _FSUM_BLOCK):
+            frac, e = np.frexp(a[i:i + _FSUM_BLOCK])
+            m = (frac * 2.0**53).astype(np.int64)
+            e += 1074
+            bins[0] += np.bincount(e, m >> 26, _BINS)
+            bins[1] += np.bincount(e, m & (1 << 26) - 1, _BINS)
+        nz = np.flatnonzero(bins.any(axis=0))
+        total = sum(((int(h) << 26) + int(l)) << b for b, h, l in zip(nz.tolist(), *bins[:, nz].tolist()))
+        if total:
+            return total / (1 << 1127)
     blocks = (a[i:i + _FSUM_BLOCK].tolist() for i in range(0, a.size, _FSUM_BLOCK))
     return math.fsum(chain.from_iterable(blocks))
 
@@ -110,11 +134,28 @@ def _fsum(a: np.ndarray) -> float:
 def _dense_masses(values) -> tuple[Number, ...] | np.ndarray:
     """JointPmf storage: the validated tuple when every entry is an int or
     Fraction, else a read-only float64 copy; a 1-D float64 array is
-    validated in bulk."""
+    validated in bulk.
+
+    The bulk check sums blocks of 1024 masses in numpy and adds the block
+    sums with math.fsum, to F.  Any recursive sum of n terms is within
+    gamma_{n-1} = (n-1)u / (1 - (n-1)u), u = 2^-53, times their absolute sum
+    of its exact value (Higham, ch. 3).  With fsum's roundings of F and of
+    the exact total S to T, |T - F| <= (2u + gamma_1023 (1 + u)) S < 2^-42
+    when |F - 1| <= PROB_TOL, as S < 1.01 then; so |F - 1| <= PROB_TOL - 2^-42
+    accepts as T would (F - 1 and T - 1 are exact there).  Any
+    other F, or a mass above 1, where a block sum might overflow, is decided
+    on T = _fsum, so a refusal names fsum's total.  One numpy sum of 2^20
+    masses would need gamma_{2^20 - 1} ~ 1.2e-10, too loose for PROB_TOL.
+    """
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
         arr = values.copy()
         if arr.size and arr.min() < 0:
             raise ValueError(f"JointPmf violates nonnegativity: entry {arr.min()}")
+        if arr.size and arr.max() <= 1.0:
+            cut = arr.size & -1024
+            sums = arr[:cut].reshape(-1, 1024).sum(axis=1).tolist() + [arr[cut:].sum()]
+            if abs(math.fsum(sums) - 1.0) <= PROB_TOL - 2.0**-42:
+                return _read_only(arr)
         _check_normalized(_fsum(arr), "JointPmf")
         return _read_only(arr)
     vals = _validate_masses(values, "JointPmf")

@@ -315,8 +315,12 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
         return len(idx), logl
 
     jobs = [(i, min(CHUNK, n - start)) for i, start in enumerate(range(0, n, CHUNK))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_chunk, jobs))
+    workers = min(threads, len(jobs))  # a pool only when two or more chunks can run at once
+    if workers == 1:
+        parts = list(map(run_chunk, jobs))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_chunk, jobs))
     m = sum(part[0] for part in parts)
     logl = np.concatenate([part[1] for part in parts]) if density and m else None
     shift = 0.0 if logl is None else float(logl.max())

@@ -22,7 +22,7 @@ import pytest
 
 from bernsum.cli import main
 from bernsum.feasibility import constrained_moment_bounds, constrained_vertices
-from bernsum.pmf import SumPmf, cross_moment, sum_map
+from bernsum.pmf import SumPmf, cross_moment, entropy, sum_map
 from bernsum.polytope import decompose, exchangeable_pmf
 from bernsum.sampling import (
     NeighborhoodSpec,
@@ -517,3 +517,45 @@ def test_cli_refuses_an_infinite_epsilon(capsys):
     argv = ["neighborhood", "--p", "[0.25, 0.5, 0.25]", "--eps", "inf", "-n", "2000", "--seed", "1"]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: epsilon must be finite, got inf\n")
+
+
+# Carriers at the top of the dense guard, pinned on the code that summed
+# their floats with math.fsum over Python lists.  Each digest covers the
+# carrier's values, its entropy, two cross moments, its sum map and its
+# decomposition; the pins above, at d = 10 and 12, do not cover entropy.
+DENSE_PINS = {
+    ("exchangeable_pmf", 16):
+        "fbc22f729814e7c3f72a93300a7a5decddb15a5d3edb67fa9e5e2aa1484ec7d7",
+    ("exchangeable_pmf", 20):
+        "3e995280bf853bdf1df0ddb7bf8d4df27362bd96cff7adaf175aa80c31212f37",
+    ("sample_polytope_uniform", 16):
+        "f392c9f24ae6e11fcb29608cf9e34de511cc625ed46f11b94e10c03a5e898a34",
+    ("sample_polytope_uniform", 20):
+        "740f8583d454548643bd23a2db059872fe3e7b3be2a0785ae2539a8275a9e757",
+    ("Fd_uniform", 16):
+        "2d36c1c557fae583fa4036e9fe80f172641015aef7973c604cc3026452397c5b",
+    ("Fd_uniform", 20):
+        "90d309f226dde8de32b02f427bcc0ff8b3f6419b6e1304cb3fd9346cc001fcf8",
+}
+
+
+def dense_carrier(kind: str, d: int):
+    if kind == "Fd_uniform":
+        f = sample_Fd_uniform(d, RngStream(2029, d).generator())
+        return sum_map(f), f
+    p = gapped_pmf(d)
+    if kind == "exchangeable_pmf":
+        return p, exchangeable_pmf(p)
+    return p, sample_polytope_uniform(p, RngStream(2028, d).generator())
+
+
+def dense_reads(p: SumPmf, f) -> list:
+    parts = [f.values, [entropy(f), cross_moment(f, [1, 4, 7]), cross_moment(f, range(1, f.d + 1))],
+             sum_map(f).values]
+    parts.extend(b for b in decompose(f, p) if b)
+    return parts
+
+
+@pytest.mark.parametrize("kind, d", sorted(DENSE_PINS))
+def test_dense_carriers_large_d(kind, d):
+    assert digest(*dense_reads(*dense_carrier(kind, d))) == DENSE_PINS[kind, d]

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsum.feasibility import MeanVector
-from bernsum.pmf import (JointPmf, SparseJointPmf, SumPmf, _total, _validate_masses, as_number, cross_moment,
-                         entropy, sum_map)
+from bernsum.pmf import (PROB_TOL, JointPmf, SparseJointPmf, SumPmf, _fsum, _total, _validate_masses, as_number,
+                         cross_moment, entropy, sum_map)
 from bernsum.polytope import exchangeable_pmf
 
 from oracles import (fraction_as_number, fraction_total, fraction_validate_masses, naive_cross_moment,
@@ -446,3 +446,143 @@ class TestFloatCarrier:
         assert cross_moment(f, [2, 5]) == math.fsum(
             v for i, v in enumerate(f.values.tolist()) if i & 0b10010 == 0b10010
         )
+
+
+def same_fsum(a: np.ndarray) -> None:
+    """_fsum(a) is math.fsum(a.tolist()) to the bit, the sign of zero included,
+    or raises the exception type fsum raises."""
+    try:
+        want = math.fsum(a.tolist())
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            _fsum(a)
+        return
+    got = _fsum(a)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() or (math.isnan(got) and math.isnan(want))
+
+
+# Exponents from the subnormals to 1e308; a half-ulp tie after a base, on
+# either side of it by a much smaller term, or exact; a list and its
+# negation, which cancel to 0.
+any_floats = st.floats(min_value=-1e308, max_value=1e308)
+moderate_floats = st.floats(min_value=-2.0**900, max_value=2.0**900)
+
+
+@st.composite
+def ties(draw):
+    base = draw(st.floats(min_value=2.0**-1000, max_value=2.0**900))
+    half = math.ulp(base) / 2
+    nudge = draw(st.sampled_from([0.0, 1.0, -1.0])) * half * 2.0**-40
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    terms = [sign * base, sign * half] + ([sign * nudge] if nudge else [])
+    return draw(st.permutations(terms)) + draw(st.lists(st.just(0.0), max_size=3))
+
+
+@st.composite
+def cancellations(draw):
+    half = draw(st.lists(moderate_floats, max_size=40))
+    return draw(st.permutations(half + [-x for x in half] + draw(st.lists(st.just(-0.0), max_size=3))))
+
+
+class TestFsum:
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.one_of(st.lists(any_floats, max_size=300), st.lists(moderate_floats, max_size=300),
+                            ties(), cancellations(), st.lists(st.just(-0.0), max_size=5),
+                            st.lists(st.floats(), max_size=20)))
+    def test_matches_math_fsum(self, values):
+        same_fsum(np.array(values, dtype=float))
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [-5e-324, 5e-324], [1.0, -1.0],
+        [1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-100], [1.0, 2.0**-53, -2.0**-100],
+        [math.inf], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0], [math.inf, math.nan],
+        [1e308, 1e308, -1e308], [1e308, 1e308], [-1e308, -1e308], [1.7e308, 1e292], [2.0**996, -2.0**996],
+        [2.0**995, 2.0**995, -2.0**995],
+    ])
+    def test_edge_cases(self, values):
+        same_fsum(np.array(values, dtype=float))
+
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16])
+    def test_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        wide = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 990, n).astype(float))
+        same_fsum(wide)
+        same_fsum(rng.dirichlet(np.ones(n)))
+        same_fsum(np.concatenate([wide, -wide[::-1]]))
+        same_fsum(np.full(n, -0.0))
+
+
+def tolerance_edges() -> dict[str, float]:
+    """The extreme float totals that the check 1 - PROB_TOL <= total <= 1 + PROB_TOL accepts."""
+    hi = 1.0 + PROB_TOL
+    while hi - 1.0 > PROB_TOL:
+        hi = math.nextafter(hi, 0.0)
+    while math.nextafter(hi, 2.0) - 1.0 <= PROB_TOL:
+        hi = math.nextafter(hi, 2.0)
+    lo = 1.0 - PROB_TOL
+    while 1.0 - lo > PROB_TOL:
+        lo = math.nextafter(lo, 2.0)
+    while 1.0 - math.nextafter(lo, 0.0) <= PROB_TOL:
+        lo = math.nextafter(lo, 0.0)
+    return {"hi": hi, "above_hi": math.nextafter(hi, 2.0), "below_hi": math.nextafter(hi, 0.0),
+            "lo": lo, "below_lo": math.nextafter(lo, 0.0), "above_lo": math.nextafter(lo, 2.0),
+            "one": 1.0, "far_above": 1.1, "far_below": 0.9}
+
+
+def masses_summing_to(total: float, d: int, drift: float) -> np.ndarray:
+    """2^d masses whose fsum is `total`: two masses x near total / 2, at 0
+    and 1, each with 15 masses of drift * ulp(x) at 8 apart after it.  In
+    numpy's pairwise sum of a block of 128 those are added to x in turn, so a
+    drift of 0.25 rounds each one away and 0.75 rounds each up to a whole
+    ulp: the block sum is off by 4 ulps of total, and no mass exceeds 1."""
+    arr = np.zeros(1 << d)
+    small = drift * math.ulp(total / 2)
+    arr[:2] = total / 2 - 15 * small
+    arr[8:128:8] = arr[9:128:8] = small
+    assert math.fsum(arr.tolist()) == total
+    return arr
+
+
+class TestNormalizationBoundary:
+    """JointPmf accepts and refuses a float array as `|fsum - 1| <= PROB_TOL` does."""
+
+    @pytest.mark.parametrize("d", [7, 12])
+    @pytest.mark.parametrize("drift", [0.0, 0.25, 0.75])
+    @pytest.mark.parametrize("name", sorted(tolerance_edges()))
+    def test_decided_on_the_exact_total(self, name, drift, d):
+        total = tolerance_edges()[name]
+        arr = masses_summing_to(total, d, drift) if drift else np.eye(1, 1 << d, 5)[0] * total
+        if abs(total - 1.0) <= PROB_TOL:
+            assert JointPmf(d, arr).values.tobytes() == arr.tobytes()
+        else:
+            with pytest.raises(ValueError) as info:
+                JointPmf(d, arr)
+            assert str(info.value) == f"JointPmf violates normalization: sum {total!r} != 1"
+
+    def test_edges_are_one_ulp_apart(self):
+        edges = tolerance_edges()
+        assert edges["hi"] - 1.0 <= PROB_TOL < edges["above_hi"] - 1.0
+        assert 1.0 - edges["lo"] <= PROB_TOL < 1.0 - edges["below_lo"]
+
+    @pytest.mark.parametrize("values, message", [
+        ([math.nan, 0.0], "sum nan != 1"),
+        ([0.5, math.nan], "sum nan != 1"),
+        ([math.inf, 0.0], "sum inf != 1"),
+        ([0.0, 0.0], "sum 0.0 != 1"),
+        ([2.0, 0.0], "sum 2.0 != 1"),
+        ([1e308, 1e308], "intermediate overflow in fsum"),
+        ([1e308, 1e308, 1e308, 1e308], "intermediate overflow in fsum"),
+    ])
+    def test_non_finite_and_huge_masses(self, values, message):
+        d = len(values).bit_length() - 1
+        error = OverflowError if "overflow" in message else ValueError
+        with pytest.raises(error) as info:
+            JointPmf(d, np.array(values))
+        assert str(info.value).endswith(message)
+
+    def test_huge_masses_in_large_blocks(self):
+        arr = np.zeros(1 << 12)
+        arr[::1024] = 1e308
+        with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            JointPmf(12, arr)

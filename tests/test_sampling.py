@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernsum import sampling
 from bernsum.binomial import binomial_pmf
 from bernsum.measure import density_l, normalizing_constant
 from bernsum.pmf import SumPmf, sum_map
@@ -409,6 +410,27 @@ class TestNeighborhoodMeasure:
             for t in (1, 4, 1)
         ]
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    @pytest.mark.parametrize("n, threads, pool_workers", [
+        (3 * CHUNK, 1, None),        # one thread: the chunks run in the caller
+        (CHUNK, 4, None),            # one chunk: no worker could help
+        (2 * CHUNK + 1, 2, 2),
+        (2 * CHUNK + 1, 8, 3),       # never more workers than chunks
+    ])
+    def test_pool_only_for_parallel_chunks(self, monkeypatch, fn, n, threads, pool_workers):
+        built = []
+
+        class RecordingPool(sampling.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        spec = NeighborhoodSpec(B_HALF_3, 0.1)
+        want = fn(spec, n, RngStream(105), threads=1)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+        assert fn(spec, n, RngStream(105), threads=threads) == want
+        assert built == ([] if pool_workers is None else [pool_workers])
 
     def test_se_scales_like_sqrt_n(self):
         ratios = []
