@@ -11,8 +11,9 @@ with n_k = C(d,k) - 1: the level terms k log theta + (d - k) log(1 - theta)
 pair up because n_k = n_{d-k}.  As B(d) > 0 and log(theta (1 - theta)) is
 concave and symmetric about 1/2, the curve measure is log-concave with its
 maximum at theta = 1/2, and b(1/2) approaches the measure-maximizing sum pmf
-as the dimension grows.  The numeric argmax routine exists to validate the
-measure implementation, not to discover the optimum.
+as the dimension grows.  curve_log_measure, and so curve_argmax, forms each
+point from binomial_pmf's mass kernel and polytope_measure's level sum, with
+no SumPmf between them: every point is polytope_measure's value to the bit.
 """
 from __future__ import annotations
 
@@ -21,11 +22,37 @@ from fractions import Fraction
 from typing import Sequence
 
 from .indexing import _as_int, _check_dimension
-from .measure import _TINY, LogMeasure, polytope_measure
+from .measure import _TINY, LogMeasure, _blocks, _fiber_log
 from .pmf import Number, SumPmf, _is_exact, _not_bool, _total
 
 _BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
 _ARGMAX_TOL = 1e-10
+
+
+def _binomial_masses(theta: Number, d: int) -> tuple[list[Number], dict[int, float] | None]:
+    """The masses of b(theta) at dimension d, and the log of each level whose
+    float mass cannot give it (None when no level needs one), as binomial_pmf
+    documents them."""
+    d = _check_dimension(d, dense=False)
+    if not 0 <= _not_bool(theta, "theta") <= 1:
+        raise ValueError(f"theta must lie in [0,1], got {theta}")
+    t = Fraction(theta) if _is_exact(theta) else float(theta)
+    u, combs = 1 - t, [1, *[row[3] for row in _blocks(d)[0]], 1]  # C(d, k), from the per-d table
+    try:
+        values = [c * t**k * u ** (d - k) for k, c in enumerate(combs)]
+    except OverflowError:
+        raise ValueError(
+            f"a float theta needs every C(d, k) to be a finite float; at d = {d} one overflows"
+        ) from None
+    total = _total(values)
+    masses = [v / total for v in values]
+    if not (isinstance(t, float) and 0 < t < 1 and min(t**d, u**d, *masses) < _TINY):
+        return masses, None
+    log_t, log_u, log_total = math.log(t), math.log1p(-t), math.log(total)
+    return masses, {
+        k: math.log(combs[k]) + k * log_t + (d - k) * log_u - log_total
+        for k, v in enumerate(masses) if min(v, t**k, u ** (d - k)) < _TINY
+    }
 
 
 def binomial_pmf(theta: Number, d: int) -> SumPmf:
@@ -38,24 +65,9 @@ def binomial_pmf(theta: Number, d: int) -> SumPmf:
     log C(d,k) + k log theta + (d - k) log1p(-theta) - log total.  An exact
     mass below the normal floats needs no such help.
     """
-    d = _check_dimension(d, dense=False)
-    if not 0 <= _not_bool(theta, "theta") <= 1:
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
-    t = Fraction(theta) if _is_exact(theta) else float(theta)
-    try:
-        values = [math.comb(d, k) * t**k * (1 - t) ** (d - k) for k in range(d + 1)]
-    except OverflowError:
-        raise ValueError(
-            f"a float theta needs every C(d, k) to be a finite float; at d = {d} one overflows"
-        ) from None
-    total = _total(values)
-    p = SumPmf([v / total for v in values])
-    if isinstance(t, float) and 0 < t < 1 and min(t**d, (1 - t) ** d, *p.values) < _TINY:
-        log_t, log_u, log_total = math.log(t), math.log1p(-t), math.log(total)
-        object.__setattr__(p, "_log_masses", {
-            k: math.log(math.comb(d, k)) + k * log_t + (d - k) * log_u - log_total
-            for k, v in enumerate(p.values) if min(v, t**k, (1 - t) ** (d - k)) < _TINY
-        })
+    masses, log_masses = _binomial_masses(theta, d)
+    p = SumPmf(masses)
+    object.__setattr__(p, "_log_masses", log_masses)
     return p
 
 
@@ -77,9 +89,13 @@ def poisson_binomial_pmf(theta: Sequence[Number]) -> SumPmf:
     return SumPmf([v / total for v in pmf])
 
 
-def curve_log_measure(theta: float, d: int) -> LogMeasure:
-    """Ambient fiber measure along the binomial curve; zero at the endpoints."""
-    return polytope_measure(binomial_pmf(theta, d))["ambient"]
+def curve_log_measure(theta: Number, d: int) -> LogMeasure:
+    """Ambient fiber measure at b(theta), polytope_measure(binomial_pmf(theta, d))["ambient"]
+    to the bit, for a float or exact theta; zero at the endpoints.  The masses
+    go from binomial_pmf's kernel to polytope_measure's level sum directly,
+    with no SumPmf built or validated between them."""
+    total, full = _fiber_log(*_binomial_masses(theta, d))
+    return LogMeasure(total) if full else LogMeasure.zero()
 
 
 def curve_argmax(d: int) -> float:

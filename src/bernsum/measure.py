@@ -105,30 +105,25 @@ def _overflow(what: str, d: int) -> ValueError:
     return ValueError(f"{what} must be a finite float; at d = {d} it overflows")
 
 
-def _level_logs(p: SumPmf) -> dict[int, float]:
+def _level_logs(values, log_masses: dict[int, float] | None) -> dict[int, float]:
     """log p_k at each level whose float mass cannot give it: a builder's
-    _log_masses, and an exact mass below the normal floats, where
+    log_masses, and an exact mass below the normal floats, where
     log(float(p_k)) loses bits or fails, from its numerator and denominator.
     Every other level's log is its float's, -inf for an empty level."""
-    tiny = {k: math.log(v.numerator) - math.log(v.denominator) for k, v in enumerate(p.values)
+    tiny = {k: math.log(v.numerator) - math.log(v.denominator) for k, v in enumerate(values)
             if type(v) is not float and isinstance(v, Fraction)  # a float skips the slow ABC check
             and v.denominator.bit_length() > 1022 and 0 < v < _TINY}  # _TINY = 2^-1022
-    return {**(p._log_masses or {}), **tiny}
+    return {**(log_masses or {}), **tiny}
 
 
-def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
-    """Ambient and intrinsic Hausdorff measures of the fiber over p.
-
-    Intrinsic multiplies the block measures simplex_hausdorff(n_k, p_k) over
-    the support; the log terms are added in level order, from 0.0, so the
-    sum is that product's log to the bit.  Each level's log is _level_logs'
-    or its float's.  Ambient multiplies over every level, so, as levels 0
-    and d are points, it is intrinsic when every level 0 < k < d is
-    supported and zero otherwise.
-    """
-    d = p.d
-    logs = [math.log(f) if (f := float(v)) > 0 else -math.inf for v in p.values]
-    for k, lv in _level_logs(p).items():
+def _fiber_log(values, log_masses: dict[int, float] | None) -> tuple[float, bool]:
+    """The log of the product of simplex_hausdorff(n_k, p_k) over the
+    supported levels 0 < k < d, and whether every such level is supported.
+    Each level's log is _level_logs' or its float's; the terms are added in
+    level order, from 0.0, so the sum is that product's log to the bit."""
+    d = len(values) - 1
+    logs = [math.log(f) if (f := float(v)) > 0 else -math.inf for v in values]
+    for k, lv in _level_logs(values, log_masses).items():
         logs[k] = lv
     total, full = 0.0, True
     for (n, half_log, log_fact, _, _), lv in zip(_blocks(d)[0], logs[1:d]):
@@ -138,6 +133,14 @@ def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
             full = False
     if not total > -math.inf:
         raise _overflow("a log fiber measure", d)
+    return total, full
+
+
+def polytope_measure(p: SumPmf) -> dict[str, LogMeasure]:
+    """Ambient and intrinsic Hausdorff measures of the fiber over p: intrinsic
+    is _fiber_log's product over the support; ambient, as levels 0 and d are
+    points, is intrinsic when every level 0 < k < d is supported, else zero."""
+    total, full = _fiber_log(p.values, p._log_masses)
     intrinsic = LogMeasure(total)
     return {"ambient": intrinsic if full else LogMeasure.zero(), "intrinsic": intrinsic}
 
@@ -166,7 +169,7 @@ def _log_density_rows(X: np.ndarray, d: int, level_logs: dict[int, float] | None
 def density_l(p: SumPmf) -> LogMeasure:
     """Fiber-measure density prod_k p_k^{n_k} / n_k! with 0^0 = 1: zero when
     a level 0 < k < d is empty."""
-    d, logs = p.d, _level_logs(p)
+    d, logs = p.d, _level_logs(p.values, p._log_masses)
     if any(not p.values[k] and k not in logs for k in range(1, d)):
         return LogMeasure.zero()
     lv = float(_log_density_rows(p.array[None, :], d, logs)[0])
@@ -196,7 +199,7 @@ def dirichlet_pdf(p: SumPmf) -> float:
     so no terms of size N log N cancel.  Refused where the pdf or a term of its
     log overflows a float.
     """
-    d, logs = p.d, _level_logs(p)
+    d, logs = p.d, _level_logs(p.values, p._log_masses)
     if any(not p.values[k] and k not in logs for k in range(1, d)):
         return 0.0
     try:

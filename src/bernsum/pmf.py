@@ -131,10 +131,10 @@ def _fsum(a: np.ndarray) -> float:
     return math.fsum(chain.from_iterable(blocks))
 
 
-def _dense_masses(values) -> tuple[Number, ...] | np.ndarray:
+def _dense_masses(values, copy: bool = True) -> tuple[Number, ...] | np.ndarray:
     """JointPmf storage: the validated tuple when every entry is an int or
     Fraction, else a read-only float64 copy; a 1-D float64 array is
-    validated in bulk.
+    validated in bulk, and made read-only in place when copy is False.
 
     The bulk check sums blocks of 1024 masses in numpy and adds the block
     sums with math.fsum, to F.  Any recursive sum of n terms is within
@@ -148,7 +148,7 @@ def _dense_masses(values) -> tuple[Number, ...] | np.ndarray:
     masses would need gamma_{2^20 - 1} ~ 1.2e-10, too loose for PROB_TOL.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
-        arr = values.copy()
+        arr = values.copy() if copy else values
         if arr.size and arr.min() < 0:
             raise ValueError(f"JointPmf violates nonnegativity: entry {arr.min()}")
         if arr.size and arr.max() <= 1.0:
@@ -231,8 +231,17 @@ class JointPmf:
     values: tuple[Number, ...] | np.ndarray
 
     def __init__(self, d: int, values: Iterable[Number]):
-        d = _check_dimension(d)
-        vals = _dense_masses(values)
+        self._set(_check_dimension(d), _dense_masses(values))
+
+    @classmethod
+    def _from_fresh(cls, d: int, values: np.ndarray) -> "JointPmf":
+        """JointPmf(d, values) for a builder's own float64 array, which no one
+        else holds: checked alike, made read-only in place, not copied."""
+        self = object.__new__(cls)
+        self._set(_check_dimension(d), _dense_masses(values, copy=False))
+        return self
+
+    def _set(self, d: int, vals: tuple[Number, ...] | np.ndarray) -> None:
         if len(vals) != 1 << d:
             raise ValueError(f"JointPmf for d={d} needs 2^d = {1 << d} entries, got {len(vals)}")
         object.__setattr__(self, "d", d)

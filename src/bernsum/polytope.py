@@ -227,7 +227,7 @@ def exchangeable_pmf(p: SumPmf) -> JointPmf:
         shares = [Fraction(v, math.comb(d, k)) if v else 0 for k, v in enumerate(p.values)]
         return JointPmf(d, [shares[k] for k in _popcounts(d).tolist()])
     shares = np.array([float(v) / math.comb(d, k) for k, v in enumerate(p.values)])
-    return JointPmf(d, shares[_popcounts(d)])
+    return JointPmf._from_fresh(d, shares[_popcounts(d)])
 
 
 def moment_bounds(p: SumPmf, order: int) -> tuple[Number, Number]:

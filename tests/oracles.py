@@ -5,9 +5,10 @@ enumeration for vertex sets, a breadth-first feasible-basis walk on a
 Fraction tableau, tensor Gauss-Legendre quadrature for integrals, naive
 sums for moments and entropy, the vertex order as a product of level slices,
 flat weights by walking its labels, the box estimator's row-by-row chunk
-test, and mass parsing and summing on Fraction objects.  Nothing imports from
-the package under test, so agreement is evidence rather than tautology;
-results are plain dicts, lists and Fractions.
+test, the binomial curve's fiber measure step by step, and mass parsing and
+summing on Fraction objects.  Nothing imports from the package under test,
+so agreement is evidence rather than tautology; results are plain dicts,
+lists and Fractions.
 """
 from __future__ import annotations
 
@@ -458,6 +459,57 @@ def binomial_curve_log_measure(theta: float, d: int) -> float:
         parts += [(c - 1) * math.log(c), 0.5 * math.log(c), -math.lgamma(c)]
     b = sum(k * (math.comb(d, k) - 1) for k in range(1, d))
     return math.fsum(parts) + b * (math.log(theta) + math.log1p(-theta))
+
+
+def reference_curve_log_measure(theta, d: int) -> float | None:
+    """log l_amb(b(theta)) as polytope_measure(binomial_pmf(theta, d)) forms
+    it, written out step by step; None for a zero measure.  theta is a float
+    or an exact int/Fraction.  The masses C(d,k) t^k (1 - t)^(d - k) over
+    their total (fsum, or the exact sum).  A level's log is its float mass's,
+    -inf for a zero, except below the normal floats: a float theta in (0, 1)
+    then takes log C(d,k) + k log t + (d - k) log1p(-t) - log total at each
+    level whose mass or factor is below them (only if some level's is), and
+    an exact mass its numerator's log minus its denominator's.  The level
+    constants are rounded as simplex_hausdorff rounds them, and the terms
+    n_k log p_k + 0.5 log C(d,k) - lgamma(C(d,k)) are added in level order
+    from 0.0.  Raises the package's ValueErrors where a C(d,k) or the sum
+    is past the float range."""
+    tiny = 2.0 ** -1022
+    exact = isinstance(theta, (int, Fraction))
+    t = Fraction(theta) if exact else float(theta)
+    combs = [math.comb(d, k) for k in range(d + 1)]
+    try:
+        values = [c * t**k * (1 - t) ** (d - k) for k, c in enumerate(combs)]
+    except OverflowError:
+        raise ValueError(
+            f"a float theta needs every C(d, k) to be a finite float; at d = {d} one overflows"
+        ) from None
+    total = sum(values) if exact else math.fsum(values)
+    masses = [v / total for v in values]
+    logs = [math.log(float(v)) if float(v) > 0 else -math.inf for v in masses]
+    if exact:
+        for k, v in enumerate(masses):
+            if 0 < v < tiny:
+                logs[k] = math.log(v.numerator) - math.log(v.denominator)
+    elif 0 < t < 1 and min([t**d, (1 - t) ** d] + masses) < tiny:
+        for k, v in enumerate(masses):
+            if min(v, t**k, (1 - t) ** (d - k)) < tiny:
+                logs[k] = (math.log(combs[k]) + k * math.log(t) + (d - k) * math.log1p(-t)
+                           - math.log(total))
+    out, full = 0.0, True
+    for k in range(1, d):
+        a = combs[k]
+        try:
+            n, half_log, log_fact = float(a - 1), 0.5 * math.log(a), math.lgamma(a)
+        except OverflowError:
+            n, half_log, log_fact = 0.0, 0.0, math.inf
+        if logs[k] > -math.inf:
+            out += n * logs[k] + half_log - log_fact
+        else:
+            full = False
+    if not out > -math.inf:
+        raise ValueError(f"a log fiber measure must be a finite float; at d = {d} it overflows")
+    return out if full else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,15 @@ from bernsum.binomial import (
 )
 from bernsum.cli import main
 from bernsum.measure import density_l, dist_sup, maximal_pmf, polytope_measure
+from bernsum.pmf import SumPmf
 from bernsum.polytope import describe
 
-from oracles import binomial_curve_log_measure
+from oracles import binomial_curve_log_measure, reference_curve_log_measure
+
+
+def _same_bits(got, want) -> bool:
+    """A curve LogMeasure against the reference's float (None for zero), every bit counted."""
+    return (None if got.is_zero else got.log_value.hex()) == (None if want is None else want.hex())
 
 
 class TestBinomialPmf:
@@ -152,6 +158,45 @@ class TestCurveMeasure:
         # ambient = l(p) prod_k sqrt(n_k + 1): the density reads the same level logs.
         halves = math.fsum(0.5 * math.log(math.comb(d, k)) for k in range(1, d))
         assert math.isclose(density_l(binomial_pmf(theta, d)).log, closed - halves, rel_tol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 300), theta=st.floats(0.0, 1.0))
+    @example(d=200, theta=0.01)
+    @example(d=200, theta=0.02)
+    @example(d=3, theta=1e-158)
+    @example(d=30, theta=5e-22)
+    @example(d=12, theta=1 - 2**-53)
+    @example(d=1, theta=0.5)
+    def test_float_theta_is_the_reference_to_the_bit(self, d, theta):
+        assert _same_bits(curve_log_measure(theta, d), reference_curve_log_measure(theta, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 200), theta=st.fractions(0, 1, max_denominator=1000))
+    @example(d=200, theta=Fraction(1, 100))
+    @example(d=200, theta=Fraction(1))
+    def test_exact_theta_is_the_reference_to_the_bit(self, d, theta):
+        assert _same_bits(curve_log_measure(theta, d), reference_curve_log_measure(theta, d))
+
+    @pytest.mark.parametrize("theta, d", [(1e-300, 1010), (0.5, 1015), (0.5, 1100), (0.0, 1100)])
+    def test_refusals_are_the_reference(self, theta, d):
+        with pytest.raises(ValueError) as want:
+            reference_curve_log_measure(theta, d)
+        with pytest.raises(ValueError) as got:
+            curve_log_measure(theta, d)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_the_curve_builds_no_sum_pmf(self, monkeypatch, capsys):
+        # Each point runs binomial_pmf's mass kernel and polytope_measure's
+        # level sum with nothing between them: no SumPmf is built or checked.
+        built = []
+        init = SumPmf.__init__
+        monkeypatch.setattr(SumPmf, "__init__", lambda self, values: built.append(1) or init(self, values))
+        assert main(["binomial-scan", "--d", "20", "--points", "251"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 251
+        assert abs(curve_argmax(8) - 0.5) <= 1e-8
+        assert built == []
+        binomial_pmf(0.5, 8)
+        assert built == [1]
 
     def test_underflowed_levels_keep_the_float_masses(self):
         p = binomial_pmf(0.01, 200)

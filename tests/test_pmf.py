@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernsum.feasibility import MeanVector
+from bernsum.indexing import _popcounts
 from bernsum.pmf import (PROB_TOL, JointPmf, SparseJointPmf, SumPmf, _fsum, _total, _validate_masses, as_number,
                          cross_moment, entropy, sum_map)
 from bernsum.polytope import exchangeable_pmf
+from bernsum.sampling import sample_Fd_uniform, sample_polytope_uniform
 
 from oracles import (fraction_as_number, fraction_total, fraction_validate_masses, naive_cross_moment,
                      naive_entropy, naive_sum_map)
@@ -392,6 +395,34 @@ class TestFloatCarrier:
         raw[0] = 0.5
         assert f.values[0] == 0.125
         assert raw.flags.writeable
+
+    @pytest.mark.parametrize("values", [[0.5, 0.5, 0.5, -0.5], [0.5, 0.25, 0.25, 0.25], [0.5, 0.5],
+                                        [0.25, 0.25, 0.25, 0.25 + 2e-12]])
+    def test_a_fresh_array_meets_the_public_checks(self, values):
+        with pytest.raises(ValueError) as public:
+            JointPmf(2, np.array(values))
+        with pytest.raises(ValueError) as fresh:
+            JointPmf._from_fresh(2, np.array(values))
+        assert str(fresh.value) == str(public.value)
+
+    def test_builders_hand_their_arrays_over(self):
+        # exchangeable_pmf and the two uniform samplers build an array for the
+        # carrier and keep no other reference: it is made read-only, not
+        # copied, so a d = 20 build of the first two holds one 8 MB array at
+        # its peak, not two (the block sampler also holds its largest block).
+        p = SumPmf([math.comb(20, k) / 2**20 for k in range(21)])
+        f = sample_polytope_uniform(SumPmf([0.25, 0.5, 0.25]), np.random.default_rng(5))
+        assert not f.values.flags.writeable and f.values.flags.owndata
+        _popcounts(20)
+        for build in (lambda: exchangeable_pmf(p), lambda: sample_Fd_uniform(20, np.random.default_rng(5))):
+            tracemalloc.start()
+            try:
+                f = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not f.values.flags.writeable and f.values.flags.owndata
+            assert 8 << 20 <= peak < 10 << 20
 
     def test_equal_and_hash_like_a_copy(self):
         f = random_joint(np.random.default_rng(19), 5)
