@@ -16,7 +16,6 @@ from .pmf import (
     sum_map,
 )
 from .polytope import (
-    ExtremalIndex,
     LabelMap,
     PolytopeDescriptor,
     convex_min_pmf,

@@ -71,9 +71,8 @@ def simplex_hausdorff(n: int, side_param: float) -> LogMeasure:
         return LogMeasure.one()
     if side_param == 0:
         return LogMeasure.zero()
-    exact_tiny = isinstance(side_param, Fraction) and side_param < _TINY  # its log as _level_logs takes it
-    log_side = (math.log(side_param.numerator) - math.log(side_param.denominator) if exact_tiny
-                else math.log(float(side_param)))
+    tiny = _level_logs([side_param], None)  # an exact side below 2^-1022, as polytope_measure takes it
+    log_side = tiny[0] if tiny else math.log(float(side_param))
     lv = n * log_side + 0.5 * math.log(n + 1) - math.lgamma(n + 1)
     return LogMeasure(lv)
 

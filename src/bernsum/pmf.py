@@ -71,7 +71,7 @@ def _total(masses: Iterable[Number]) -> Number:
     if not all(_is_exact(m) for m in masses):
         deciding = [m for m in masses if m] or masses
         if not all(_is_exact(m) for m in deciding):
-            return math.fsum(float(m) for m in deciding)
+            return math.fsum(deciding)
         masses = [m for m in masses if _is_exact(m)]
     if not any(isinstance(m, Fraction) for m in masses):
         return sum(masses)
@@ -252,10 +252,8 @@ class JointPmf:
         """An exact pmf whose 2^d ints and Fractions the caller has proved
         nonnegative and summing to exactly 1 (an LP basic solution, a
         witness); stored as the tuple _dense_masses would keep."""
-        d = _check_dimension(d)
         self = object.__new__(cls)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "values", tuple(values))
+        self._set(_check_dimension(d), tuple(values))
         return self
 
     def __eq__(self, other):

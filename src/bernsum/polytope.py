@@ -52,43 +52,22 @@ def describe(p: SumPmf) -> PolytopeDescriptor:
     )
 
 
-@dataclass(frozen=True)
-class ExtremalIndex:
-    """Vertex label: one 1-based slice position per level, frozen to 1 off-support."""
-
-    sigma: tuple[int, ...]
-
-    def __init__(self, sigma: Iterable[int]):
-        object.__setattr__(self, "sigma", tuple(_as_int(s, "sigma entry") for s in sigma))
-
-    @classmethod
-    def _of_ints(cls, sigma: tuple[int, ...]) -> "ExtremalIndex":
-        """A label whose entries are already ints (the odometer's own)."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "sigma", sigma)
-        return self
-
-    def validate(self, p: SumPmf) -> None:
-        d = p.d
-        if len(self.sigma) != d + 1:
-            raise ValueError(f"sigma needs d+1 = {d + 1} entries, got {len(self.sigma)}")
-        support = set(p.support)
-        for k, s in enumerate(self.sigma):
-            hi = math.comb(d, k)
-            if k in support:
-                if not 1 <= s <= hi:
-                    raise ValueError(f"sigma_{k}={s} out of range 1..{hi}")
-            elif s != 1:
-                raise ValueError(f"sigma_{k} must stay 1 on unsupported levels, got {s}")
-
-
-def extremal_by_index(p: SumPmf, sigma: ExtremalIndex | Sequence[int]) -> SparseJointPmf:
-    """Vertex pmf with mass p_k on the sigma_k-th weight-k vector."""
-    if not isinstance(sigma, ExtremalIndex):
-        sigma = ExtremalIndex(sigma)
-    sigma.validate(p)
+def extremal_by_index(p: SumPmf, sigma: Sequence[int]) -> SparseJointPmf:
+    """Vertex pmf with mass p_k on the sigma_k-th weight-k vector: sigma holds
+    d + 1 ints, one 1-based slice position per level, 1 off-support."""
+    sigma = [_as_int(s, "sigma entry") for s in sigma]
     d = p.d
-    atoms = [(level_element(d, k, sigma.sigma[k]), p.values[k]) for k in p.support]
+    if len(sigma) != d + 1:
+        raise ValueError(f"sigma needs d+1 = {d + 1} entries, got {len(sigma)}")
+    support = set(p.support)
+    for k, s in enumerate(sigma):
+        hi = math.comb(d, k)
+        if k in support:
+            if not 1 <= s <= hi:
+                raise ValueError(f"sigma_{k}={s} out of range 1..{hi}")
+        elif s != 1:
+            raise ValueError(f"sigma_{k} must stay 1 on unsupported levels, got {s}")
+    atoms = [(level_element(d, k, sigma[k]), p.values[k]) for k in p.support]
     return SparseJointPmf._with_validated_masses(d, atoms)
 
 
@@ -157,12 +136,13 @@ def extremal_enumerate(p: SumPmf, offset: int = 0) -> Iterator[SparseJointPmf]:
             yield SparseJointPmf._with_validated_masses(d, [*others, (e, mass)])
 
 
-def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[ExtremalIndex]:
-    """The sigma labels in the same order extremal_enumerate yields vertices."""
+def extremal_indices(p: SumPmf, offset: int = 0) -> Iterator[tuple[int, ...]]:
+    """The sigma labels, tuples of d + 1 ints, in the same order
+    extremal_enumerate yields vertices."""
     for f, sigma, _, run in _runs(p, offset):
         below, above = sigma[:f], sigma[f + 1:]
         for s, _ in run:
-            yield ExtremalIndex._of_ints((*below, s, *above))
+            yield (*below, s, *above)
 
 
 def membership(f: JointPmf | SparseJointPmf, p: SumPmf, tol: float = PROB_TOL) -> bool:

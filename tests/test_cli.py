@@ -126,7 +126,7 @@ class TestExtremals:
         want = []
         for sigma, vertex in itertools.islice(pairs, limit):
             atoms = [[i, mass_json(m)] for i, m in vertex.atoms]
-            record = {"sigma": list(sigma.sigma), "pmf": {"d": p.d, "atoms": atoms}}
+            record = {"sigma": list(sigma), "pmf": {"d": p.d, "atoms": atoms}}
             want.append(json.dumps(record) + "\n")
         assert out.getvalue() == "".join(want)
 

@@ -17,7 +17,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 FORBIDDEN = {"scipy", "hypothesis", "_hypothesis_pytestplugin", "pytest", "_pytest", "oracles", "mpmath", "sympy"}
 PUBLIC = [
-    "BasisLimitError", "EstimateReport", "ExtremalIndex", "InfeasibleError", "JointPmf",
+    "BasisLimitError", "EstimateReport", "InfeasibleError", "JointPmf",
     "LabelMap", "LogMeasure", "MeanVector", "NeighborhoodSpec", "PolytopeDescriptor",
     "RngStream", "SparseJointPmf", "SumPmf", "bin_vs_mode", "binomial_pmf",
     "constrained_moment_bounds", "constrained_vertices", "convex_min_pmf", "cross_moment",
@@ -33,7 +33,6 @@ PUBLIC = [
 ]
 FIELDS = {
     "EstimateReport": ["point_estimate", "std_error", "n_samples", "acceptance_rate"],
-    "ExtremalIndex": ["sigma"],
     "JointPmf": ["d", "values"],
     "LabelMap": ["d", "labels"],
     "LogMeasure": ["log_value"],
@@ -48,7 +47,6 @@ FIELDS = {
 ATTRIBUTES = {
     "BasisLimitError": [],
     "EstimateReport": [],
-    "ExtremalIndex": ["validate"],
     "InfeasibleError": [],
     "JointPmf": ["array", "atoms", "exact", "from_json_obj", "positive_masses", "to_json_obj",
                  "to_sparse"],

@@ -135,6 +135,20 @@ class TestSimplexHausdorff:
             with pytest.raises(ValueError, match="simplex dimension must be an integer"):
                 simplex_hausdorff(bad, 0.5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 60), num=st.integers(1, 10**6), den=st.integers(1, 10**6), shift=st.integers(990, 1060))
+    @example(n=1, num=1, den=1, shift=1022)
+    @example(n=60, num=1, den=1, shift=1023)
+    def test_exact_side_log_is_the_level_rule(self, n, num, den, shift):
+        # Sides from about 2^-1080 to 2^-970, so on both sides of 2^-1022.
+        side = Fraction(num, den << shift)
+        if side < 2.0**-1022:
+            lv = math.log(side.numerator) - math.log(side.denominator)
+        else:
+            lv = math.log(float(side))
+        want = n * lv + 0.5 * math.log(n + 1) - math.lgamma(n + 1)
+        assert simplex_hausdorff(n, side).log_value.hex() == want.hex()
+
 
 class TestPolytopeMeasure:
     def test_d2_segment(self):

@@ -12,7 +12,7 @@ from bernsum.feasibility import MeanVector
 from bernsum.indexing import _popcounts
 from bernsum.pmf import (PROB_TOL, JointPmf, SparseJointPmf, SumPmf, _fsum, _total, _validate_masses, as_number,
                          cross_moment, entropy, sum_map)
-from bernsum.polytope import exchangeable_pmf
+from bernsum.polytope import decompose, exchangeable_pmf, membership
 from bernsum.sampling import sample_Fd_uniform, sample_polytope_uniform
 
 from oracles import (fraction_as_number, fraction_total, fraction_validate_masses, naive_cross_moment,
@@ -477,6 +477,41 @@ class TestFloatCarrier:
         assert cross_moment(f, [2, 5]) == math.fsum(
             v for i, v in enumerate(f.values.tolist()) if i & 0b10010 == 0b10010
         )
+
+
+def bits(values) -> list[tuple[type, str]]:
+    """Each value's type and bits."""
+    return [(type(v), float(v).hex()) for v in values]
+
+
+@st.composite
+def float_sparse_pmfs(draw):
+    """A float SparseJointPmf at d <= 10 with up to 24 atoms, and a
+    nonempty coordinate subset."""
+    d = draw(st.integers(1, 10))
+    idx = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=24, unique=True))
+    raw = draw(st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=len(idx), max_size=len(idx)))
+    total = math.fsum(raw)
+    subset = draw(st.sets(st.integers(1, d), min_size=1))
+    return SparseJointPmf(d, [(i, w / total) for i, w in zip(idx, raw)]), subset
+
+
+class TestFloatSparseReads:
+    @settings(max_examples=200, deadline=None)
+    @given(case=float_sparse_pmfs())
+    def test_reads_match_the_dense_carrier(self, case):
+        f, subset = case
+        dense = f.to_dense()
+        assert not f.exact and not dense.exact
+        p = sum_map(f)
+        assert bits(p.values) == bits(sum_map(dense).values)
+        assert bits([cross_moment(f, subset)]) == bits([cross_moment(dense, subset)])
+        uniform = SumPmf([1 / (f.d + 1)] * (f.d + 1))
+        assert membership(f, p) is membership(dense, p) is True
+        assert membership(f, uniform) is membership(dense, uniform)
+        assert [bits(b) for b in decompose(f, p)] == [bits(b) for b in decompose(dense, p)]
+        # np.log and math.log may differ by an ulp.
+        assert math.isclose(entropy(f), entropy(dense), rel_tol=1e-15, abs_tol=0.0)
 
 
 def same_fsum(a: np.ndarray) -> None:

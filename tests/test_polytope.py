@@ -11,7 +11,6 @@ from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy,
 from bernsum import polytope
 from bernsum.polytope import (
     FLAT_WEIGHTS_MAX,
-    ExtremalIndex,
     LabelMap,
     convex_min_pmf,
     decompose,
@@ -72,14 +71,14 @@ class TestDescribe:
 
 class TestExtremalByIndex:
     def test_first_vertex_pattern(self):
-        v = extremal_by_index(B_HALF_3, ExtremalIndex((1, 1, 1, 1)))
+        v = extremal_by_index(B_HALF_3, (1, 1, 1, 1))
         assert as_atom_set(v) == frozenset(
             {(0, Fraction(1, 8)), (1, Fraction(3, 8)), (3, Fraction(3, 8)), (7, Fraction(1, 8))}
         )
 
     def test_partial_support_column(self):
         p = SumPmf([0, 0.8, 0.2, 0])
-        v = extremal_by_index(p, ExtremalIndex((1, 1, 1, 1)))
+        v = extremal_by_index(p, (1, 1, 1, 1))
         assert as_atom_set(v) == frozenset({(1, 0.8), (3, 0.2)})
 
     def test_sum_map_is_forced(self):
@@ -90,27 +89,38 @@ class TestExtremalByIndex:
             sigma = tuple(
                 int(rng.integers(1, sizes[k] + 1)) if p.values[k] > 0 else 1 for k in range(d + 1)
             )
-            v = extremal_by_index(p, ExtremalIndex(sigma))
+            v = extremal_by_index(p, sigma)
             assert sum_map(v).values == p.values
             assert len(v.atoms) == len(p.support)
 
     def test_out_of_range_sigma(self):
         with pytest.raises(ValueError, match="out of range"):
-            extremal_by_index(B_HALF_3, ExtremalIndex((1, 4, 1, 1)))
+            extremal_by_index(B_HALF_3, (1, 4, 1, 1))
         with pytest.raises(ValueError, match="unsupported"):
-            extremal_by_index(SumPmf([0, 0.8, 0.2, 0]), ExtremalIndex((2, 1, 1, 1)))
+            extremal_by_index(SumPmf([0, 0.8, 0.2, 0]), (2, 1, 1, 1))
 
 
     def test_sigma_entries_must_be_integers(self):
         for bad in (1.5, True):
             with pytest.raises(ValueError, match="sigma entry must be an integer"):
                 extremal_by_index(B_HALF_3, [1, bad, 1, 1])
-        assert ExtremalIndex(np.array([1, 2, 3, 1])).sigma == (1, 2, 3, 1)
+        assert extremal_by_index(B_HALF_3, np.array([1, 2, 3, 1])) == extremal_by_index(B_HALF_3, (1, 2, 3, 1))
+
+    def test_labels_are_int_tuples_it_accepts(self):
+        p10 = SumPmf([Fraction(k + 1, 66) for k in range(11)])
+        for p, offset in ((B_HALF_3, 0), (B_HALF_3, 8), (p10, 0), (p10, 123_456)):
+            labels = list(itertools.islice(extremal_indices(p, offset), 20))
+            assert labels
+            for label, vertex in zip(labels, extremal_enumerate(p, offset)):
+                assert type(label) is tuple and len(label) == p.d + 1
+                assert {type(s) for s in label} == {int}
+                assert extremal_by_index(p, label) == vertex
+                assert extremal_by_index(p, np.array(label)) == vertex
 
 
 class TestEnumerate:
     def test_colex_order_d3(self):
-        sigmas = [ix.sigma for ix in extremal_indices(B_HALF_3)]
+        sigmas = [ix for ix in extremal_indices(B_HALF_3)]
         expected = [(1, s1, s2, 1) for s2 in (1, 2, 3) for s1 in (1, 2, 3)]
         assert sigmas == expected
 
@@ -158,7 +168,7 @@ class TestEnumerate:
             for bad in (1.5, True):
                 with pytest.raises(ValueError, match="offset must be an integer"):
                     next(iter(stream(B_HALF_3, bad)))
-        assert list(extremal_indices(B_HALF_3, np.int64(8))) == [ExtremalIndex((1, 3, 3, 1))]
+        assert list(extremal_indices(B_HALF_3, np.int64(8))) == [(1, 3, 3, 1)]
 
     def test_point_mass_single_vertex(self):
         p = SumPmf([0, 0, 0, 1])
@@ -205,7 +215,7 @@ def run_length(p: SumPmf) -> int:
 
 def assert_window_in_colex_order(p: SumPmf, offset: int, limit: int) -> None:
     want = list(itertools.islice(colex_vertices(p.values), offset, offset + limit))
-    assert [ix.sigma for ix in itertools.islice(extremal_indices(p, offset), limit)] == [s for s, _ in want]
+    assert [ix for ix in itertools.islice(extremal_indices(p, offset), limit)] == [s for s, _ in want]
     assert [v.atoms for v in itertools.islice(extremal_enumerate(p, offset), limit)] == [a for _, a in want]
 
 
@@ -284,7 +294,7 @@ class TestMembership:
 
 class TestDecompose:
     def test_vertex_gives_indicator(self):
-        v = extremal_by_index(B_HALF_3, ExtremalIndex((1, 2, 3, 1))).to_dense()
+        v = extremal_by_index(B_HALF_3, (1, 2, 3, 1)).to_dense()
         blocks = decompose(v, B_HALF_3)
         assert blocks[0] == (Fraction(1),)
         assert blocks[1] == (0, Fraction(1), 0)
@@ -384,7 +394,7 @@ class TestFlatWeights:
         assert [repr(w) for w in got] == [repr(w) for w in want]
 
     def test_built_from_the_blocks_alone(self, monkeypatch):
-        for name in ("extremal_indices", "ExtremalIndex", "describe"):
+        for name in ("extremal_indices", "describe"):
             monkeypatch.setattr(polytope, name, None)
         p = SumPmf([Fraction(k + 1, 21) for k in range(6)])
         lams = flat_weights(p, decompose(exchangeable_pmf(p), p))
@@ -406,8 +416,8 @@ class TestFlatWeights:
         monkeypatch.setattr(polytope, "_as_int", lambda v, what: whats.append(what) or real(v, what))
         labels = list(extremal_indices(B_HALF_3, np.int64(2)))
         assert whats == ["offset"]
-        assert labels == [ExtremalIndex(s) for s, _ in itertools.islice(colex_vertices(B_HALF_3.values), 2, None)]
-        assert {type(s) for ix in labels for s in ix.sigma} == {int}
+        assert labels == [s for s, _ in itertools.islice(colex_vertices(B_HALF_3.values), 2, None)]
+        assert {type(s) for ix in labels for s in ix} == {int}
 
 
 class TestExchangeable:
