@@ -16,7 +16,6 @@ from .pmf import (
     sum_map,
 )
 from .polytope import (
-    LabelMap,
     PolytopeDescriptor,
     convex_min_pmf,
     decompose,
@@ -27,7 +26,6 @@ from .polytope import (
     extremal_enumerate,
     extremal_indices,
     flat_weights,
-    generalized_extremals,
     membership,
     moment_bounds,
 )

@@ -15,8 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -229,49 +228,6 @@ def entropy_bounds(p: SumPmf) -> tuple[float, float]:
     h = entropy(p)
     bonus = math.fsum(float(p.values[k]) * math.log(math.comb(d, k)) for k in p.support)
     return h, h + bonus
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """A surjective labeling of {0,1}^d by {0,...,d}, generalizing the sum map."""
-
-    d: int
-    labels: tuple[int, ...]
-
-    def __init__(self, d: int, labels: Iterable[int]):
-        d = _check_dimension(d)
-        labs = tuple(_as_int(y, "label") for y in labels)
-        if len(labs) != 1 << d:
-            raise ValueError(f"label map for d={d} needs 2^d = {1 << d} entries")
-        if any(not 0 <= y <= d for y in labs):
-            raise ValueError("labels must lie in {0, ..., d}")
-        if set(labs) != set(range(d + 1)):
-            raise ValueError("label map must be surjective onto {0, ..., d}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "labels", labs)
-
-    @classmethod
-    def popcount(cls, d: int) -> "LabelMap":
-        return cls(d, _popcounts(d).tolist())
-
-    @cached_property
-    def preimages(self) -> tuple[tuple[int, ...], ...]:
-        pre: list[list[int]] = [[] for _ in range(self.d + 1)]
-        for i, y in enumerate(self.labels):
-            pre[y].append(i)
-        return tuple(tuple(v) for v in pre)
-
-
-def generalized_extremals(h: LabelMap, p: SumPmf) -> Iterator[SparseJointPmf]:
-    """Vertices of the fiber of an arbitrary surjective label map."""
-    if h.d != p.d:
-        raise ValueError(f"dimension mismatch: label map d={h.d}, p has d={p.d}")
-    support = p.support
-    pre = h.preimages
-    # Colex, as extremal_enumerate: product() cycles its last factor fastest.
-    for c in itertools.product(*(pre[y] for y in reversed(support))):
-        atoms = [(i, p.values[y]) for i, y in zip(reversed(c), support)]
-        yield SparseJointPmf._with_validated_masses(p.d, atoms)
 
 
 def convex_min_pmf(d: int, mu: Number) -> SumPmf:

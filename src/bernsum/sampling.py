@@ -79,8 +79,13 @@ class NeighborhoodSpec:
             raise ValueError(f"metric must be 'sup' or 'tv', got {self.metric!r}")
         if not _not_bool(self.epsilon, "epsilon") > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not math.isfinite(self.epsilon):
+        try:
+            eps = float(self.epsilon)  # an exact epsilon is rounded once, here
+        except OverflowError:
+            eps = math.inf
+        if not math.isfinite(eps):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", eps)
 
     @property
     def d(self) -> int:
@@ -217,7 +222,7 @@ def hit_and_run(
             t_lo, t_hi = max(t_lo, min(a, b)), min(t_hi, max(a, b))
         if not (math.isfinite(t_lo) and math.isfinite(t_hi)) or t_hi < t_lo:
             return v
-        t = g.uniform(t_lo, t_hi)
+        t = g.uniform(t_lo, t_hi + 0.0)  # -0.0 + 0.0 is 0.0: numpy refuses a span of -0.0
         cand = np.clip(v + t * u, lo, hi)
         return cand if lo_d <= 1.0 - cand.sum() <= hi_d else v
 

@@ -18,14 +18,14 @@ SRC = TESTS.parent / "src"
 FORBIDDEN = {"scipy", "hypothesis", "_hypothesis_pytestplugin", "pytest", "_pytest", "oracles", "mpmath", "sympy"}
 PUBLIC = [
     "BasisLimitError", "EstimateReport", "InfeasibleError", "JointPmf",
-    "LabelMap", "LogMeasure", "MeanVector", "NeighborhoodSpec", "PolytopeDescriptor",
+    "LogMeasure", "MeanVector", "NeighborhoodSpec", "PolytopeDescriptor",
     "RngStream", "SparseJointPmf", "SumPmf", "bin_vs_mode", "binomial_pmf",
     "constrained_moment_bounds", "constrained_vertices", "convex_min_pmf", "cross_moment",
     "curve_argmax", "curve_log_measure", "decompose", "density_l", "describe",
     "dirichlet_pdf", "dist_sup", "dist_tv", "entropy", "entropy_bounds",
     "estimate_neighborhood_measure", "exchangeable_pmf",
     "extremal_by_index", "extremal_enumerate", "extremal_indices", "feasible_point",
-    "flat_weights", "generalized_extremals", "hit_and_run", "index_to_vector",
+    "flat_weights", "hit_and_run", "index_to_vector",
     "level_element", "level_rank", "level_weight", "maximal_pmf", "membership",
     "moment_bounds", "normalizing_constant", "poisson_binomial_pmf", "polytope_measure",
     "region_volume", "sample_Fd_uniform", "sample_dirichlet", "sample_polytope_uniform",
@@ -34,7 +34,6 @@ PUBLIC = [
 FIELDS = {
     "EstimateReport": ["point_estimate", "std_error", "n_samples", "acceptance_rate"],
     "JointPmf": ["d", "values"],
-    "LabelMap": ["d", "labels"],
     "LogMeasure": ["log_value"],
     "MeanVector": ["values"],
     "NeighborhoodSpec": ["center", "epsilon", "metric", "paper_region"],
@@ -50,7 +49,6 @@ ATTRIBUTES = {
     "InfeasibleError": [],
     "JointPmf": ["array", "atoms", "exact", "from_json_obj", "positive_masses", "to_json_obj",
                  "to_sparse"],
-    "LabelMap": ["popcount", "preimages"],
     "LogMeasure": ["is_zero", "log", "one", "value", "zero"],
     "MeanVector": ["d"],
     "NeighborhoodSpec": ["box", "d"],

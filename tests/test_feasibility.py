@@ -88,6 +88,10 @@ class TestNecessaryConditions:
         with pytest.raises(ValueError, match="mismatch"):
             feasible_point(B_HALF_3, [Fraction(1, 2)] * 4)
 
+    def test_empty_theta_refused(self):
+        with pytest.raises(ValueError, match="^mean vector needs at least one coordinate$"):
+            MeanVector([])
+
     def test_theta_range_guard(self):
         # theta meets SumPmf's scalar rule; inf and NaN fail the range check
         # before a Fraction is built.

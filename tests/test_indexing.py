@@ -144,6 +144,11 @@ def test_index_helpers_refuse_bools_and_floats(call):
         BOOL_OR_FLOAT_CALLS[call]()
 
 
+def test_vector_entries_must_be_bits():
+    with pytest.raises(ValueError, match="^binary vector entries must be 0 or 1, got 2$"):
+        vector_to_index([0, 2])
+
+
 @given(st.integers(min_value=1, max_value=16), st.data())
 @settings(max_examples=200)
 def test_round_trip_random(d, data):

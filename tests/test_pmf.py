@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -352,6 +353,23 @@ class TestJson:
     def test_joint_round_trip(self):
         f = JointPmf(2, [0.25, 0.25, 0.25, 0.25])
         assert JointPmf.from_json_obj(json.loads(json.dumps(f.to_json_obj()))) == f
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SumPmf([1]), "SumPmf needs at least d+1 = 2 entries"),
+        (lambda: SumPmf.from_json_obj({"values": [0.5, 0.5]}), "SumPmf JSON form is an array of numbers"),
+        (lambda: JointPmf.from_json_obj([0.5, 0.5]), 'JointPmf JSON form is {"d": ..., "values": [...]}'),
+        (lambda: JointPmf.from_json_obj({"values": [0.5, 0.5]}), 'JointPmf JSON form is {"d": ..., "values": [...]}'),
+        (lambda: SparseJointPmf.from_json_obj({"d": 1, "values": [0.5, 0.5]}),
+         'SparseJointPmf JSON form is {"d": ..., "atoms": [[i, m], ...]}'),
+        (lambda: SparseJointPmf.from_json_obj([[0, 1]]), 'SparseJointPmf JSON form is {"d": ..., "atoms": [[i, m], ...]}'),
+    ])
+    def test_malformed_forms_are_named(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_joint_is_never_equal_to_another_type(self):
+        assert (UNIFORM_3 == "x") is False
+        assert (UNIFORM_3 != "x") is True
 
     def test_sparse_round_trip(self):
         obj = REF_VERTEX.to_json_obj()

@@ -11,7 +11,6 @@ from bernsum.pmf import JointPmf, SparseJointPmf, SumPmf, cross_moment, entropy,
 from bernsum import polytope
 from bernsum.polytope import (
     FLAT_WEIGHTS_MAX,
-    LabelMap,
     convex_min_pmf,
     decompose,
     describe,
@@ -21,12 +20,11 @@ from bernsum.polytope import (
     extremal_enumerate,
     extremal_indices,
     flat_weights,
-    generalized_extremals,
     membership,
     moment_bounds,
 )
 
-from oracles import brute_vertices, brute_vertices_labeled, colex_vertices, label_walk_flat_weights, level_slices
+from oracles import brute_vertices, colex_vertices, label_walk_flat_weights, level_slices
 
 B_HALF_3 = SumPmf([Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)])
 
@@ -92,6 +90,10 @@ class TestExtremalByIndex:
             v = extremal_by_index(p, sigma)
             assert sum_map(v).values == p.values
             assert len(v.atoms) == len(p.support)
+
+    def test_sigma_length_is_named(self):
+        with pytest.raises(ValueError, match=r"^sigma needs d\+1 = 4 entries, got 3$"):
+            extremal_by_index(B_HALF_3, (1, 1, 1))
 
     def test_out_of_range_sigma(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -509,43 +511,6 @@ class TestEntropyBounds:
                     dense[idx] += weight * float(mass)
             h = entropy(JointPmf(3, tuple(dense)))
             assert lo - 1e-12 <= h <= hi + 1e-12
-
-
-class TestGeneralizedExtremals:
-    def test_popcount_map_reproduces_enumeration(self):
-        rng = np.random.default_rng(53)
-        for d in (2, 3, 4):
-            p = exact_random_pmf(rng, d)
-            h = LabelMap.popcount(d)
-            got = [as_atom_set(v) for v in generalized_extremals(h, p)]
-            want = [as_atom_set(v) for v in extremal_enumerate(p)]
-            assert got == want
-
-    def test_relabeling_d2(self):
-        h = LabelMap(2, (0, 1, 2, 1))
-        p = SumPmf([0.2, 0.5, 0.3])
-        got = [as_atom_set(v) for v in generalized_extremals(h, p)]
-        assert got == [
-            frozenset({(0, 0.2), (1, 0.5), (2, 0.3)}),
-            frozenset({(0, 0.2), (3, 0.5), (2, 0.3)}),
-        ]
-        labeled = brute_vertices_labeled((0, 1, 2, 1), (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)))
-        assert len(labeled) == 2
-
-    def test_labels_must_be_integers(self):
-        for bad in (1.5, True):
-            with pytest.raises(ValueError, match="label must be an integer"):
-                LabelMap(1, [0, bad])
-
-    def test_non_surjective_rejected(self):
-        with pytest.raises(ValueError, match="surjective"):
-            LabelMap(2, (0, 1, 1, 1))
-
-    def test_vertex_count_product_of_fibers(self):
-        h = LabelMap(3, (0, 1, 1, 2, 1, 2, 3, 2))
-        p = SumPmf([Fraction(1, 4)] * 4)
-        count = sum(1 for _ in generalized_extremals(h, p))
-        assert count == 1 * 3 * 3 * 1
 
 
 class TestConvexMinPmf:

@@ -1,5 +1,7 @@
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +41,22 @@ from oracles import (
 B_HALF_3 = SumPmf([0.125, 0.375, 0.375, 0.125])
 P_D2 = SumPmf([0.25, 0.5, 0.25])
 P_TINY_LAST = SumPmf([1e-10, 1e-10, 1 - 2e-10])
+
+
+class FixedDirections(np.random.Generator):
+    """A PCG64 Generator whose standard_normal always returns one direction."""
+
+    def __init__(self, direction):
+        super().__init__(np.random.PCG64(1))
+        self.direction = np.asarray(direction, dtype=float)
+
+    def standard_normal(self, size=None):
+        return self.direction.copy()
+
+
+def in_sup_windows(spec: NeighborhoodSpec, q: SumPmf) -> bool:
+    lo, hi = spec.box()
+    return bool(np.all((lo <= q.array) & (q.array <= hi)))
 
 
 def batch_se(samples: np.ndarray, batches: int = 50) -> float:
@@ -97,6 +115,14 @@ class TestUniformSimplex:
         with pytest.raises(ValueError, match="dense operations are limited to d <= 20"):
             sample_Fd_uniform(21, g)
         assert g.bit_generator.state == state
+
+    @pytest.mark.parametrize("n, rng, error, message", [
+        (3, "x", TypeError, "rng must be an RngStream or numpy Generator, got <class 'str'>"),
+        (-1, RngStream(1), ValueError, "simplex dimension must be >= 0, got -1"),
+    ])
+    def test_refusals_are_named(self, n, rng, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            sample_uniform_simplex(n, rng)
 
     def test_coordinates_sum_to_one(self):
         g = RngStream(3).generator()
@@ -343,10 +369,44 @@ class TestHitAndRun:
         ({"burn_in": True}, "burn_in must be an integer, got True"),
         ({"thin": True}, "thin must be an integer, got True"),
         ({"thin": 2.0}, "thin must be an integer, got 2.0"),
+        ({"thin": 0}, "burn_in must be >= 0 and thin >= 1"),
     ])
     def test_counts_meet_the_integer_rule(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             next(hit_and_run(NeighborhoodSpec(P_D2, 0.1), rng=RngStream(1), **kwargs))
+
+    def test_negative_burn_in_refused_at_the_first_draw(self):
+        # hit_and_run is a generator: its checks run at the first next().
+        chain = hit_and_run(NeighborhoodSpec(P_D2, 0.1), -1, 10, RngStream(1))
+        with pytest.raises(ValueError, match="^burn_in must be >= 0 and thin >= 1$"):
+            next(chain)
+
+    def test_zero_direction_keeps_the_start(self):
+        spec = NeighborhoodSpec(P_D2, 0.1)
+        with np.errstate(all="raise"):  # the zero vector is never normalized
+            states = list(itertools.islice(hit_and_run(spec, 5, 1, FixedDirections([0.0, 0.0])), 10))
+        start = np.clip(0.95 * P_D2.array[:-1] + 0.05 / 3, *(w[:-1] for w in spec.box()))
+        assert all(q.values[:-1] == tuple(start.tolist()) for q in states)
+        assert in_sup_windows(spec, states[0])
+
+    def test_direction_with_zero_sum_skips_the_last_window(self):
+        # u = (1, -1)/sqrt(2) leaves sum(x) alone, so row d gives no chord
+        # bounds; rows 0 and 1 alone bound the jump.
+        spec = NeighborhoodSpec(P_D2, 0.1)
+        states = list(itertools.islice(hit_and_run(spec, 0, 1, FixedDirections([1.0, -1.0])), 200))
+        assert len({q.values for q in states}) == 200
+        assert all(in_sup_windows(spec, q) for q in states)
+        assert all(abs(q.values[2] - states[0].values[2]) <= 1e-15 for q in states)
+
+    @pytest.mark.parametrize("p", [[0, 0.5, 0.5], [0.5, 0, 0.5]])
+    def test_chain_pinned_at_a_corner_keeps_going(self, p):
+        # At epsilon = 1e-16 states land on the window ends, where the chord
+        # can be the single point t = 0 with t_hi = -0.0: a span numpy's
+        # uniform refuses as negative.
+        spec = NeighborhoodSpec(SumPmf(p), 1e-16)
+        for seed in range(12):
+            states = list(itertools.islice(hit_and_run(spec, 0, 1, RngStream(seed)), 200))
+            assert all(in_sup_windows(spec, q) for q in states)
 
     def test_states_hold_python_floats(self):
         chain = hit_and_run(NeighborhoodSpec(B_HALF_3, 0.1), burn_in=5, thin=1, rng=RngStream(3))
@@ -496,12 +556,25 @@ class TestNeighborhoodMeasure:
 
     @pytest.mark.parametrize("eps, message", [
         (math.inf, "epsilon must be finite, got inf"),
+        pytest.param(10**400, f"epsilon must be finite, got {10**400}", id="10**400"),
+        pytest.param(Decimal("1e400"), r"epsilon must be finite, got 1E\+400", id="Decimal(1e400)"),
         (math.nan, "epsilon must be positive, got nan"),
         (-0.1, "epsilon must be positive, got -0.1"),
     ])
     def test_spec_radius_is_positive_and_finite(self, eps, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NeighborhoodSpec(P_D2, eps)
+
+    @pytest.mark.parametrize("fn, metric", [
+        (estimate_neighborhood_measure, "sup"),
+        (estimate_neighborhood_measure, "tv"),
+        (region_volume, "sup"),  # region_volume takes the sup metric only
+    ])
+    def test_exact_radius_is_rounded_once(self, fn, metric):
+        specs = [NeighborhoodSpec(P_D2, eps, metric) for eps in (Fraction(1, 10), Decimal("0.1"), 0.1)]
+        assert all(type(s.epsilon) is float and s.epsilon == 0.1 for s in specs)
+        reports = [fn(s, 4000, RngStream(7)) for s in specs]
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("eps", [True, np.True_])
     def test_bool_radius_refused(self, eps):
