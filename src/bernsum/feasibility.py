@@ -40,9 +40,10 @@ pivot is Bareiss's fraction-free update (Bareiss 1968), whose divisions are
 exact.  _pivot is given the entering column: the walk and phase 1 read it
 off the tableau, the master prices it from B^-1 and never stores it.  On a
 negative entry the pivot row is negated first, so D stays positive, and
-each other row is rebuilt once.  Signs and ratio tests read the numerators
-directly, ratios compare by cross-multiplication, and a Fraction is built
-only for each new vertex.
+each other row is rebuilt once, or only rescaled when its entry is 0.
+Signs and ratio tests read the numerators directly, ratios compare by
+cross-multiplication, and vertices sort on integers before any Fraction
+is built.
 
 A cross moment E[prod_{i in S} X_i] is linear on the fiber, so each of its
 bounds is one LP optimum, found by column generation (Dantzig & Wolfe 1960;
@@ -137,8 +138,10 @@ def _pivot(T, D, row, u):
     u[row] < 0, so D stays positive and the entries keep the rational
     tableau's signs; then each other row i becomes (T[i] * pv - u[i] *
     T[row]) / D (Bareiss 1968).  Sylvester's identity makes every division
-    exact, so floor division loses nothing.  Rows are rebound, never
-    mutated, so a shallow copy of T leaves the original tableau intact.
+    exact, so floor division loses nothing.  A row with u[i] = 0 is only
+    rescaled by pv / D, and kept as it is when pv == D.  Rows are rebound,
+    never mutated, so a shallow copy of T leaves the original tableau
+    intact, and may share its kept rows with it.
     """
     pv = u[row]
     if pv < 0:
@@ -146,8 +149,10 @@ def _pivot(T, D, row, u):
         pv = -pv
     prow = T[row]
     for i, (ti, f) in enumerate(zip(T, u)):
-        if i != row:
+        if i != row and f:
             T[i] = [(a * pv - f * b) // D for a, b in zip(ti, prow)]
+        elif i != row and pv != D:
+            T[i] = [a * pv // D for a in ti]
     return pv
 
 
@@ -161,8 +166,10 @@ def _enumerate_bases(T0, D0, basis0, scale, columns, d, max_bases=None):
     columns[j], of mass T[i][-1] / (D * scale) when basic in row i.  Bases
     are bitmasks of their columns and vertices are keyed by their supports:
     a basic feasible solution is the only feasible point with its support.
-    A vertex is >= 0 and, as _exact_p sums to exactly 1, so do its level
-    rows: nothing is left to validate.
+    A vertex is kept as its numerators over D and sorted on them scaled to
+    the lcm L of every D; its Fractions are built in that order.  A vertex
+    is >= 0 and, as _exact_p sums to exactly 1, so do its level rows:
+    nothing is left to validate.
     """
     r = len(T0)
     n = len(T0[0]) - 1
@@ -187,34 +194,35 @@ def _enumerate_bases(T0, D0, basis0, scale, columns, d, max_bases=None):
         xB = [ti[-1] for ti in T]
         support = sum(1 << b for b, v in zip(basis, xB) if v)
         if support not in solutions:
-            x = [_ZERO] * (1 << d)
+            x = [0] * (1 << d)
             for b, v in zip(basis, xB):
-                x[columns[b]] = Fraction(v, D * scale)
-            solutions[support] = x
+                x[columns[b]] = v
+            solutions[support] = x, D
         mask = sum(1 << b for b in basis)
         rows = sorted(range(r), key=basis.__getitem__)
-        for j in range(n):
+        for j, u in zip(range(n), zip(*T)):
             if mask >> j & 1:
                 continue
             # Min-ratio rule with D > 0 and positive pivot entries, compared
             # by cross-multiplication; a row with xB[i] == 0 swaps at step 0
             # whatever the sign of its pivot entry, leaving x unchanged.
             best = None
-            for k in range(r):
-                t = T[k][j]
-                if t > 0 and (best is None or xB[k] * T[best][j] < xB[best] * t):
+            for k, t in enumerate(u):
+                if t > 0 and (best is None or xB[k] * u[best] < xB[best] * t):
                     best = k
             for i in rows:
-                t = T[i][j]
+                t = u[i]
                 if t == 0:
                     continue
-                if xB[i] and not (t > 0 and xB[i] * T[best][j] == xB[best] * t):
+                if xB[i] and not (t > 0 and xB[i] * u[best] == xB[best] * t):
                     continue
                 nb = mask ^ 1 << basis[i] | 1 << j
                 if nb not in seen:
                     seen.add(nb)
                     queue.append((basis, T, D, (i, j)))
-    return [JointPmf._with_validated_masses(d, x) for x in sorted(solutions.values())]
+    L = math.lcm(*(D for _, D in solutions.values()))
+    return [JointPmf._with_validated_masses(d, [Fraction(a, D * scale) if a else _ZERO for a in x])
+            for x, D in sorted(solutions.values(), key=lambda xD: [a * (L // xD[1]) for a in xD[0]])]
 
 
 def _solve(p: SumPmf, theta: MeanVector):
@@ -365,7 +373,7 @@ def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list
 
     The enumeration is exhaustive over feasible bases, so its cost is the
     combinatorics of the instance, not just d: a generic d=5 fiber has tens
-    of thousands of vertices (50,844 in 8.7 s on one Xeon core), and
+    of thousands of vertices (50,844 in 6.1 s on one Xeon core), and
     degenerate ones (symmetric p with exchangeable theta) can have far more
     bases.  Pass max_bases >= 1 to fail fast with BasisLimitError instead
     of running to completion.

@@ -67,11 +67,13 @@ def as_number(v) -> Number:
 def _total(masses: Iterable[Number]) -> Number:
     """Exact sum when every nonzero mass is an int or Fraction, else the
     correctly rounded float sum; zeros decide only when every mass is zero."""
-    masses = list(masses)
-    if not all(_is_exact(m) for m in masses):
-        deciding = [m for m in masses if m] or masses
-        if not all(_is_exact(m) for m in deciding):
-            return math.fsum(deciding)
+    if not isinstance(masses, (list, tuple)):
+        masses = list(masses)
+    if not all(map(_is_exact, masses)):
+        # A zero adds nothing to fsum's correctly rounded sum, so float input
+        # is summed whole, after a scan that stops at its first nonzero float.
+        if not all(map(_is_exact, filter(None, masses))) or not any(masses):
+            return math.fsum(masses)
         masses = [m for m in masses if _is_exact(m)]
     if not any(isinstance(m, Fraction) for m in masses):
         return sum(masses)

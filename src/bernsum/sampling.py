@@ -18,6 +18,7 @@ decided by numpy's row sums instead, so every decision is the row-wise one.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -63,6 +64,16 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _shown(v) -> str:
+    """str(v) for a message; a number whose digits pass Python's int-to-str
+    limit (10**5000, say) is named by its sign and type instead."""
+    try:
+        return str(v)
+    except ValueError:
+        sign = "negative " if v < 0 else ""
+        return f"{sign}{type(v).__name__} of more than {sys.get_int_max_str_digits()} digits"
+
+
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     """A metric ball around a sum pmf: center, radius, and which distance."""
@@ -78,13 +89,13 @@ class NeighborhoodSpec:
         if self.metric not in ("sup", "tv"):
             raise ValueError(f"metric must be 'sup' or 'tv', got {self.metric!r}")
         if not _not_bool(self.epsilon, "epsilon") > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ValueError(f"epsilon must be positive, got {_shown(self.epsilon)}")
         try:
             eps = float(self.epsilon)  # an exact epsilon is rounded once, here
         except OverflowError:
             eps = math.inf
         if not math.isfinite(eps):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+            raise ValueError(f"epsilon must be finite, got {_shown(self.epsilon)}")
         object.__setattr__(self, "epsilon", eps)
 
     @property

@@ -2,11 +2,12 @@
 
 Everything here recomputes results from definitions: exhaustive basis
 enumeration for vertex sets, a breadth-first feasible-basis walk on a
-Fraction tableau, tensor Gauss-Legendre quadrature for integrals, naive
-sums for moments and entropy, the vertex order as a product of level slices,
-flat weights by walking its labels, the box estimator's row-by-row chunk
-test, the binomial curve's fiber measure step by step, and mass parsing and
-summing on Fraction objects.  Nothing imports from the package under test,
+Fraction tableau, Bareiss's pivot in one formula over every row, tensor
+Gauss-Legendre quadrature for integrals, naive sums for moments and
+entropy, the vertex order as a product of level slices, flat weights by
+walking its labels, the box estimator's row-by-row chunk test, the binomial
+curve's fiber measure step by step, and mass parsing and summing on
+Fraction objects.  Nothing imports from the package under test,
 so agreement is evidence rather than tautology; results are plain dicts,
 lists and Fractions.
 """
@@ -221,6 +222,16 @@ def _fraction_pivot(T, row, col):
         f = ti[col]
         if i != row and f != 0:
             T[i] = [a - f * b for a, b in zip(ti, prow)]
+
+
+def bareiss_pivot(T, D, row, u):
+    """Bareiss's fraction-free pivot in one formula over every row: the
+    new tableau, a fresh list of fresh rows, and the new denominator.  The
+    pivot row is negated first when u[row] < 0."""
+    pv, sign = abs(u[row]), (1 if u[row] > 0 else -1)
+    prow = [sign * a for a in T[row]]
+    return [prow if i == row else [(a * pv - f * b) // D for a, b in zip(t, prow)]
+            for i, (t, f) in enumerate(zip(T, u))], pv
 
 
 def _fraction_phase1(rows, rhs):

@@ -22,6 +22,7 @@ from bernsum.polytope import exchangeable_pmf, extremal_enumerate, membership
 from oracles import (
     ReferenceBasisLimit,
     _fraction_pivot,
+    bareiss_pivot,
     brute_constrained_vertices,
     constraint_system,
     exact_levels_and_means,
@@ -301,6 +302,70 @@ def test_pivot_chain_matches_fraction_pivots(data):
         assert D > 0
         assert [[Fraction(a, D) for a in t] for t in T] == ref
     assert negative
+
+
+@st.composite
+def bareiss_states(draw):
+    """(T, D, row, col): an integer tableau over D reached from D = 1 by
+    one-formula Bareiss pivots, so the next pivot's divisions are exact, and
+    a nonzero entry to pivot on: one equal to D in size, a negative one, or
+    any.  Zeros are drawn often, so entering columns hold zero entries."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    T = draw(st.lists(st.lists(st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3]), min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    D = 1
+    for _ in range(draw(st.integers(0, 4)) + 1):
+        entries = [(i, j) for i in range(rows) for j in range(cols) if T[i][j]]
+        assume(entries)
+        kind = draw(st.sampled_from(["pv == D", "negative", "any"]))
+        picks = [(i, j) for i, j in entries
+                 if kind == "any" or (abs(T[i][j]) == D if kind == "pv == D" else T[i][j] < 0)]
+        row, col = draw(st.sampled_from(picks or entries))
+        state = T, D, row, col
+        T, D = bareiss_pivot(T, D, row, [t[col] for t in T])
+    return state
+
+
+@given(bareiss_states())
+# A zero entry kept as it is (pv == D = 1), a negative pivot rescaling a row
+# with a zero entry, and pv == D = 2 after one pivot.
+@example(([[1, 2, 3], [0, 5, 7], [4, 0, 1]], 1, 0, 0))
+@example(([[-2, 1, 3], [0, 5, 7], [1, 1, 1]], 1, 0, 0))
+@example(([[2, 1, 0], [0, 5, 2]], 2, 1, 2))
+@settings(max_examples=300, deadline=None)
+def test_pivot_matches_the_one_formula_pivot(state):
+    # A row skipped or only rescaled must equal Bareiss's formula with f = 0,
+    # and pivoting a shallow copy must leave every row of the original as it was.
+    T, D, row, col = state
+    u = [t[col] for t in T]
+    before = [list(t) for t in T]
+    child = list(T)
+    assert (child, _pivot(child, D, row, u)) == bareiss_pivot(T, D, row, u)
+    assert T == before
+
+
+@st.composite
+def joints_in_64ths(draw):
+    """(p, theta) of a joint pmf on {0,1}^d, d <= 4, whose 64ths are dealt
+    to the atoms by one multinomial draw, every atom equally likely."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    f = [Fraction(int(w), 64) for w in rng.multinomial(64, np.full(1 << d, 1.0 / (1 << d)))]
+    p = [sum((m for idx, m in enumerate(f) if idx.bit_count() == k), Fraction(0)) for k in range(d + 1)]
+    theta = [sum((m for idx, m in enumerate(f) if idx >> j & 1), Fraction(0)) for j in range(d)]
+    return p, theta
+
+
+@given(joints_in_64ths())
+@settings(max_examples=40, deadline=None)
+def test_vertices_come_in_sorted_order(instance):
+    # The walk sorts on integer numerators scaled to one denominator; the
+    # order must be that of the vertices' Fraction masses.
+    p, theta = instance
+    got = [v.values for v in constrained_vertices(SumPmf(p), theta)]
+    assert got  # theta came from a member of the fiber
+    assert all(type(m) is Fraction for v in got for m in v)
+    assert got == sorted(got)
 
 
 class TestConstrainedVertices:

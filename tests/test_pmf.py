@@ -246,7 +246,8 @@ class TestExactMasses:
 
     @settings(max_examples=300, deadline=None)
     @given(masses=st.lists(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=50),
-                                     st.sampled_from([0.0, 0.5, -0.0])), max_size=8))
+                                     st.sampled_from([0.0, 0.5, -0.0]), st.floats(-1e300, 1e300),
+                                     st.sampled_from([math.nan, math.inf, -math.inf])), max_size=8))
     def test_total_keeps_value_and_type(self, masses):
         # An all-int list still sums to an int, and a Fraction to a Fraction
         # even when it is integral; a nonzero float makes the sum a float.

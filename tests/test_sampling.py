@@ -558,6 +558,11 @@ class TestNeighborhoodMeasure:
         (math.inf, "epsilon must be finite, got inf"),
         pytest.param(10**400, f"epsilon must be finite, got {10**400}", id="10**400"),
         pytest.param(Decimal("1e400"), r"epsilon must be finite, got 1E\+400", id="Decimal(1e400)"),
+        pytest.param(10**5000, "epsilon must be finite, got int of more than 4300 digits", id="10**5000"),
+        pytest.param(Fraction(10**5000, 3), "epsilon must be finite, got Fraction of more than 4300 digits",
+                     id="Fraction(10**5000, 3)"),
+        pytest.param(-10**5000, "epsilon must be positive, got negative int of more than 4300 digits",
+                     id="-10**5000"),
         (math.nan, "epsilon must be positive, got nan"),
         (-0.1, "epsilon must be positive, got -0.1"),
     ])
