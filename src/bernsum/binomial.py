@@ -26,6 +26,7 @@ from .measure import _TINY, LogMeasure, _blocks, _fiber_log
 from .pmf import Number, SumPmf, _is_exact, _not_bool, _total
 
 _BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
+_FLOAT_COMB_DMAX = 1029  # every C(d, k) is a finite float up to d = 1029
 _ARGMAX_TOL = 1e-10
 
 
@@ -37,13 +38,12 @@ def _binomial_masses(theta: Number, d: int) -> tuple[list[Number], dict[int, flo
     if not 0 <= _not_bool(theta, "theta") <= 1:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
     t = Fraction(theta) if _is_exact(theta) else float(theta)
-    u, combs = 1 - t, [1, *[row[3] for row in _blocks(d)[0]], 1]  # C(d, k), from the per-d table
-    try:
-        values = [c * t**k * u ** (d - k) for k, c in enumerate(combs)]
-    except OverflowError:
+    # Refused before the per-d table is built, whose cost grows as about d^3.
+    if isinstance(t, float) and d > _FLOAT_COMB_DMAX:
         raise ValueError(
-            f"a float theta needs every C(d, k) to be a finite float; at d = {d} one overflows"
-        ) from None
+            f"a float theta needs every C(d, k) to be a finite float; at d = {d} one overflows")
+    u, combs = 1 - t, [1, *[row[3] for row in _blocks(d)[0]], 1]  # C(d, k), from the per-d table
+    values = [c * t**k * u ** (d - k) for k, c in enumerate(combs)]
     total = _total(values)
     masses = [v / total for v in values]
     if not (isinstance(t, float) and 0 < t < 1 and min(t**d, u**d, *masses) < _TINY):
@@ -101,7 +101,7 @@ def curve_log_measure(theta: Number, d: int) -> LogMeasure:
 def curve_argmax(d: int) -> float:
     """Numeric argmax of the curve measure: golden section on (0, 1), which
     needs no scan, as the curve log-measure is strictly log-concave."""
-    if d < 2:
+    if (d := _check_dimension(d, dense=False)) < 2:
         raise ValueError("the curve measure is constant for d < 2; argmax undefined")
 
     def score(t: float) -> float:

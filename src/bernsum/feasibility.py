@@ -19,18 +19,19 @@ realizes each z_k with at most d atoms.  Those atoms, at most d per
 supported level and never 2^d, are the witness; feasible_point spreads them
 into a dense pmf.
 
-The LP has one row per supported level and one per mean with
+That test is the only emptiness verdict, and the LP runs only where it
+holds.  The LP has one row per supported level and one per mean with
 0 < theta_i < 1, and _Master alone builds them.  Vertex enumeration runs
 phase 1 with Bland's rule (no cycling) on the explicit tableau of the live
-atoms, then walks the graph of feasible bases, where two bases are adjacent
-when they differ by one column swap that preserves feasibility.  For
-bounded polytopes that graph is connected, so a breadth-first walk from any
-feasible basis reaches every basic feasible solution; distinct solution
-vectors are the vertices.  Each edge costs one pivot on the parent's
-tableau, and _pivot is the only routine that changes a tableau.  Column j
-may enter on row i when x_i / a_ij is the minimum ratio over the rows with
-a_ij > 0, or when x_i = 0 and a_ij != 0 of either sign: such a degenerate
-swap changes the basis but not the vertex.
+atoms, only to find a start, then walks the graph of feasible bases, where
+two bases are adjacent when they differ by one column swap that preserves
+feasibility.  For bounded polytopes that graph is connected, so a
+breadth-first walk from any feasible basis reaches every basic feasible
+solution; distinct solution vectors are the vertices.  Each edge costs one
+pivot on the parent's tableau, and _pivot is the only routine that changes
+a tableau.  Column j may enter on row i when x_i / a_ij is the minimum
+ratio over the rows with a_ij > 0, or when x_i = 0 and a_ij != 0 of either
+sign: such a degenerate swap changes the basis but not the vertex.
 
 The LP runs on integers.  The rows are 0/1 and the right-hand side is
 scaled by the lcm of its denominators, so the starting tableau is integral
@@ -69,7 +70,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import ClassVar, Optional, Sequence
 
-from .indexing import _check_dimension
+from .indexing import _as_int, _check_dimension
 from .pmf import PROB_TOL, JointPmf, Number, SumPmf, _subset_mask, as_number
 
 VERTEX_D_MAX = 5
@@ -113,18 +114,14 @@ class MeanVector:
         return len(self.values)
 
 
-def _coerce_theta(theta, d: int) -> MeanVector:
+def _entry(p: SumPmf, theta, max_bases=None) -> MeanVector:
+    """The slice calls' entry check: max_bases, if given, an integer >= 1; theta of p's d."""
+    if max_bases is not None and _as_int(max_bases, "max_bases") < 1:
+        raise ValueError("max_bases must be >= 1")
     theta = theta if isinstance(theta, MeanVector) else MeanVector(theta)
-    if theta.d != d:
-        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={d}")
+    if theta.d != p.d:
+        raise ValueError(f"dimension mismatch: theta has d={theta.d}, p has d={p.d}")
     return theta
-
-
-def _exact_p(p: SumPmf) -> tuple[Fraction, ...]:
-    vals = tuple(Fraction(v) for v in p.values)  # floats: their exact binary fractions
-    total = sum(vals)
-    # Floats that merely approximate a pmf get renormalized exactly.
-    return vals if total == 1 else tuple(v / total for v in vals)
 
 
 def _pivot(T, D, row, u):
@@ -168,8 +165,8 @@ def _enumerate_bases(T0, D0, basis0, scale, columns, d, max_bases=None):
     a basic feasible solution is the only feasible point with its support.
     A vertex is kept as its numerators over D and sorted on them scaled to
     the lcm L of every D; its Fractions are built in that order.  A vertex
-    is >= 0 and, as _exact_p sums to exactly 1, so do its level rows:
-    nothing is left to validate.
+    is >= 0 and, as _majorization's masses sum to exactly 1, so do its
+    level rows: nothing is left to validate.
     """
     r = len(T0)
     n = len(T0[0]) - 1
@@ -225,8 +222,10 @@ def _enumerate_bases(T0, D0, basis0, scale, columns, d, max_bases=None):
             for x, D in sorted(solutions.values(), key=lambda xD: [a * (L // xD[1]) for a in xD[0]])]
 
 
-def _solve(p: SumPmf, theta: MeanVector):
-    """The vertex walk's start: Bland's phase 1 on the tableau the walk reads.
+def _solve(pvals: Sequence[Fraction], theta: MeanVector):
+    """The vertex walk's start: Bland's phase 1 on the tableau the walk reads,
+    on the exact masses pvals of a slice that _majorization found nonempty,
+    so the artificials' sum always reaches 0: phase 1 decides nothing.
 
     The rows, right-hand side and scale are _Master's; the columns are the
     live atoms in increasing order: a supported level, no bit where
@@ -238,12 +237,11 @@ def _solve(p: SumPmf, theta: MeanVector):
     basic at 0 is pivoted out on the lowest column with a nonzero entry in
     its row; with none, its row is redundant and dropped, and the rows kept
     stay over the D of their basis.  Returns (columns, (T, D, basis, scale)),
-    T the tableau [B^-1 R | x_B] over D for _enumerate_bases; None when the
-    artificials' sum stays above 0.
+    T the tableau [B^-1 R | x_B] over D for _enumerate_bases.
     """
-    master = _Master(_exact_p(p), theta, 0, None)
+    master = _Master(pvals, theta, 0, None)
     zeros = sum(1 << i for i, t in enumerate(theta.values) if t == 0)
-    columns = [idx for idx in range(1 << p.d) if idx.bit_count() in master.level_row
+    columns = [idx for idx in range(1 << theta.d) if idx.bit_count() in master.level_row
                and not idx & zeros and idx & master.ones == master.ones]
     n, m = len(columns), master.m
     T = [[0] * n + t[-1:] for t in master.T[:m]]
@@ -261,8 +259,6 @@ def _solve(p: SumPmf, theta: MeanVector):
                 row = i
         D = _pivot(T, D, row, [t[enter] for t in T])
         basis[row] = enter
-    if T[m][-1]:
-        return None
     keep = []
     for i in range(m):
         if basis[i] >= n:
@@ -281,7 +277,10 @@ def _majorization(p: SumPmf, theta: MeanVector):
     infeasible, that is when x is not majorized by q (dominated prefix sums,
     equal totals).  When p or theta holds a float and the test fails by no
     more than PROB_TOL, only rounding decides, and a ValueError is raised."""
-    pvals = _exact_p(p)
+    # Floats are their exact binary fractions, renormalized exactly when they miss 1.
+    pvals = tuple(Fraction(v) for v in p.values)
+    if (total := sum(pvals)) != 1:
+        pvals = tuple(v / total for v in pvals)
     order = sorted(range(theta.d), key=lambda i: theta.values[i], reverse=True)
     x = [theta.values[i] for i in order]
     q = list(accumulate(reversed(pvals[1:])))[::-1]
@@ -353,7 +352,7 @@ def feasible_point(p: SumPmf, theta) -> Optional[JointPmf]:
     (d <= 20).
     """
     d = p.d
-    theta = _coerce_theta(theta, d)
+    theta = _entry(p, theta)
     _check_dimension(d)
     if (verdict := _majorization(p, theta)) is None:
         return None
@@ -378,18 +377,13 @@ def constrained_vertices(p: SumPmf, theta, max_bases: int | None = None) -> list
     bases.  Pass max_bases >= 1 to fail fast with BasisLimitError instead
     of running to completion.
     """
-    if max_bases is not None and max_bases < 1:
-        raise ValueError("max_bases must be >= 1")
-    d = p.d
-    theta = _coerce_theta(theta, d)
-    if d > VERTEX_D_MAX:
+    theta = _entry(p, theta, max_bases)
+    if p.d > VERTEX_D_MAX:
         raise ValueError(f"constrained_vertices is limited to d <= {VERTEX_D_MAX}")
-    got = _solve(p, theta)
-    if got is None:
-        _majorization(p, theta)  # refuses a verdict that float rounding decides
+    if (verdict := _majorization(p, theta)) is None:
         return []
-    columns, (T, D, basis, scale) = got
-    return _enumerate_bases(T, D, basis, scale, columns, d, max_bases)
+    columns, (T, D, basis, scale) = _solve(verdict[0], theta)
+    return _enumerate_bases(T, D, basis, scale, columns, p.d, max_bases)
 
 
 def _lex_ratio_less(a: list[int], ua: int, b: list[int], ub: int) -> bool:
@@ -535,9 +529,7 @@ def constrained_moment_bounds(p: SumPmf, theta, subset, max_bases: int | None = 
     """
     subset = tuple(subset)
     mask = _subset_mask(p.d, subset)
-    if max_bases is not None and max_bases < 1:
-        raise ValueError("max_bases must be >= 1")
-    theta = _coerce_theta(theta, p.d)
+    theta = _entry(p, theta, max_bases)
     if (verdict := _majorization(p, theta)) is None:
         raise InfeasibleError("the mean-constrained fiber is empty")
     if any(mask >> i & 1 for i, t in enumerate(theta.values) if t == 0):

@@ -134,9 +134,9 @@ def _fsum(a: np.ndarray) -> float:
 
 
 def _dense_masses(values, copy: bool = True) -> tuple[Number, ...] | np.ndarray:
-    """JointPmf storage: the validated tuple when every entry is an int or
-    Fraction, else a read-only float64 copy; a 1-D float64 array is
-    validated in bulk, and made read-only in place when copy is False.
+    """JointPmf storage: the validated tuple, float zeros as int 0, when every
+    nonzero entry is an int or Fraction, else a read-only float64 copy; a 1-D
+    float64 array is validated in bulk, made read-only in place if not copy.
 
     The bulk check sums blocks of 1024 masses in numpy and adds the block
     sums with math.fsum, to F.  Any recursive sum of n terms is within
@@ -163,6 +163,8 @@ def _dense_masses(values, copy: bool = True) -> tuple[Number, ...] | np.ndarray:
     vals = _validate_masses(values, "JointPmf")
     if all(_is_exact(v) for v in vals):
         return vals
+    if all(_is_exact(v) for v in vals if v):  # SumPmf.exact's rule
+        return tuple(v if _is_exact(v) else 0 for v in vals)
     return _read_only(np.array(vals, dtype=float))
 
 
@@ -208,9 +210,6 @@ class SumPmf:
     def array(self) -> np.ndarray:
         return _read_only(np.array(self.values, dtype=float))
 
-    def positive_masses(self) -> Iterator[Number]:
-        return (v for v in self.values if v > 0)
-
     def to_json_obj(self):
         return [_num_to_json(v) for v in self.values]
 
@@ -225,8 +224,9 @@ class SumPmf:
 class JointPmf:
     """Dense pmf over {0,1}^d in reverse-lex index order (guarded to d <= 20).
 
-    Exact input keeps a tuple of ints and Fractions; any other input is held
-    as a read-only float64 ndarray, and then `values` is `array`.
+    Input whose nonzero masses are all ints and Fractions keeps a tuple (a
+    float zero as int 0); any other is held as a read-only float64 ndarray,
+    and then `values` is `array`.
     """
 
     d: int
@@ -281,12 +281,6 @@ class JointPmf:
             return ((i, v) for i, v in enumerate(self.values) if v > 0)
         idx = np.flatnonzero(self.values > 0)
         return zip(idx.tolist(), self.values[idx].tolist())
-
-    def positive_masses(self) -> Iterator[Number]:
-        return (m for _, m in self.atoms())
-
-    def to_sparse(self) -> "SparseJointPmf":
-        return SparseJointPmf(self.d, tuple(self.atoms()))
 
     def to_json_obj(self):
         values = [_num_to_json(v) for v in self.values] if self.exact else self.values.tolist()
@@ -344,9 +338,6 @@ class SparseJointPmf:
     def exact(self) -> bool:
         return all(_is_exact(m) for _, m in self.atoms)
 
-    def positive_masses(self) -> Iterator[Number]:
-        return (m for _, m in self.atoms)
-
     def to_dense(self) -> JointPmf:
         _check_dimension(self.d)
         values = [0] * (1 << self.d) if self.exact else np.zeros(1 << self.d)
@@ -368,13 +359,18 @@ AnyJoint = Union[JointPmf, SparseJointPmf]
 AnyPmf = Union[SumPmf, JointPmf, SparseJointPmf]
 
 
+def _atoms(f: AnyJoint) -> Iterable[tuple[int, Number]]:
+    """A joint carrier's (index, mass) pairs of positive mass."""
+    return f.atoms() if isinstance(f, JointPmf) else f.atoms
+
+
 def sum_map(f: AnyJoint) -> SumPmf:
     """Push a joint Bernoulli pmf through the coordinate-sum map."""
     d = f.d
     if isinstance(f, JointPmf) and not f.exact:
         return SumPmf(np.bincount(_popcounts(d), weights=f.values, minlength=d + 1).tolist())
     levels: list[Number] = [0] * (d + 1)
-    for idx, mass in f.atoms() if isinstance(f, JointPmf) else f.atoms:
+    for idx, mass in _atoms(f):
         levels[idx.bit_count()] += mass  # carriers hold validated int indices
     if not f.exact:
         levels = [float(v) for v in levels]
@@ -396,8 +392,7 @@ def cross_moment(f: AnyJoint, subset: Iterable[int]) -> Number:
     mask = _subset_mask(f.d, subset)
     if isinstance(f, JointPmf) and not f.exact:
         return _fsum(f.values[(np.arange(1 << f.d) & mask) == mask])
-    atoms = f.atoms() if isinstance(f, JointPmf) else f.atoms
-    picked = [mass for idx, mass in atoms if idx & mask == mask]
+    picked = [mass for idx, mass in _atoms(f) if idx & mask == mask]
     return _total(picked) if picked else 0.0
 
 
@@ -408,4 +403,5 @@ def entropy(pmf: AnyPmf) -> float:
     if isinstance(pmf, JointPmf) and not pmf.exact:
         m = pmf.values[pmf.values > 0]
         return 0.0 - _fsum(m * np.log(m))
-    return 0.0 - math.fsum(f * math.log(f) for f in map(float, pmf.positive_masses()) if f)
+    masses = pmf.values if isinstance(pmf, SumPmf) else (m for _, m in _atoms(pmf))
+    return 0.0 - math.fsum(f * math.log(f) for f in map(float, masses) if f)

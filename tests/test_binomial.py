@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from bernsum.binomial import (
     poisson_binomial_pmf,
 )
 from bernsum.cli import main
-from bernsum.measure import density_l, dist_sup, maximal_pmf, polytope_measure
+from bernsum.measure import _blocks, density_l, dist_sup, maximal_pmf, polytope_measure
 from bernsum.pmf import SumPmf
 from bernsum.polytope import describe
 
@@ -236,6 +237,16 @@ class TestCurveArgmax:
         with pytest.raises(ValueError):
             curve_argmax(1)
 
+    @pytest.mark.parametrize("d", ["3", None, True])
+    def test_dimension_meets_the_integer_rule(self, d):
+        with pytest.raises(ValueError, match=rf"^dimension must be a positive integer, got {re.escape(repr(d))}$"):
+            curve_argmax(d)
+
+    def test_numpy_dimension_accepted_and_d1_keeps_its_message(self):
+        assert curve_argmax(np.int64(8)) == curve_argmax(8)
+        with pytest.raises(ValueError, match=r"^the curve measure is constant for d < 2; argmax undefined$"):
+            curve_argmax(1)
+
 
 class TestBinVsMode:
     def test_d3(self):
@@ -303,6 +314,21 @@ class TestFloatRangeGuards:
         with pytest.raises(ValueError, match="C\\(d, k\\) to be a finite float"):
             binomial_pmf(0.5, 1100)
         assert binomial_pmf(Fraction(1, 2), 1100).values[550] > 0
+
+    def test_float_theta_refused_before_the_per_d_table(self):
+        # A float theta past d = 1029 is refused without building _blocks(d),
+        # whose cost grows as about d^3; an exact theta has no such limit.
+        assert math.isfinite(float(math.comb(1029, 514)))
+        with pytest.raises(OverflowError):
+            float(math.comb(1030, 515))
+        assert binomial_pmf(0.5, 1029).values[514] > 0
+        before = _blocks.cache_info().currsize
+        for d in (1030, 6000):
+            with pytest.raises(ValueError, match=rf"^a float theta needs every C\(d, k\) to be a finite "
+                                                 rf"float; at d = {d} one overflows$"):
+                binomial_pmf(0.5, d)
+        assert _blocks.cache_info().currsize == before
+        assert binomial_pmf(Fraction(1, 2), 1030).values[515] > 0
 
     def test_curve_measure_at_the_limit(self):
         assert math.isfinite(curve_log_measure(0.5, 1014).log)

@@ -47,16 +47,14 @@ ATTRIBUTES = {
     "BasisLimitError": [],
     "EstimateReport": [],
     "InfeasibleError": [],
-    "JointPmf": ["array", "atoms", "exact", "from_json_obj", "positive_masses", "to_json_obj",
-                 "to_sparse"],
+    "JointPmf": ["array", "atoms", "exact", "from_json_obj", "to_json_obj"],
     "LogMeasure": ["is_zero", "log", "one", "value", "zero"],
     "MeanVector": ["d"],
     "NeighborhoodSpec": ["box", "d"],
     "PolytopeDescriptor": [],
     "RngStream": ["chunk_generator", "generator"],
-    "SparseJointPmf": ["exact", "from_json_obj", "positive_masses", "to_dense", "to_json_obj"],
-    "SumPmf": ["array", "d", "exact", "from_json_obj", "mean", "positive_masses", "support",
-               "to_json_obj"],
+    "SparseJointPmf": ["exact", "from_json_obj", "to_dense", "to_json_obj"],
+    "SumPmf": ["array", "d", "exact", "from_json_obj", "mean", "support", "to_json_obj"],
 }
 
 

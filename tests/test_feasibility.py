@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -226,7 +227,16 @@ def test_verdict_matches_exact_lp_and_witness_is_exact(instance):
         p = SumPmf(pvals)
         w = feasible_point(p, theta)
         verdicts.append(w is not None)
-        assert verdicts[-1] == (_solve(p, MeanVector(theta)) is not None)
+        assert verdicts[-1] == (reference_phase1(d, pvals, theta) is not None)
+        # The other two calls share feasible_point's verdict.
+        try:
+            constrained_moment_bounds(p, theta, [1])
+        except InfeasibleError:
+            assert not verdicts[-1]
+        else:
+            assert verdicts[-1]
+        if d <= 4:
+            assert bool(constrained_vertices(p, theta)) == verdicts[-1]
         if w is None:
             continue
         assert w.exact
@@ -262,7 +272,7 @@ class TestFloatRounding:
         p = SumPmf(self.P_EXACT)
         theta = [Fraction(11, 20), Fraction(11, 20) + Fraction(1, 10**13)]
         assert feasible_point(p, theta) is None
-        assert _solve(p, MeanVector(theta)) is None
+        assert reference_phase1(2, self.P_EXACT, theta) is None
         assert constrained_vertices(p, theta) == []
         with pytest.raises(InfeasibleError):
             constrained_moment_bounds(p, theta, [1, 2])
@@ -470,6 +480,23 @@ class TestConstrainedVertices:
         with pytest.raises(ValueError, match=r"^max_bases must be >= 1$"):
             constrained_moment_bounds(B_HALF_3, THETA_REF, [1], max_bases=max_bases)
 
+    @pytest.mark.parametrize("max_bases", [True, 2.5, "3"])
+    def test_basis_budget_not_an_integer_refused(self, max_bases):
+        message = f"^max_bases must be an integer, got {re.escape(repr(max_bases))}$"
+        with pytest.raises(ValueError, match=message):
+            constrained_vertices(B_HALF_3, THETA_REF, max_bases=max_bases)
+        with pytest.raises(ValueError, match=message):
+            constrained_moment_bounds(B_HALF_3, THETA_REF, [1], max_bases=max_bases)
+
+    def test_basis_budget_numpy_integer_accepted(self):
+        # np.int64(3) is the budget 3, which both calls exceed on this slice.
+        for call in (lambda b: constrained_vertices(B_HALF_3, THETA_REF, max_bases=b),
+                     lambda b: constrained_moment_bounds(B_HALF_3, THETA_REF, [1, 2], max_bases=b)):
+            got = _walk_or_limit(lambda: call(np.int64(3)), BasisLimitError)
+            assert "exceeded max_bases=3 " in got
+            assert got == _walk_or_limit(lambda: call(3), BasisLimitError)
+            assert call(np.int64(1000)) == call(None)
+
     def test_basis_budget_loose_enough_is_invisible(self):
         vs = constrained_vertices(B_HALF_3, THETA_REF, max_bases=1000)
         assert len(vs) == 3
@@ -526,7 +553,7 @@ class TestConstrainedVertices:
             (SumPmf([0, Fraction(1, 2), Fraction(1, 2)]), [0, Fraction(3, 4)]),
         ]
         for p, theta in cases:
-            assert _solve(p, MeanVector(theta)) is None
+            assert reference_phase1(p.d, p.values, theta) is None
             assert constrained_vertices(p, theta) == []
             with pytest.raises(InfeasibleError):
                 constrained_moment_bounds(p, theta, [1])
@@ -601,7 +628,7 @@ def test_walk_matches_fraction_reference(instance):
     d, p, theta, budget = instance
     # The start basis and its tableau, read off the master, are the Fraction
     # phase 1's: the integer tableau is D times [R | scale * s].
-    columns, (T, D, basis, scale) = _solve(SumPmf(p), MeanVector(theta))
+    columns, (T, D, basis, scale) = _solve(tuple(p), MeanVector(theta))
     ref_columns, R, s, ref_basis = reference_phase1(d, p, theta)
     assert (columns, basis) == (ref_columns, ref_basis)
     assert [[Fraction(a, D) for a in t[:-1]] + [Fraction(t[-1], D * scale)] for t in T] == \

@@ -381,7 +381,7 @@ class TestJson:
     def test_sparse_dense_round_trip(self):
         dense = REF_VERTEX.to_dense()
         assert dense.values[4] == Fraction(3, 8)
-        assert dense.to_sparse() == REF_VERTEX
+        assert SparseJointPmf(dense.d, dense.atoms()) == REF_VERTEX
 
 
 @given(
@@ -479,6 +479,18 @@ class TestFloatCarrier:
         assert JointPmf(1, [0, 1]).values == (0, 1)
         assert JointPmf.from_json_obj({"d": 1, "values": ["1/3", "2/3"]}).exact
 
+    def test_float_zero_beside_exact_masses_stays_exact(self):
+        # SumPmf.exact's rule: only the nonzero masses decide, and a float
+        # zero is stored as int 0; an exact zero keeps its type.
+        f = JointPmf(1, [0.0, Fraction(1)])
+        assert f.exact
+        assert repr(f.values) == repr((0, Fraction(1, 1)))
+        assert sum_map(f).exact
+        g = JointPmf(2, [-0.0, Fraction(0), Fraction(1, 2), "1/2"])
+        assert [type(v) for v in g.values] == [int, Fraction, Fraction, Fraction]
+        assert not JointPmf(1, [0.0, 1.0]).exact
+        assert isinstance(JointPmf(1, [0.0, 1.0]).values, np.ndarray)
+
     def test_validation_matches_the_exact_rule(self):
         with pytest.raises(ValueError, match="nonnegativity"):
             JointPmf(1, np.array([1.5, -0.5]))
@@ -490,8 +502,7 @@ class TestFloatCarrier:
 
     def test_reads_match_the_oracles(self):
         f = random_joint(np.random.default_rng(29), 7)
-        assert sorted(m for _, m in f.atoms()) == sorted(f.positive_masses())
-        assert f.to_sparse().to_dense() == f
+        assert SparseJointPmf(f.d, f.atoms()).to_dense() == f
         assert math.isclose(entropy(f), naive_entropy(f.values), rel_tol=1e-13)
         assert cross_moment(f, [2, 5]) == math.fsum(
             v for i, v in enumerate(f.values.tolist()) if i & 0b10010 == 0b10010
