@@ -17,8 +17,10 @@ decided by numpy's row sums instead, so every decision is the row-wise one.
 """
 from __future__ import annotations
 
+import array
 import math
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -129,7 +131,7 @@ class EstimateReport:
     acceptance_rate: float
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if not self.std_error >= 0:
             raise ValueError("std_error must be nonnegative")
         if not 0 <= self.acceptance_rate <= 1:
             raise ValueError("acceptance_rate must lie in [0,1]")
@@ -302,6 +304,23 @@ def _box_hits(U: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: np.ndarray, epsi
     return idx, _log_density_rows(C.T, d) if density else None
 
 
+def _in_order(run, jobs, workers: int) -> Iterator:
+    """run(job) for each job, yielded in job order.  A pool runs them only when
+    two or more can run at once (workers > 1), and holds at most 2 * workers
+    submitted and not yet yielded."""
+    if workers == 1:
+        yield from map(run, jobs)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for job in jobs:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(run, job))
+        while window:
+            yield window.popleft().result()
+
+
 def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
                threads: int = 1, density: bool = True) -> EstimateReport:
     """One rejection pass from the bounding box into the spec's own ball.
@@ -312,6 +331,10 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
     The estimate is exp(log_scale) * box volume * mean weight, its std_error
     the sample standard error (ddof 1) of that mean, zeros included: both from
     s1 = sum(w), s2 = sum(w^2) over the hits, shifted by the largest log weight.
+    Chunk results are read in chunk order as they finish, each one's log
+    weights appended to one buffer that is then shifted, exponentiated and
+    squared in place: an estimate holds 8 bytes per hit, plus the chunks in
+    flight.
     """
     if not isinstance(rng, RngStream):
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
@@ -324,29 +347,26 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
     lo, hi = spec.box()
     log_box = float(np.log(hi[:d] - lo[:d]).sum())
 
-    def run_chunk(args):
-        chunk_idx, count = args
-        U = rng.chunk_generator(chunk_idx).random((count, d))
+    def run_chunk(i):
+        U = rng.chunk_generator(i).random((min(CHUNK, n - i * CHUNK), d))
         idx, logl = _box_hits(U, lo, hi, spec.center.array, spec.epsilon, spec.metric == "tv", density)
         return len(idx), logl
 
-    jobs = [(i, min(CHUNK, n - start)) for i, start in enumerate(range(0, n, CHUNK))]
-    workers = min(threads, len(jobs))  # a pool only when two or more chunks can run at once
-    if workers == 1:
-        parts = list(map(run_chunk, jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, jobs))
-    m = sum(part[0] for part in parts)
-    logl = np.concatenate([part[1] for part in parts]) if density and m else None
+    chunks = -(-n // CHUNK)
+    m, buf = 0, array.array("d")
+    for hits, part in _in_order(run_chunk, range(chunks), min(threads, chunks)):
+        m += hits
+        if density:
+            buf.frombytes(memoryview(part).cast("B"))
+    logl = np.frombuffer(buf) if density and m else None
     shift = 0.0 if logl is None else float(logl.max())
     if not m or shift == -math.inf:  # no draw in the ball, or every one on a zero-density face
         return EstimateReport(LogMeasure.zero(), 0.0, n, m / n)
     if logl is None:  # unit weights: s1 = s2 = m, with no per-hit array
         s1 = s2 = float(m)
     else:
-        w = np.exp(logl - shift)
-        s1, s2 = float(w.sum()), float(np.square(w).sum())
+        w = np.exp(np.subtract(logl, shift, out=logl), out=logl)
+        s1, s2 = float(w.sum()), float(np.square(w, out=w).sum())
     log_est = log_scale + log_box - math.log(n) + (shift + math.log(s1))
     rel_var = max(n * s2 / (s1 * s1) - 1.0, 0.0) / (n - 1)
     return EstimateReport(LogMeasure(log_est), math.exp(log_est) * math.sqrt(rel_var), n, m / n)

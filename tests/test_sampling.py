@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -492,6 +493,66 @@ class TestNeighborhoodMeasure:
         assert fn(spec, n, RngStream(105), threads=threads) == want
         assert built == ([] if pool_workers is None else [pool_workers])
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pool_keeps_a_bounded_window_of_chunks(self, monkeypatch, threads):
+        # Futures submitted and not yet read, counted at each submit: the pool
+        # holds at most 2 * workers of them, not one per chunk.
+        outstanding, counts = [0], []
+
+        class RecordingPool(sampling.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                outstanding[0] += 1
+                counts.append(outstanding[0])
+                future = super().submit(fn, *args)
+                read = future.result
+
+                def result(*a):
+                    outstanding[0] -= 1
+                    return read(*a)
+
+                future.result = result
+                return future
+
+        spec = NeighborhoodSpec(B_HALF_3, 0.1)
+        want = estimate_neighborhood_measure(spec, 40 * CHUNK, RngStream(107), threads=1)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+        assert estimate_neighborhood_measure(spec, 40 * CHUNK, RngStream(107), threads=threads) == want
+        assert len(counts) == 40 and outstanding == [0]
+        assert max(counts) <= 2 * threads
+
+    @staticmethod
+    def _traced(spec, n, threads):
+        tracemalloc.start()
+        try:
+            rep = estimate_neighborhood_measure(spec, n, RngStream(109), threads=threads)
+            return rep, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [400_000, 1_000_000])
+    @pytest.mark.parametrize("metric", ["sup", "tv"])
+    def test_one_float_per_hit(self, metric, n, threads):
+        # The log weights of the hits are the one array that grows with n:
+        # they are shifted, exponentiated and squared in place.
+        spec = NeighborhoodSpec(P_D2, 0.1, metric)
+        estimate_neighborhood_measure(spec, 2 * CHUNK, RngStream(1), threads=2)  # caches built
+        rep, peak = self._traced(spec, n, threads)
+        hits = round(rep.acceptance_rate * n)
+        assert hits > n // 2
+        assert peak <= 1.25 * 8 * hits + (2 << 20)
+
+    def test_peak_does_not_grow_with_the_chunk_count(self):
+        # d = 8, acceptance 0.0015: 350 more chunks add about 70 KB of hits,
+        # and no per-chunk bookkeeping.  How far the two workers' chunks
+        # overlap moves a peak by up to 0.5 MB, so the 50-chunk peak is the
+        # largest of eight calls: as many chunks as the one 400-chunk call.
+        spec = NeighborhoodSpec(binomial_pmf(0.5, 8), 0.01, "tv")
+        self._traced(spec, 2 * CHUNK, 2)
+        few = max(self._traced(spec, 50 * CHUNK, 2)[1] for _ in range(8))
+        many = self._traced(spec, 400 * CHUNK, 2)[1]
+        assert many - few < 1 << 19
+
     def test_se_scales_like_sqrt_n(self):
         ratios = []
         for rep in range(10):
@@ -679,6 +740,13 @@ class TestReportInvariants:
             EstimateReport(LogMeasure.one(), -1.0, 10, 0.5)
         with pytest.raises(ValueError):
             EstimateReport(LogMeasure.one(), 0.0, 10, 1.5)
+
+    @pytest.mark.parametrize("std_error", [math.nan, -1.0])
+    def test_std_error_nan_or_negative_refused(self, std_error):
+        from bernsum.measure import LogMeasure
+
+        with pytest.raises(ValueError, match="^std_error must be nonnegative$"):
+            EstimateReport(LogMeasure(0.0), std_error, 10, 0.5)
 
     def test_spec_guards(self):
         with pytest.raises(ValueError):
