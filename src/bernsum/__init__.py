@@ -55,7 +55,6 @@ from .sampling import (
     estimate_neighborhood_measure,
     hit_and_run,
     region_volume,
-    sample_dirichlet,
     sample_Fd_uniform,
     sample_polytope_uniform,
     sample_uniform_simplex,

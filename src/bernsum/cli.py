@@ -42,6 +42,7 @@ from .polytope import _runs, entropy_bounds, moment_bounds
 from .sampling import (
     NeighborhoodSpec,
     RngStream,
+    _usable_cpus,
     estimate_neighborhood_measure,
     sample_polytope_uniform,
 )
@@ -230,13 +231,6 @@ def _cmd_binomial_scan(args) -> list[dict]:
 
 def _cmd_bin_vs_mode(args) -> list[dict]:
     return [{"d": d, **bin_vs_mode(d)} for d in range(2, args.dmax + 1)]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _at_least(low: int):

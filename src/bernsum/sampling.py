@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import array
 import math
+import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -150,27 +151,6 @@ def sample_uniform_simplex(n: int, rng) -> np.ndarray:
         total = e.sum()
         if total > 0:
             return np.divide(e, total, out=e)  # in place: a d = 20 draw is 8 MB
-
-
-def sample_dirichlet(alpha: Sequence[float], rng) -> np.ndarray:
-    """Dirichlet draw via normalized gammas, valid for every finite alpha > 0."""
-    a = np.asarray(alpha, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("alpha must be a vector with at least two entries")
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError(f"Dirichlet parameters must be finite and positive, got {a.tolist()}")
-    g = _as_generator(rng)
-    gam = g.standard_gamma(a)
-    total = gam.sum()
-    if total > 0:
-        return gam / total
-    # Every gamma underflowed: draw log G_a = log G_{a+1} + log(U) / a instead,
-    # times t = min(a) so no term overflows, and normalize by its largest term.
-    t = float(a.min())
-    y = t * np.log(g.standard_gamma(a + 1.0)) - g.standard_exponential(a.size) * (t / a)
-    with np.errstate(over="ignore"):  # a subnormal t sends the far terms to -inf, so to 0
-        x = np.exp((y - y.max()) / t)
-    return x / x.sum()
 
 
 def sample_polytope_uniform(p: SumPmf, rng) -> JointPmf:
@@ -304,6 +284,13 @@ def _box_hits(U: np.ndarray, lo: np.ndarray, hi: np.ndarray, p: np.ndarray, epsi
     return idx, _log_density_rows(C.T, d) if density else None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _in_order(run, jobs, workers: int) -> Iterator:
     """run(job) for each job, yielded in job order.  A pool runs them only when
     two or more can run at once (workers > 1), and holds at most 2 * workers
@@ -334,7 +321,8 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
     Chunk results are read in chunk order as they finish, each one's log
     weights appended to one buffer that is then shifted, exponentiated and
     squared in place: an estimate holds 8 bytes per hit, plus the chunks in
-    flight.
+    flight.  At most min(threads, chunks, usable CPUs) workers run them, since
+    a pool starts a thread per submit up to its max_workers.
     """
     if not isinstance(rng, RngStream):
         raise TypeError("estimators need an RngStream so chunks stay reproducible")
@@ -354,7 +342,7 @@ def _region_mc(spec: NeighborhoodSpec, n: int, rng: RngStream, log_scale: float,
 
     chunks = -(-n // CHUNK)
     m, buf = 0, array.array("d")
-    for hits, part in _in_order(run_chunk, range(chunks), min(threads, chunks)):
+    for hits, part in _in_order(run_chunk, range(chunks), min(threads, chunks, _usable_cpus())):
         m += hits
         if density:
             buf.frombytes(memoryview(part).cast("B"))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from bernsum import sampling
 from bernsum.binomial import bin_vs_mode, binomial_pmf, curve_argmax
 from bernsum.cli import main as cli_main
 from bernsum.feasibility import constrained_moment_bounds, constrained_vertices
@@ -216,7 +217,8 @@ def test_criterion_7_neighborhood_estimator():
             assert tv.point_estimate.value <= rep.point_estimate.value + 1e-15
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(monkeypatch):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)  # the thread counts named run on any host
     with _Clock("8 (entropy/moment/decompose properties, determinism)", 120.0):
         rng = np.random.default_rng(4242)
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bernsum import sampling
 from bernsum.cli import main
 from bernsum.feasibility import constrained_moment_bounds, constrained_vertices
 from bernsum.pmf import SumPmf, cross_moment, entropy, sum_map
@@ -177,7 +178,8 @@ def report_row(r) -> list:
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(MC_CASES))
-def test_mc_estimators(name, threads):
+def test_mc_estimators(name, threads, monkeypatch):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)  # the thread count named runs on any host
     fn, metric, paper_region, balls = MC_CASES[name]
     rows = []
     for seed, (p, eps) in enumerate(balls, start=31):
@@ -253,7 +255,8 @@ WIDE_CASES = {
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(WIDE_CASES))
-def test_mc_estimators_wide_d(name, threads):
+def test_mc_estimators_wide_d(name, threads, monkeypatch):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)
     fn, metric, balls = WIDE_CASES[name]
     rows = []
     for seed, (p, eps) in enumerate(balls, start=61):
@@ -291,7 +294,8 @@ SPARSE_CASES = {
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
-def test_mc_estimators_sparse(name, threads):
+def test_mc_estimators_sparse(name, threads, monkeypatch):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)
     fn, metric, paper_region, balls = SPARSE_CASES[name]
     rows = []
     for seed, (p, eps) in enumerate(balls, start=91):
@@ -454,7 +458,8 @@ NEIGHBORHOOD_PINS = {
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("name", sorted(NEIGHBORHOOD_PINS))
-def test_cli_neighborhood(name, threads, capsys):
+def test_cli_neighborhood(name, threads, capsys, monkeypatch):
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)
     argv, pin = NEIGHBORHOOD_PINS[name]
     assert main(["neighborhood", *argv, "-n", "20000", "--threads", threads]) == 0
     out = capsys.readouterr().out

@@ -28,7 +28,7 @@ PUBLIC = [
     "flat_weights", "hit_and_run", "index_to_vector",
     "level_element", "level_rank", "level_weight", "maximal_pmf", "membership",
     "moment_bounds", "normalizing_constant", "poisson_binomial_pmf", "polytope_measure",
-    "region_volume", "sample_Fd_uniform", "sample_dirichlet", "sample_polytope_uniform",
+    "region_volume", "sample_Fd_uniform", "sample_polytope_uniform",
     "sample_uniform_simplex", "simplex_hausdorff", "sum_map", "vector_to_index",
 ]
 FIELDS = {

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -22,7 +23,6 @@ from bernsum.sampling import (
     estimate_neighborhood_measure,
     hit_and_run,
     region_volume,
-    sample_dirichlet,
     sample_Fd_uniform,
     sample_polytope_uniform,
     sample_uniform_simplex,
@@ -148,67 +148,6 @@ class TestUniformSimplex:
         padded = np.hstack([np.zeros((n, 1)), u, np.ones((n, 1))])
         oracle_max = np.sort(np.diff(padded, axis=1), axis=1)[:, -1]
         assert ks_two_sample_pvalue(main_max, oracle_max) > 0.01
-
-
-class TestDirichlet:
-    def test_flat_alpha_matches_simplex_sampler(self):
-        g = RngStream(11).generator()
-        a = np.array([sample_dirichlet([1.0, 1.0, 1.0], g) for _ in range(100_000)])
-        b = np.array([sample_uniform_simplex(2, g) for _ in range(100_000)])
-        se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
-        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se)
-
-    def test_binomial_alpha_mean(self):
-        g = RngStream(13).generator()
-        draws = np.array([sample_dirichlet([1, 3, 3, 1], g) for _ in range(100_000)])
-        mean, _ = dirichlet_mean_cov([1, 3, 3, 1])
-        se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
-        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4 * se)
-        assert np.allclose(mean, [1 / 8, 3 / 8, 3 / 8, 1 / 8])
-
-    def test_two_two_moments(self):
-        g = RngStream(17).generator()
-        draws = np.array([sample_dirichlet([2.0, 2.0], g) for _ in range(100_000)])
-        x = draws[:, 0]
-        se_mean = x.std(ddof=1) / math.sqrt(len(x))
-        assert abs(x.mean() - 0.5) <= 4 * se_mean
-        centered = (x - x.mean()) ** 2
-        se_var = centered.std(ddof=1) / math.sqrt(len(x))
-        assert abs(x.var(ddof=1) - 1 / 20) <= 4 * se_var
-
-    def test_small_shapes_are_valid(self):
-        g = RngStream(19).generator()
-        for _ in range(200):
-            x = sample_dirichlet([0.4, 0.7, 0.2], g)
-            assert np.all(x >= 0) and math.isclose(x.sum(), 1.0, abs_tol=1e-12)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            sample_dirichlet([1.0, -0.5], RngStream(1))
-        with pytest.raises(ValueError):
-            sample_dirichlet([2.0], RngStream(1))
-
-    @pytest.mark.parametrize("alpha", [[1e-300, 1e-300], [1e-300] * 5, [5e-324, 5e-324]])
-    def test_every_gamma_underflowing_still_returns(self, alpha):
-        # Each standard_gamma draw is 0.0, so a redraw loop never ends.
-        for seed in range(20):
-            x = sample_dirichlet(alpha, RngStream(seed))
-            assert np.all(x >= 0) and math.isclose(x.sum(), 1.0, abs_tol=1e-12)
-
-    def test_symmetric_tiny_pair_puts_the_mass_on_either_coordinate(self):
-        draws = np.array([sample_dirichlet([1e-300, 1e-300], RngStream(seed)) for seed in range(20)])
-        assert set(draws.max(axis=1)) == {1.0}
-        assert 0 < (draws[:, 0] == 1.0).sum() < 20
-
-    def test_a_first_draw_that_succeeds_keeps_its_bits(self):
-        x = sample_dirichlet([1e-3, 1e-3], RngStream(1))
-        assert x[1] == 1.0 and math.isclose(x[0], 1.03008516e-268, rel_tol=1e-8)
-
-    @pytest.mark.parametrize("alpha", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
-    def test_non_finite_alpha_refused(self, alpha):
-        # NaN slips past a plain `a <= 0` test, and a draw from it never ends.
-        with pytest.raises(ValueError, match="Dirichlet parameters must be finite"):
-            sample_dirichlet(alpha, RngStream(1))
 
 
 class TestPolytopeUniform:
@@ -464,7 +403,8 @@ class TestNeighborhoodMeasure:
         large = estimate_neighborhood_measure(NeighborhoodSpec(P_D2, 0.10), 100_000, RngStream(101))
         assert small.point_estimate.value <= large.point_estimate.value
 
-    def test_bit_identical_across_threads_and_reruns(self):
+    def test_bit_identical_across_threads_and_reruns(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)  # 4 workers on any host
         spec = NeighborhoodSpec(B_HALF_3, 0.1)
         reports = [
             estimate_neighborhood_measure(spec, 50_000, RngStream(103), threads=t)
@@ -490,8 +430,38 @@ class TestNeighborhoodMeasure:
         spec = NeighborhoodSpec(B_HALF_3, 0.1)
         want = fn(spec, n, RngStream(105), threads=1)
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)  # the CPU cap has its own test
         assert fn(spec, n, RngStream(105), threads=threads) == want
         assert built == ([] if pool_workers is None else [pool_workers])
+
+    @pytest.mark.parametrize("fn", [estimate_neighborhood_measure, region_volume])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, fn):
+        # A pool starts a thread per submit up to max_workers, so a huge
+        # threads must not reach it: 8 chunks on 3 usable CPUs get 3 workers.
+        built, started = [], []
+
+        class RecordingPool(sampling.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._threads))
+                super().shutdown(*args, **kwargs)
+
+        spec = NeighborhoodSpec(B_HALF_3, 0.1)
+        want = fn(spec, 8 * CHUNK, RngStream(111), threads=1)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        assert fn(spec, 8 * CHUNK, RngStream(111), threads=10**5) == want
+        assert built == [3] and 1 <= started[0] <= 3
+
+    @pytest.mark.parametrize("count, want", [(4, 4), (None, 1)])
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch, count, want):
+        # Where the OS has no sched_getaffinity, os.cpu_count() counts, and None reads 1.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert sampling._usable_cpus() == want
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_pool_keeps_a_bounded_window_of_chunks(self, monkeypatch, threads):
@@ -516,6 +486,7 @@ class TestNeighborhoodMeasure:
         spec = NeighborhoodSpec(B_HALF_3, 0.1)
         want = estimate_neighborhood_measure(spec, 40 * CHUNK, RngStream(107), threads=1)
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)  # 3 workers on any host
         assert estimate_neighborhood_measure(spec, 40 * CHUNK, RngStream(107), threads=threads) == want
         assert len(counts) == 40 and outstanding == [0]
         assert max(counts) <= 2 * threads
