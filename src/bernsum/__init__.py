@@ -1,12 +1,6 @@
 """Geometry of multivariate Bernoulli distributions with a prescribed sum law."""
 
-from .indexing import (
-    index_to_vector,
-    level_element,
-    level_rank,
-    level_weight,
-    vector_to_index,
-)
+from .indexing import level_element
 from .pmf import (
     JointPmf,
     SparseJointPmf,

@@ -40,30 +40,6 @@ def _check_index(i: int) -> int:
     raise ValueError(f"index must be a nonnegative integer, got {i!r}")
 
 
-def index_to_vector(i: int, d: int) -> tuple[int, ...]:
-    """Binary vector at position i of the reverse-lexicographic order."""
-    d = _check_dimension(d, dense=False)
-    i = _check_index(i)
-    if i >= 1 << d:
-        raise ValueError(f"index {i} out of range for d={d}")
-    return tuple((i >> j) & 1 for j in range(d))
-
-
-def vector_to_index(x) -> int:
-    """Inverse of index_to_vector."""
-    i = 0
-    for j, bit in enumerate(x):
-        if _check_index(bit) > 1:
-            raise ValueError(f"binary vector entries must be 0 or 1, got {bit!r}")
-        i |= int(bit) << j
-    return i
-
-
-def level_weight(i: int) -> int:
-    """Number of ones in the vector at index i."""
-    return _check_index(i).bit_count()
-
-
 def level_element(d: int, k: int, j: int) -> int:
     """Index of the j-th element (1-based) of the level-k slice.
 
@@ -97,18 +73,6 @@ def _next_in_level(x: int) -> int:
     c = x & -x
     r = x + c
     return (((r ^ x) >> 2) // c) | r
-
-
-def level_rank(i: int) -> int:
-    """1-based position of index i within its own level slice."""
-    i = _check_index(i)
-    r = 0
-    slot = 0
-    for c in range(i.bit_length()):
-        if (i >> c) & 1:
-            slot += 1
-            r += math.comb(c, slot)
-    return r + 1
 
 
 @lru_cache(maxsize=None)

@@ -25,11 +25,10 @@ PUBLIC = [
     "dirichlet_pdf", "dist_sup", "dist_tv", "entropy", "entropy_bounds",
     "estimate_neighborhood_measure", "exchangeable_pmf",
     "extremal_by_index", "extremal_enumerate", "extremal_indices", "feasible_point",
-    "flat_weights", "hit_and_run", "index_to_vector",
-    "level_element", "level_rank", "level_weight", "maximal_pmf", "membership",
+    "flat_weights", "hit_and_run", "level_element", "maximal_pmf", "membership",
     "moment_bounds", "normalizing_constant", "poisson_binomial_pmf", "polytope_measure",
     "region_volume", "sample_Fd_uniform", "sample_polytope_uniform",
-    "sample_uniform_simplex", "simplex_hausdorff", "sum_map", "vector_to_index",
+    "sample_uniform_simplex", "simplex_hausdorff", "sum_map",
 ]
 FIELDS = {
     "EstimateReport": ["point_estimate", "std_error", "n_samples", "acceptance_rate"],
