@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -669,3 +670,18 @@ class TestClosedPipe:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == b""
+
+
+def test_readme_cli_examples_run(capsys):
+    """Each `bernsum ...` line of the README's CLI block exits 0 with output,
+    and prints the JSON its `# -> ...` comment shows, where it has one."""
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.partition("  # ") for line in block.splitlines() if line.startswith("bernsum ")]
+    assert len(examples) == 13
+    for command, _, comment in examples:
+        argv = shlex.split(command)
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0 and out, (command, err)
+        if comment.startswith("-> "):
+            assert json.loads(out) == json.loads(comment[3:]), command

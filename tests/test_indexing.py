@@ -11,9 +11,22 @@ from bernsum.indexing import (
     _popcounts,
     level_element,
 )
-from bernsum.pmf import JointPmf, sum_map
+from bernsum.pmf import JointPmf, SparseJointPmf, cross_moment, sum_map
 
 from oracles import level_slices
+
+
+def test_reverse_lex_order_d3():
+    # Coordinate j of the vector at index i is bit j - 1 of i.
+    seq = ["".join(str(int(cross_moment(SparseJointPmf(3, [(i, 1)]), [j]))) for j in (1, 2, 3))
+           for i in range(8)]
+    assert seq == ["000", "100", "010", "110", "001", "101", "011", "111"]
+
+
+def test_index_out_of_range():
+    for k, j in ((4, 1), (1, 0), (1, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            level_element(3, k, j)
 
 
 def test_level_indices_examples():
@@ -34,8 +47,6 @@ def test_level_indices_partition():
             assert lvl == sorted(lvl)
             seen.extend(lvl)
         assert sorted(seen) == list(range(1 << d))
-    with pytest.raises(ValueError):
-        level_element(3, 4, 1)
 
 
 def test_level_element_matches_materialized():
@@ -43,8 +54,6 @@ def test_level_element_matches_materialized():
         for k in range(d + 1):
             for j, idx in enumerate(_level_slice(d, k).tolist(), start=1):
                 assert level_element(d, k, j) == idx
-    with pytest.raises(ValueError):
-        level_element(3, 1, 4)
 
 
 def test_level_element_large_dimension():
