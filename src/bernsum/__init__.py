@@ -56,7 +56,6 @@ from .sampling import (
 from .binomial import (
     bin_vs_mode,
     binomial_pmf,
-    curve_argmax,
     curve_log_measure,
     poisson_binomial_pmf,
 )

@@ -11,9 +11,9 @@ with n_k = C(d,k) - 1: the level terms k log theta + (d - k) log(1 - theta)
 pair up because n_k = n_{d-k}.  As B(d) > 0 and log(theta (1 - theta)) is
 concave and symmetric about 1/2, the curve measure is log-concave with its
 maximum at theta = 1/2, and b(1/2) approaches the measure-maximizing sum pmf
-as the dimension grows.  curve_log_measure, and so curve_argmax, forms each
-point from binomial_pmf's mass kernel and polytope_measure's level sum, with
-no SumPmf between them: every point is polytope_measure's value to the bit.
+as the dimension grows.  curve_log_measure forms each point from
+binomial_pmf's mass kernel and polytope_measure's level sum, with no SumPmf
+between them: every point is polytope_measure's value to the bit.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .pmf import Number, SumPmf, _is_exact, _not_bool, _total
 
 _BIN_VS_MODE_DMAX = 1023  # the log gap takes 2.0**d, a finite float up to d = 1023
 _FLOAT_COMB_DMAX = 1029  # every C(d, k) is a finite float up to d = 1029
-_ARGMAX_TOL = 1e-10
 
 
 def _binomial_masses(theta: Number, d: int) -> tuple[list[Number], dict[int, float] | None]:
@@ -96,32 +95,6 @@ def curve_log_measure(theta: Number, d: int) -> LogMeasure:
     with no SumPmf built or validated between them."""
     total, full = _fiber_log(*_binomial_masses(theta, d))
     return LogMeasure(total) if full else LogMeasure.zero()
-
-
-def curve_argmax(d: int) -> float:
-    """Numeric argmax of the curve measure: golden section on (0, 1), which
-    needs no scan, as the curve log-measure is strictly log-concave."""
-    if (d := _check_dimension(d, dense=False)) < 2:
-        raise ValueError("the curve measure is constant for d < 2; argmax undefined")
-
-    def score(t: float) -> float:
-        return curve_log_measure(t, d).log_value
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = score(c), score(e)
-    while b - a > _ARGMAX_TOL:
-        if fc > fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = score(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = score(e)
-    return 0.5 * (a + b)
 
 
 def bin_vs_mode(d: int) -> dict[str, float]:

@@ -381,7 +381,7 @@ def _subset_mask(d: int, subset: Iterable[int]) -> int:
     """The index mask of a nonempty coordinate subset of {1, ..., d}."""
     coords = sorted(set(_as_int(j, "coordinate") for j in subset))
     if not coords:
-        raise ValueError("cross_moment needs a nonempty coordinate subset")
+        raise ValueError("the coordinate subset must be nonempty")
     if coords[0] < 1 or coords[-1] > d:
         raise ValueError(f"coordinates {coords} out of range for d={d}")
     return sum(1 << (j - 1) for j in coords)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from bernsum import sampling
-from bernsum.binomial import bin_vs_mode, binomial_pmf, curve_argmax
+from bernsum.binomial import bin_vs_mode, binomial_pmf, curve_log_measure
 from bernsum.cli import main as cli_main
 from bernsum.feasibility import constrained_moment_bounds, constrained_vertices
 from bernsum.measure import (
@@ -191,10 +191,20 @@ def test_criterion_5_dirichlet_pushforward():
 
 
 def test_criterion_6_mode_and_curve():
-    with _Clock("6 (maximal pmf, curve argmax, convergence)", 30.0):
+    # log l_amb(b(theta)) = A(d) + B(d) log(theta (1 - theta)) with B(d) > 0,
+    # so the curve peaks at theta = 1/2 and falls by B(d) log(4 theta (1 - theta)).
+    grid = [0.01, 0.1, 0.25, 0.4, 0.5 - 1e-3, 0.5 + 1e-3, 0.6, 0.75, 0.9, 0.99]
+    with _Clock("6 (maximal pmf, curve peak at 1/2 in closed form, convergence)", 30.0):
         assert maximal_pmf(3).values == (0, Fraction(1, 2), Fraction(1, 2), 0)
         for d in range(2, 13):
-            assert abs(curve_argmax(d) - 0.5) <= 1e-8
+            b = sum(k * (math.comb(d, k) - 1) for k in range(1, d))
+            assert b > 0
+            peak = curve_log_measure(0.5, d).log_value
+            tol = 1e-12 * max(1.0, abs(peak))
+            for theta in grid:
+                drop = curve_log_measure(theta, d).log_value - peak
+                assert abs(drop - b * math.log1p(-(1 - 2 * theta) ** 2)) <= tol
+                assert drop < 0
         sups = [bin_vs_mode(d)["d_sup"] for d in range(3, 21)]
         assert all(a > b for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 0.01

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bernsum.binomial import (
     bin_vs_mode,
     binomial_pmf,
-    curve_argmax,
     curve_log_measure,
     poisson_binomial_pmf,
 )
@@ -194,7 +193,6 @@ class TestCurveMeasure:
         monkeypatch.setattr(SumPmf, "__init__", lambda self, values: built.append(1) or init(self, values))
         assert main(["binomial-scan", "--d", "20", "--points", "251"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 251
-        assert abs(curve_argmax(8) - 0.5) <= 1e-8
         assert built == []
         binomial_pmf(0.5, 8)
         assert built == [1]
@@ -220,12 +218,6 @@ class TestCurveMeasure:
             second = logs[:-2] - 2 * logs[1:-1] + logs[2:]
             assert np.all(second <= 1e-9)
 
-
-class TestCurveArgmax:
-    @pytest.mark.parametrize("d", list(range(2, 13)))
-    def test_argmax_at_half(self, d):
-        assert abs(curve_argmax(d) - 0.5) <= 1e-8
-
     def test_derivative_sign_change_d4(self):
         d, h = 4, 1e-6
         def f(t):
@@ -233,19 +225,14 @@ class TestCurveArgmax:
         assert (f(0.4 + h) - f(0.4 - h)) / (2 * h) > 0
         assert (f(0.6 + h) - f(0.6 - h)) / (2 * h) < 0
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            curve_argmax(1)
-
     @pytest.mark.parametrize("d", ["3", None, True])
     def test_dimension_meets_the_integer_rule(self, d):
         with pytest.raises(ValueError, match=rf"^dimension must be a positive integer, got {re.escape(repr(d))}$"):
-            curve_argmax(d)
+            curve_log_measure(0.5, d)
 
-    def test_numpy_dimension_accepted_and_d1_keeps_its_message(self):
-        assert curve_argmax(np.int64(8)) == curve_argmax(8)
-        with pytest.raises(ValueError, match=r"^the curve measure is constant for d < 2; argmax undefined$"):
-            curve_argmax(1)
+    def test_numpy_dimension_accepted(self):
+        for theta in (0.5, 0.3, Fraction(1, 3)):
+            assert _same_bits(curve_log_measure(theta, np.int64(8)), curve_log_measure(theta, 8).log_value)
 
 
 class TestBinVsMode:

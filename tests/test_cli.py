@@ -651,6 +651,12 @@ class TestErrors:
         assert captured.out == ""
         assert f"argument --subset: not an integer coordinate: {token!r}" in captured.err
 
+    def test_empty_subset_names_no_other_command(self, capsys):
+        # The empty tokens are skipped, so the subset reaches the package empty.
+        argv = ["constrained-bounds", "--p", '["1/8","3/8","3/8","1/8"]', "--theta", THETA,
+                "--subset", ",,"]
+        assert run(capsys, *argv) == (2, "", "error: the coordinate subset must be nonempty\n")
+
 
 class TestClosedPipe:
     """A JSON-lines stream whose reader goes away ends quietly, with the

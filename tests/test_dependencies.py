@@ -4,11 +4,13 @@ nor mpmath or sympy, which the oracles may use.
 The names `import bernsum` exposes are pinned, and so are the fields of each
 public dataclass and the public methods and properties of each public class,
 so adding or removing one is a visible change here."""
+import ast
 import dataclasses
 import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ PUBLIC = [
     "LogMeasure", "MeanVector", "NeighborhoodSpec", "PolytopeDescriptor",
     "RngStream", "SparseJointPmf", "SumPmf", "bin_vs_mode", "binomial_pmf",
     "constrained_moment_bounds", "constrained_vertices", "convex_min_pmf", "cross_moment",
-    "curve_argmax", "curve_log_measure", "decompose", "density_l", "describe",
+    "curve_log_measure", "decompose", "density_l", "describe",
     "dirichlet_pdf", "dist_sup", "dist_tv", "entropy", "entropy_bounds",
     "estimate_neighborhood_measure", "exchangeable_pmf",
     "extremal_by_index", "extremal_enumerate", "extremal_indices", "feasible_point",
@@ -133,3 +135,32 @@ def test_every_help_exits_0(capsys):
             assert ("--p P" in out) == COMMANDS[argv[0]], argv
         else:
             assert all(c in out for c in COMMANDS)
+
+
+def test_ci_runs_the_tier1_command():
+    roadmap = (TESTS.parent / "ROADMAP.md").read_text()
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, re.M).group(1)
+    workflow = (TESTS.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = [line.strip()[len("run:"):].strip() for line in workflow.splitlines()
+            if line.strip().startswith("run:")]
+    assert command in runs
+
+
+def test_tests_import_only_declared_modules():
+    # pyproject.toml is read as text: tomllib is 3.11+, the package supports 3.10.
+    pyproject = (TESTS.parent / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    declared = {re.match(r"[A-Za-z0-9_.-]+", name).group().lower().replace("-", "_")
+                for name in re.findall(r'"([^"]+)"', extra)}
+    files = [*TESTS.glob("*.py"), *(TESTS.parent / "perfbench").glob("*.py")]
+    local = {f.stem for f in files}
+    imported = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    allowed = set(sys.stdlib_module_names) | local | declared | {"bernsum", "numpy"}
+    assert sorted(imported - allowed) == []
+    assert {"bernsum", "pytest"} <= imported
