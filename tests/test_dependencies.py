@@ -3,7 +3,9 @@ CLI in a fresh interpreter loads no scipy, no test tool and no test oracle,
 nor mpmath or sympy, which the oracles may use.
 The names `import bernsum` exposes are pinned, and so are the fields of each
 public dataclass and the public methods and properties of each public class,
-so adding or removing one is a visible change here."""
+so adding or removing one is a visible change here.  The CI workflow runs
+the tier-1 command, and tests/ and perfbench/ import only the standard
+library, local modules, bernsum, numpy and the test extra."""
 import ast
 import dataclasses
 import importlib
